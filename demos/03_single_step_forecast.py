@@ -34,12 +34,11 @@ iv = cell.interval
 print(f"MLP test MSE over {iv.n_runs} seeds: {iv.mean:.3e} +/- {iv.std:.3e}")
 
 persistence = FunctionModel(lambda x: x[-1], input_arity=W)
-traces = rolling_test_forecast(persistence, test_n, W, 1)
-errs = np.array([t.predictions[0] - t.targets[0] for t in traces])
-print(f"persistence baseline test MSE:  {np.mean(errs ** 2):.3e}")
+_, predictions, targets = rolling_test_forecast(persistence, test_n, W, 1)
+print(f"persistence baseline test MSE:  {np.mean((predictions - targets) ** 2):.3e}")
 
 best = min(cell.runs, key=lambda r: r.test_mse)
 print(f"\nbest seed {best.seed}: first five forecasts (normalized)")
-for t in best.traces[:5]:
-    print(f"  t={t.origin_index}: predicted {t.predictions[0]:.4f}, "
-          f"actual {t.targets[0]:.4f}")
+for origin, pred, target in zip(best.origins[:5], best.predictions[:5, 0],
+                                best.targets[:5, 0]):
+    print(f"  t={origin}: predicted {pred:.4f}, actual {target:.4f}")

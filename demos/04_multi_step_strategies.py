@@ -40,6 +40,6 @@ print("\nper-step error growth for the best direct run:")
 cell = run_cell(SYMBOL, train_n, test_n, ArchSpec("MLP", W, H),
                 cfg, n_runs=1, strategy="direct")
 run = cell.runs[0]
-for step in range(H):
-    errs = [(t.predictions[step] - t.targets[step]) ** 2 for t in run.traces]
-    print(f"  step {step + 1}: MSE {sum(errs) / len(errs):.3e}")
+step_mse = ((run.predictions - run.targets) ** 2).mean(axis=0)
+for step, mse in enumerate(step_mse, start=1):
+    print(f"  step {step}: MSE {mse:.3e}")

@@ -33,8 +33,8 @@ for kind in ("MLP", "CNN"):
     cell = run_cell(SYMBOL, train_n, test_n, ArchSpec(kind, W, 1),
                     TrainConfig(epochs=40, seed=0), n_runs=3, strategy="direct")
     # mean absolute error per origin, averaged across the seeds
-    per_seed = np.array([[abs(t.predictions[0] - t.targets[0])
-                          for t in run.traces] for run in cell.runs])
+    per_seed = np.array([np.abs(run.predictions[:, 0] - run.targets[:, 0])
+                         for run in cell.runs])
     errors[kind] = per_seed.mean(axis=0)
     print(f"{kind}: mean test MSE {cell.interval.mean:.3e} over 3 seeds")
 

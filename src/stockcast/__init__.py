@@ -10,17 +10,6 @@ from .experiment import LossInterval, RunResult, TrainConfig, evaluate_run, run_
 from .ingest import TimeSeries, ValidationReport, load_series, validate_series, write_series
 from .models import ArchSpec, Model, build_cnn, build_gru, build_lstm, build_mlp, build_model
 from .preprocess import Scaler, SplitSeries, fit_scaler, inverse_scale, scale, split_by_date
-from .windowing import (
-    ForecastTrace,
-    FunctionModel,
-    Sample,
-    WindowSpec,
-    direct_forecast,
-    iterative_forecast,
-    make_direct_samples,
-    make_single_step_samples,
-    rolling_test_forecast,
-    single_step_forecast,
-)
+from .windowing import FunctionModel, forecast, make_samples, rolling_test_forecast
 
 __version__ = "0.1.0"

@@ -19,8 +19,9 @@ from .evaluation import MULTI_STEP_PAIRS, SINGLE_STEP_PAIRS, pairwise_dm_matrix
 _COLUMNS = ["stock", "model", "w", "h", "seed", "origin", "step", "abs_error_norm"]
 
 
-def load_run_errors(path) -> dict[str, dict[str, np.ndarray]]:
-    """Parse run_errors.csv into stock -> model -> aligned error series."""
+def load_run_errors(path) -> tuple[dict[str, dict[str, np.ndarray]], int]:
+    """Parse run_errors.csv into (stock -> model -> aligned error series,
+    largest horizon in the file)."""
     rows = []
     with open(path, encoding="utf-8") as f:
         reader = csv.reader(line for line in f if not line.startswith("#"))
@@ -63,15 +64,13 @@ def load_run_errors(path) -> dict[str, dict[str, np.ndarray]]:
     lengths = {a.size for models in series.values() for a in models.values()}
     if len(lengths) > 1:
         raise MalformedInput(f"{path}: unaligned error series lengths {sorted(lengths)}")
-    series["__h__"] = max_h  # type: ignore[assignment]
-    return series
+    return series, max_h
 
 
 def dm_csv_text(errors_path, mode: str, alpha: float, loss: str = "squared",
                 harvey: bool = True) -> str:
     """One `stock,pair` row per model pair, in the fixed report order."""
-    series = load_run_errors(errors_path)
-    h = series.pop("__h__")
+    series, h = load_run_errors(errors_path)
     pairs = SINGLE_STEP_PAIRS if mode == "single" else MULTI_STEP_PAIRS
     lines = [
         "# stockcast DM comparison",

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NonFiniteLoss, TooFewRuns
+from .errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
 from .models import ArchSpec
 from .nn.autodiff import Tensor
 from .nn.layers import mse as mse_loss
 from .nn.optim import Adam
-from .windowing import ForecastTrace, Sample, rolling_test_forecast
+from .windowing import make_samples, rolling_test_forecast
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,9 @@ class RunResult:
     train_mse: float
     test_mse: float
     loss_history: list[float]
-    traces: list[ForecastTrace]
+    origins: np.ndarray      # [N] index of each forecast's first predicted point
+    predictions: np.ndarray  # [N, h]
+    targets: np.ndarray      # [N, h]
 
 
 @dataclass(frozen=True)
@@ -79,17 +81,16 @@ class CellResult:
         )
 
 
-def train(model, samples: list[Sample], cfg: TrainConfig) -> list[float]:
-    """Mini-batch Adam on MSE; returns the per-epoch mean batch loss.
+def train(model, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> list[float]:
+    """Mini-batch Adam on MSE over samples X [n, w] -> Y [n, h]; returns
+    the per-epoch mean batch loss.
 
     Mutates the model's parameters in place.  Identical (model, cfg)
     reproduce bit-identical histories on one platform.
     """
-    if not samples:
+    n = len(X)
+    if not n:
         raise ValueError("no training samples")
-    X = np.array([s.input for s in samples], dtype=np.float64)
-    Y = np.array([s.target for s in samples], dtype=np.float64)
-    n = X.shape[0]
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params, lr=cfg.lr)
     history = []
@@ -117,37 +118,34 @@ def train(model, samples: list[Sample], cfg: TrainConfig) -> list[float]:
 
 
 def evaluate_run(model, test_values, w: int, h: int, strategy: str,
-                 origin_stride: int = 1) -> tuple[float, list[ForecastTrace]]:
-    """Rolling-origin test MSE (normalized space) plus the traces."""
-    traces = rolling_test_forecast(model, test_values, w, h,
-                                   strategy=strategy, origin_stride=origin_stride)
-    preds = np.array([t.predictions for t in traces], dtype=np.float64)
-    targets = np.array([t.targets for t in traces], dtype=np.float64)
-    return float(np.mean((preds - targets) ** 2)), traces
+                 origin_stride: int = 1
+                 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Rolling-origin test MSE (normalized space) plus the (origins,
+    predictions, targets) arrays of `rolling_test_forecast`."""
+    origins, predictions, targets = rolling_test_forecast(
+        model, test_values, w, h, strategy=strategy, origin_stride=origin_stride)
+    return float(np.mean((predictions - targets) ** 2)), origins, predictions, targets
 
 
 def run_cell(stock: str, train_values, test_values, arch: ArchSpec,
              cfg: TrainConfig, n_runs: int, strategy: str) -> CellResult:
-    """Execute n_runs seeded train/evaluate runs on pre-normalized values."""
-    from .windowing import make_direct_samples, make_single_step_samples
+    """Execute n_runs seeded train/evaluate runs on pre-normalized values.
 
-    if arch.h == 1 and strategy != "iterative":
-        samples = make_single_step_samples(train_values, arch.w)
-    else:
-        samples = (make_single_step_samples(train_values, arch.w)
-                   if strategy == "iterative"
-                   else make_direct_samples(train_values, arch.w, arch.h))
+    The iterative strategy trains a single-output model and feeds its
+    predictions back in; the direct strategy trains an h-output model.
+    """
+    n_out = 1 if strategy == "iterative" else arch.h
+    X, Y = make_samples(train_values, arch.w, n_out)
+    spec = replace(arch, h=n_out)
     result = CellResult(stock=stock, model=arch.kind, w=arch.w, h=arch.h,
                         strategy=strategy)
     for i in range(n_runs):
         run_seed = cfg.seed + i
-        run_cfg = replace(cfg, seed=run_seed)
-        model = arch.build(seed=run_seed) if strategy == "direct" or arch.h == 1 \
-            else ArchSpec(arch.kind, arch.w, 1, arch.overrides).build(seed=run_seed)
+        model = spec.build(seed=run_seed)
         try:
-            history = train(model, samples, run_cfg)
-            test_mse, traces = evaluate_run(model, test_values, arch.w, arch.h,
-                                            strategy, cfg.origin_stride)
+            history = train(model, X, Y, replace(cfg, seed=run_seed))
+            test_mse, origins, predictions, targets = evaluate_run(
+                model, test_values, arch.w, arch.h, strategy, cfg.origin_stride)
         except NonFiniteLoss:
             result.failed_runs += 1
             continue
@@ -156,7 +154,9 @@ def run_cell(stock: str, train_values, test_values, arch: ArchSpec,
             train_mse=history[-1],
             test_mse=test_mse,
             loss_history=history,
-            traces=traces,
+            origins=origins,
+            predictions=predictions,
+            targets=targets,
         ))
     return result
 
@@ -168,37 +168,35 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
     """One CellResult per (stock, kind, w, h), row order deterministic.
 
     `series_by_stock` maps symbol -> (normalized train values, normalized
-    test values).  Per-cell failures are carried in the result, never
-    abort other cells.
+    test values).  A window and horizon too long for some stock's train
+    or test series raise WindowTooLarge before any cell trains; divergent
+    runs are counted in their cell and never abort other cells.
     """
-    cells = [
-        (stock, kind, w, h)
+    for stock, (tr, te) in series_by_stock.items():
+        for w in windows:
+            for h in horizons:
+                n_out = 1 if strategy == "iterative" else h
+                if len(tr) < w + n_out or len(te) < w + h:
+                    raise WindowTooLarge(
+                        f"stock {stock}: window {w}, horizon {h} need {w + n_out} train "
+                        f"and {w + h} test points, have {len(tr)} and {len(te)}")
+    tasks = [
+        (stock, series_by_stock[stock], ArchSpec(kind, w, h, overrides or {}),
+         cfg, n_runs, strategy)
         for stock in series_by_stock
         for kind in kinds
         for w in windows
         for h in horizons
     ]
-
-    def execute(cell):
-        stock, kind, w, h = cell
-        tr, te = series_by_stock[stock]
-        arch = ArchSpec(kind, w, h, overrides or {})
-        return run_cell(stock, tr, te, arch, cfg, n_runs, strategy)
-
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_execute_cell, [
-                (series_by_stock[c[0]], c, cfg, n_runs, strategy, overrides or {})
-                for c in cells
-            ]))
-    else:
-        results = [execute(c) for c in cells]
-    return results
+            return list(pool.map(_run_cell_task, tasks))
+    return [_run_cell_task(task) for task in tasks]
 
 
-def _execute_cell(packed):
-    (tr, te), (stock, kind, w, h), cfg, n_runs, strategy, overrides = packed
-    arch = ArchSpec(kind, w, h, overrides)
+def _run_cell_task(task) -> CellResult:
+    """One grid cell; a module-level function so the pool can pickle it."""
+    stock, (tr, te), arch, cfg, n_runs, strategy = task
     return run_cell(stock, tr, te, arch, cfg, n_runs, strategy)

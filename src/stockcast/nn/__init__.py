@@ -7,14 +7,10 @@ from .layers import (
     dense,
     gru_cell,
     gru_param_shapes,
-    linear,
     lstm_cell,
     lstm_param_shapes,
     maxpool1d,
     mse,
-    relu,
-    sigmoid,
-    tanh_act,
 )
 from .optim import Adam
 from .params import ParamSet
@@ -30,15 +26,11 @@ __all__ = [
     "grad_check_resampling",
     "gru_cell",
     "gru_param_shapes",
-    "linear",
     "lstm_cell",
     "lstm_param_shapes",
     "maxpool1d",
     "mse",
-    "relu",
     "reshape",
-    "sigmoid",
-    "tanh_act",
     "tmean",
     "tsum",
 ]

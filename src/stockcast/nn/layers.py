@@ -56,23 +56,6 @@ def maxpool1d(x, pool: int) -> Tensor:
     return ad.maxpool1d_op(_as_tensor(x), pool)
 
 
-def relu(x) -> Tensor:
-    return ad.relu(_as_tensor(x))
-
-
-def linear(x) -> Tensor:
-    """Identity activation."""
-    return _as_tensor(x)
-
-
-def sigmoid(x) -> Tensor:
-    return ad.sigmoid(_as_tensor(x))
-
-
-def tanh_act(x) -> Tensor:
-    return ad.tanh(_as_tensor(x))
-
-
 def _gate(x, h, W, U, b):
     return dense(x, W, b) + affine(h, U)
 

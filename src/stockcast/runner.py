@@ -76,13 +76,11 @@ def run_errors_csv_text(cfg: ExperimentConfig, cells: list[CellResult]) -> str:
     lines.append("stock,model,w,h,seed,origin,step,abs_error_norm")
     for cell in cells:
         for run in cell.runs:
-            for trace in run.traces:
-                for step, (pred, target) in enumerate(
-                        zip(trace.predictions, trace.targets), start=1):
-                    err = abs(pred - target)
-                    lines.append(
-                        f"{cell.stock},{cell.model},{cell.w},{cell.h},{run.seed},"
-                        f"{trace.origin_index},{step},{_fmt(err)}")
+            prefix = f"{cell.stock},{cell.model},{cell.w},{cell.h},{run.seed}"
+            errors = np.abs(run.predictions - run.targets).tolist()
+            for origin, row in zip(run.origins.tolist(), errors):
+                lines += [f"{prefix},{origin},{step},{_fmt(err)}"
+                          for step, err in enumerate(row, start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -102,7 +100,11 @@ def traces_json_text(cfg: ExperimentConfig, cells: list[CellResult],
                 "strategy": cell.strategy,
                 "seed": run.seed,
                 "test_mse": run.test_mse,
-                "traces": [t.to_json_dict() for t in run.traces],
+                "traces": [
+                    {"origin": origin, "predictions": predictions, "targets": targets}
+                    for origin, predictions, targets in zip(
+                        run.origins.tolist(), run.predictions.tolist(),
+                        run.targets.tolist())],
             })
     doc = {"config": cfg.echo_lines(), "records": records}
     return json.dumps(doc, sort_keys=True) + "\n"

@@ -44,14 +44,7 @@ from stockcast.nn.layers import dense
 from stockcast.nn.params import ParamSet
 from stockcast.preprocess import fit_scaler, scale, split_by_date
 from stockcast.synthetic import SYMBOLS
-from stockcast.windowing import (
-    FunctionModel,
-    iterative_forecast,
-    make_direct_samples,
-    make_single_step_samples,
-    rolling_test_forecast,
-    single_step_forecast,
-)
+from stockcast.windowing import FunctionModel, forecast, make_samples, rolling_test_forecast
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -88,32 +81,32 @@ def test_criterion_2_windowing_oracle():
                       for i in range(n) if i + w + 1 <= n]
             if not oracle:
                 with pytest.raises(WindowTooLarge):
-                    make_single_step_samples(values, w)
+                    make_samples(values, w, 1)
             else:
-                ours = make_single_step_samples(values, w)
-                assert len(ours) == len(oracle) == n - w
-                assert all(s.input == o[0] and s.target == o[1]
-                           for s, o in zip(ours, oracle))
+                X, Y = make_samples(values, w, 1)
+                assert len(X) == len(Y) == len(oracle) == n - w
+                assert all(tuple(x) == o[0] and tuple(y) == o[1]
+                           for x, y, o in zip(X.tolist(), Y.tolist(), oracle))
                 checked += 1
             for h in range(1, 29):
                 oracle = [(values[i:i + w], values[i + w:i + w + h])
                           for i in range(n) if i + w + h <= n]
                 if not oracle:
                     with pytest.raises(WindowTooLarge):
-                        make_direct_samples(values, w, h)
+                        make_samples(values, w, h)
                     continue
-                ours = make_direct_samples(values, w, h)
-                assert len(ours) == len(oracle) == n - w - h + 1
-                assert all(s.input == o[0] and s.target == o[1]
-                           for s, o in zip(ours, oracle))
+                X, Y = make_samples(values, w, h)
+                assert len(X) == len(Y) == len(oracle) == n - w - h + 1
+                assert all(tuple(x) == o[0] and tuple(y) == o[1]
+                           for x, y, o in zip(X.tolist(), Y.tolist(), oracle))
                 checked += 1
 
     # hand-unrolled recursion on the sum model, window [1, 1]:
     # step 1 sums observed (1, 1) -> 2; step 2 mixes observed and
     # predicted (1, 2) -> 3; step 3 sums predictions only (2, 3) -> 5
     model = FunctionModel(np.sum, input_arity=2)
-    trace = iterative_forecast(model, [1.0, 1.0], h=3)
-    assert trace.predictions == (2.0, 3.0, 5.0)
+    predictions = forecast(model, [[1.0, 1.0]], 3, "iterative")
+    assert predictions.tolist() == [[2.0, 3.0, 5.0]]
     assert model.n_calls == 3
     report("2 windowing oracle equivalence", True,
            f"({checked} (n, w, h) grids, sum-model unroll exact)")
@@ -254,17 +247,18 @@ def test_criterion_7_degenerate_inputs(tmp_path):
 
     # windowing
     check("w >= n -> WindowTooLarge",
-          lambda: pytest.raises(WindowTooLarge, make_single_step_samples,
-                                [1.0, 2.0, 3.0, 4.0, 5.0], 5))
+          lambda: pytest.raises(WindowTooLarge, make_samples,
+                                [1.0, 2.0, 3.0, 4.0, 5.0], 5, 1))
     check("n < w + h -> WindowTooLarge",
-          lambda: pytest.raises(WindowTooLarge, make_direct_samples,
+          lambda: pytest.raises(WindowTooLarge, make_samples,
                                 [1.0, 2.0, 3.0, 4.0], 3, 2))
     check("short test set -> WindowTooLarge",
           lambda: pytest.raises(WindowTooLarge, rolling_test_forecast,
                                 FunctionModel(np.sum, 3), [1.0, 2.0, 3.0], 3, 1))
     check("wrong model arity -> ArityMismatch",
-          lambda: pytest.raises(ArityMismatch, single_step_forecast,
-                                FunctionModel(np.sum, input_arity=4), [1.0, 2.0, 3.0]))
+          lambda: pytest.raises(ArityMismatch, forecast,
+                                FunctionModel(np.sum, input_arity=4), [[1.0, 2.0, 3.0]],
+                                1, "direct"))
 
     # h=1: both multi-step strategies reduce to single-step forecasting
     def _h1_equivalence():
@@ -272,10 +266,11 @@ def test_criterion_7_degenerate_inputs(tmp_path):
         values = [0.1, 0.4, 0.2, 0.5, 0.3, 0.6, 0.35]
         direct = rolling_test_forecast(model, values, 3, 1, strategy="direct")
         iterative = rolling_test_forecast(model, values, 3, 1, strategy="iterative")
-        assert direct == iterative
-        for trace in direct:
-            window = values[trace.origin_index - 3:trace.origin_index]
-            assert trace.predictions == (single_step_forecast(model, window),)
+        assert all(np.array_equal(d, i) for d, i in zip(direct, iterative))
+        origins, predictions, _ = direct
+        for origin, prediction in zip(origins.tolist(), predictions.tolist()):
+            window = values[origin - 3:origin]
+            assert prediction == [0.5 * window[-1] + 0.1]
 
     check("h=1 strategy equivalence", _h1_equivalence)
 
@@ -295,10 +290,10 @@ def test_criterion_7_degenerate_inputs(tmp_path):
     def _nonfinite_loss():
         model = build_surrogate("MLP", 3, 1, seed=0)
         model.params["l2.b"].data[:] = 1e200
-        samples = make_single_step_samples(np.linspace(0.1, 0.9, 20), 3)
+        X, Y = make_samples(np.linspace(0.1, 0.9, 20), 3, 1)
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteLoss):
-                train(model, samples, TrainConfig(epochs=2, seed=0))
+                train(model, X, Y, TrainConfig(epochs=2, seed=0))
 
     check("divergent training -> NonFiniteLoss", _nonfinite_loss)
     check("window too small for fixed kernel -> WindowTooSmall",

@@ -1,16 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
+from stockcast.config import ExperimentConfig
 from stockcast.errors import ArityMismatch, WindowTooLarge
+from stockcast.experiment import CellResult, RunResult
+from stockcast.runner import traces_json_text
 from stockcast.windowing import (
-    ForecastTrace,
     FunctionModel,
-    direct_forecast,
-    iterative_forecast,
-    make_direct_samples,
-    make_single_step_samples,
+    forecast,
+    make_samples,
     rolling_test_forecast,
-    single_step_forecast,
 )
 
 
@@ -18,77 +19,100 @@ def echo(w):
     return FunctionModel(lambda x: x[-1], input_arity=w)
 
 
+def rows(values, w, h):
+    X, Y = make_samples(values, w, h)
+    return [(tuple(x), tuple(y)) for x, y in zip(X.tolist(), Y.tolist())]
+
+
 def test_single_step_samples_basic():
-    samples = make_single_step_samples([1, 2, 3, 4, 5], 3)
-    assert [(s.input, s.target) for s in samples] == [
-        ((1, 2, 3), (4,)), ((2, 3, 4), (5,))]
+    assert rows([1, 2, 3, 4, 5], 3, 1) == [((1, 2, 3), (4,)), ((2, 3, 4), (5,))]
 
 
 def test_single_step_window_too_large():
     with pytest.raises(WindowTooLarge):
-        make_single_step_samples([1, 2, 3, 4, 5], 5)
+        make_samples([1, 2, 3, 4, 5], 5, 1)
 
 
 def test_single_step_count():
     for n in (5, 17, 80):
         for w in range(1, min(n, 15)):
-            assert len(make_single_step_samples(list(range(n)), w)) == n - w
+            X, Y = make_samples(list(range(n)), w, 1)
+            assert X.shape == (n - w, w) and Y.shape == (n - w, 1)
 
 
 def test_direct_samples_basic():
-    samples = make_direct_samples([1, 2, 3, 4, 5, 6], 3, 2)
-    assert [(s.input, s.target) for s in samples] == [
-        ((1, 2, 3), (4, 5)), ((2, 3, 4), (5, 6))]
+    assert rows([1, 2, 3, 4, 5, 6], 3, 2) == [((1, 2, 3), (4, 5)), ((2, 3, 4), (5, 6))]
 
 
 def test_direct_sample_count_w30_h7():
-    assert len(make_direct_samples(list(range(300)), 30, 7)) == 264
+    X, Y = make_samples(list(range(300)), 30, 7)
+    assert X.shape == (264, 30) and Y.shape == (264, 7)
 
 
 def test_direct_h1_reduces_to_single_step():
     values = list(np.linspace(0, 1, 37))
-    assert make_direct_samples(values, 5, 1) == make_single_step_samples(values, 5)
+    X, Y = make_samples(values, 5, 1)
+    assert np.array_equal(Y[:, 0], values[5:])
+    assert all(np.array_equal(X[k], values[k:k + 5]) for k in range(len(X)))
 
 
 def test_no_sample_overlaps_own_target():
-    values = list(range(50))
-    for s in make_direct_samples(values, 6, 4):
-        assert set(s.input).isdisjoint(s.target)
+    for x, y in rows(list(range(50)), 6, 4):
+        assert set(x).isdisjoint(y)
 
 
 def test_single_step_forecast_echo():
-    assert single_step_forecast(echo(3), [0.1, 0.2, 0.3]) == pytest.approx(0.3)
+    assert forecast(echo(3), [[0.1, 0.2, 0.3]], 1, "direct") == pytest.approx(np.array([[0.3]]))
 
 
 def test_single_step_forecast_mean_model():
     model = FunctionModel(lambda x: x.mean(), input_arity=3)
-    assert single_step_forecast(model, [0.3, 0.6, 0.9]) == pytest.approx(0.6)
+    got = forecast(model, [[0.3, 0.6, 0.9], [0.0, 0.1, 0.2]], 1, "direct")
+    assert got == pytest.approx(np.array([[0.6], [0.1]]))
+    assert model.n_calls == 1
 
 
 def test_single_step_arity_mismatch():
     with pytest.raises(ArityMismatch):
-        single_step_forecast(echo(4), [1.0, 2.0, 3.0])
+        forecast(echo(4), [[1.0, 2.0, 3.0]], 1, "direct")
+
+
+def test_forecast_output_width_mismatch():
+    wide = FunctionModel(lambda x: np.zeros(2), input_arity=3, output_arity=2)
+    with pytest.raises(ArityMismatch):
+        forecast(wide, [[1.0, 2.0, 3.0]], 3, "direct")
+    with pytest.raises(ArityMismatch):
+        forecast(wide, [[1.0, 2.0, 3.0]], 3, "iterative")
+    undeclared = FunctionModel(lambda x: np.zeros(2), input_arity=3, output_arity=1)
+    with pytest.raises(ArityMismatch):
+        forecast(undeclared, [[1.0, 2.0, 3.0]], 3, "iterative")
 
 
 def test_iterative_echo_fixed_point():
-    trace = iterative_forecast(echo(3), [1.0, 2.0, 3.0], 5)
-    assert trace.predictions == (3.0,) * 5
+    assert forecast(echo(3), [[1.0, 2.0, 3.0]], 5, "iterative").tolist() == [[3.0] * 5]
 
 
 def test_iterative_sum_model_hand_unrolled():
     # w=2, h=3: inputs [1,1] -> 2, [1,2] -> 3 (observed+prediction),
     # then [2,3] -> 5 (predictions only: the regime switch past 2w)
     model = FunctionModel(lambda x: x.sum(), input_arity=2)
-    trace = iterative_forecast(model, [1.0, 1.0], 3)
-    assert trace.predictions == (2.0, 3.0, 5.0)
+    assert forecast(model, [[1.0, 1.0]], 3, "iterative").tolist() == [[2.0, 3.0, 5.0]]
+
+
+def test_iterative_batch_rows_independent():
+    # every row of a batch recurses on its own history only
+    model = FunctionModel(lambda x: x.sum(), input_arity=2)
+    got = forecast(model, [[1.0, 1.0], [0.0, 1.0], [2.0, -1.0]], 3, "iterative")
+    assert got.tolist() == [[2.0, 3.0, 5.0], [1.0, 2.0, 3.0], [1.0, 0.0, 1.0]]
+    assert model.n_calls == 3
 
 
 def test_iterative_h1_equals_single_step():
     rng = np.random.default_rng(0)
-    window = rng.uniform(0, 1, 7)
+    windows = rng.uniform(0, 1, (4, 7))
     model = FunctionModel(lambda x: x.mean(), input_arity=7)
-    assert iterative_forecast(model, window, 1).predictions[0] == pytest.approx(
-        single_step_forecast(model, window))
+    assert np.array_equal(forecast(model, windows, 1, "iterative"),
+                          forecast(model, windows, 1, "direct"))
 
 
 def test_iterative_regime_boundary():
@@ -97,7 +121,8 @@ def test_iterative_regime_boundary():
     w, h = 4, 9
     seen = []
     model = FunctionModel(lambda x: (seen.append(x.copy()), x[-1] + 1.0)[1], input_arity=w)
-    iterative_forecast(model, [10.0, 20.0, 30.0, 40.0], h)
+    forecast(model, [[10.0, 20.0, 30.0, 40.0]], h, "iterative")
+    assert len(seen) == h
     observed = {10.0, 20.0, 30.0, 40.0}
     for j, x in enumerate(seen, start=1):
         n_obs = len(observed & set(x))
@@ -106,47 +131,57 @@ def test_iterative_regime_boundary():
 
 def test_direct_forecast_broadcast_mean():
     model = FunctionModel(lambda x: np.full(3, x.mean()), input_arity=2, output_arity=3)
-    trace = direct_forecast(model, [0.2, 0.4])
-    assert trace.predictions == pytest.approx((0.3, 0.3, 0.3))
+    assert forecast(model, [[0.2, 0.4]], 3, "direct") == pytest.approx(np.array([[0.3, 0.3, 0.3]]))
 
 
 def test_direct_h1_equals_single_step():
     model = FunctionModel(lambda x: x[-1], input_arity=3, output_arity=1)
-    window = [0.5, 0.6, 0.7]
-    assert direct_forecast(model, window).predictions[0] == pytest.approx(
-        single_step_forecast(model, window))
+    windows = [[0.5, 0.6, 0.7], [0.1, 0.3, 0.2]]
+    assert forecast(model, windows, 1, "direct").tolist() == [[0.7], [0.2]]
 
 
 def test_direct_forecast_single_model_call():
     model = FunctionModel(lambda x: np.zeros(28), input_arity=5, output_arity=28)
-    direct_forecast(model, np.zeros(5))
+    forecast(model, np.zeros((40, 5)), 28, "direct")
     assert model.n_calls == 1
 
 
 def test_rolling_origins():
     model = FunctionModel(lambda x: np.zeros(7), input_arity=30, output_arity=7)
-    traces = rolling_test_forecast(model, np.arange(40.0), 30, 7)
-    assert len(traces) == 4
-    assert [t.origin_index for t in traces] == [30, 31, 32, 33]
+    origins, predictions, targets = rolling_test_forecast(model, np.arange(40.0), 30, 7)
+    assert origins.tolist() == [30, 31, 32, 33]
+    assert predictions.shape == targets.shape == (4, 7)
+    assert targets[:, 0].tolist() == [30.0, 31.0, 32.0, 33.0]
+
+
+def test_rolling_origin_stride_and_chunks():
+    # more origins than one chunk: every window still pairs with its own targets
+    values = np.arange(120.0)
+    model = FunctionModel(lambda x: x[-1], input_arity=5)
+    origins, predictions, targets = rolling_test_forecast(
+        model, values, 5, 3, strategy="iterative", origin_stride=2)
+    assert origins.tolist() == list(range(5, 118, 2))
+    assert predictions.tolist() == [[o - 1.0] * 3 for o in origins.tolist()]
+    assert targets.tolist() == [[o, o + 1.0, o + 2.0] for o in origins.tolist()]
+    assert model.n_calls == 3 * 2  # 57 origins: chunks of 32 and 25, 3 steps each
 
 
 def test_rolling_echo_constant_series():
     model = FunctionModel(lambda x: np.full(4, x[-1]), input_arity=5, output_arity=4)
-    traces = rolling_test_forecast(model, np.full(20, 3.5), 5, 4)
-    for t in traces:
-        assert t.predictions == (3.5,) * 4
-        assert t.targets == (3.5,) * 4
+    _, predictions, targets = rolling_test_forecast(model, np.full(20, 3.5), 5, 4)
+    assert (predictions == 3.5).all() and (targets == 3.5).all()
 
 
 def test_rolling_mse_matches_flat_pairs():
     rng = np.random.default_rng(1)
     values = rng.uniform(0, 1, 30)
     model = FunctionModel(lambda x: np.full(3, x.mean()), input_arity=5, output_arity=3)
-    traces = rolling_test_forecast(model, values, 5, 3)
-    flat_sq = [(p - t) ** 2 for tr in traces for p, t in zip(tr.predictions, tr.targets)]
-    per_trace = [np.mean([(p - t) ** 2 for p, t in zip(tr.predictions, tr.targets)])
-                 for tr in traces]
-    assert np.mean(flat_sq) == pytest.approx(np.mean(per_trace))
+    _, predictions, targets = rolling_test_forecast(model, values, 5, 3)
+    flat_sq = [(p - t) ** 2 for pr, tr in zip(predictions.tolist(), targets.tolist())
+               for p, t in zip(pr, tr)]
+    per_origin = [np.mean([(p - t) ** 2 for p, t in zip(pr, tr)])
+                  for pr, tr in zip(predictions.tolist(), targets.tolist())]
+    assert np.mean(flat_sq) == pytest.approx(np.mean(per_origin))
 
 
 def test_rolling_window_too_large():
@@ -155,9 +190,14 @@ def test_rolling_window_too_large():
 
 
 def test_trace_json_shape():
-    trace = ForecastTrace(origin_index=3, predictions=(1.0, 2.0), targets=(1.5, 2.5))
-    assert trace.to_json_dict() == {
-        "origin": 3, "predictions": [1.0, 2.0], "targets": [1.5, 2.5]}
+    origins, predictions, targets = rolling_test_forecast(
+        echo(2), [1.0, 2.0, 1.5, 2.5, 3.0], 2, 2, strategy="iterative")
+    cell = CellResult("A", "MLP", 2, 2, "iterative", runs=[
+        RunResult(0, 0.0, 0.1, [], origins, predictions, targets)])
+    record, = json.loads(traces_json_text(ExperimentConfig(), [cell]))["records"]
+    assert record["traces"] == [
+        {"origin": 2, "predictions": [2.0, 2.0], "targets": [1.5, 2.5]},
+        {"origin": 3, "predictions": [1.5, 1.5], "targets": [2.5, 3.0]}]
 
 
 # brute-force index-enumeration oracles, kept deliberately naive
@@ -187,8 +227,6 @@ def test_against_oracle_sampled():
         h = int(rng.integers(1, 29))
         values = list(rng.uniform(0, 1, n))
         if n > w:
-            got = [(s.input, s.target) for s in make_single_step_samples(values, w)]
-            assert got == oracle_single(values, w)
+            assert rows(values, w, 1) == oracle_single(values, w)
         if n >= w + h:
-            got = [(s.input, s.target) for s in make_direct_samples(values, w, h)]
-            assert got == oracle_direct(values, w, h)
+            assert rows(values, w, h) == oracle_direct(values, w, h)
