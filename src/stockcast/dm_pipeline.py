@@ -1,70 +1,93 @@
 """Build DM comparison tables from a per-run errors CSV.
 
 The error series for each (stock, model) is the per-(origin, step)
-absolute error averaged across the run seeds, concatenated in
-(w, h, origin, step) order; both members of a pair therefore align on
-identical targets.  The long-run variance lag uses the largest horizon
-present in the file.
+absolute error averaged across the run seeds, in (w, h, origin, step)
+order.  Within a stock every model must carry the identical
+(w, h, origin, step) keys, so both members of a pair align on the same
+targets; different stocks may differ, since each DM test is per stock.
+The long-run variance lag uses the largest horizon present in the file.
 """
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
 from .errors import MalformedInput
 from .evaluation import MULTI_STEP_PAIRS, SINGLE_STEP_PAIRS, pairwise_dm_matrix
+from .runner import RUN_ERRORS_COLUMNS
 
-_COLUMNS = ["stock", "model", "w", "h", "seed", "origin", "step", "abs_error_norm"]
+# an unsized str field would load every name as ""
+_ROW = np.dtype([("stock", object), ("model", object), ("w", np.int64), ("h", np.int64),
+                 ("seed", np.int64), ("origin", np.int64), ("step", np.int64),
+                 ("abs_error_norm", np.float64)])
+
+
+def _next_line(f) -> str | None:
+    """The next line that is neither blank nor a `#` comment, or None."""
+    for line in iter(f.readline, ""):
+        if line.split("#", 1)[0].strip():
+            return line
+    return None
+
+
+def _read_rows(path) -> np.ndarray:
+    with open(path, encoding="utf-8") as f:
+        header = _next_line(f)
+        if header is None:
+            raise MalformedInput(f"{path}: no header row")
+        if tuple(header.rstrip("\n").split(",")) != RUN_ERRORS_COLUMNS:
+            raise MalformedInput(
+                f"{path}: expected columns {list(RUN_ERRORS_COLUMNS)}, got {header.rstrip()!r}")
+        start = f.tell()
+        # checked here: np.loadtxt warns on input with no data
+        if _next_line(f) is None:
+            raise MalformedInput(f"{path}: no data rows")
+        f.seek(start)
+        try:
+            return np.loadtxt(f, dtype=_ROW, delimiter=",", quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise MalformedInput(f"{path}: malformed data row: {exc}") from None
+
+
+def _codes(names: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Distinct names in order of first appearance, and each row's index."""
+    distinct = list(dict.fromkeys(names))
+    index = {name: i for i, name in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, names), np.int64, names.size)
 
 
 def load_run_errors(path) -> tuple[dict[str, dict[str, np.ndarray]], int]:
     """Parse run_errors.csv into (stock -> model -> aligned error series,
     largest horizon in the file)."""
-    rows = []
-    with open(path, encoding="utf-8") as f:
-        reader = csv.reader(line for line in f if not line.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedInput(f"{path}: no header row")
-        if header != _COLUMNS:
-            raise MalformedInput(f"{path}: expected columns {_COLUMNS}, got {header}")
-        for row in reader:
-            if len(row) != len(_COLUMNS):
-                raise MalformedInput(f"{path}: bad row {row!r}")
-            rows.append(row)
-    if not rows:
-        raise MalformedInput(f"{path}: no data rows")
-
-    # stock -> model -> (w, h, origin, step) -> per-seed errors
-    stock_order: list[str] = []
-    grouped: dict[str, dict[str, dict[tuple, list[float]]]] = {}
-    max_h = 1
-    for stock, model, w, h, seed, origin, step, err in rows:
-        try:
-            key = (int(w), int(h), int(origin), int(step))
-            value = float(err)
-            max_h = max(max_h, int(h))
-        except ValueError:
-            raise MalformedInput(f"{path}: non-numeric fields in row for {stock}/{model}")
-        if stock not in grouped:
-            grouped[stock] = {}
-            stock_order.append(stock)
-        grouped[stock].setdefault(model, {}).setdefault(key, []).append(value)
+    rows = _read_rows(path)
+    stocks, stock_code = _codes(rows["stock"])
+    models, model_code = _codes(rows["model"])
+    keys = np.stack([stock_code, model_code, rows["w"], rows["h"], rows["origin"],
+                     rows["step"]])
+    # stable, so the seeds of a key keep their file order
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
+    # reduceat starts a sum from the slice's first value, np.mean from 0.0:
+    # a 0.0 put in front of each slice makes both add in the same order
+    sums = np.add.reduceat(np.insert(rows["abs_error_norm"][order], starts, 0.0),
+                           starts + np.arange(starts.size))
+    means = sums / np.diff(np.r_[starts, order.size])
+    cells = keys[:, starts]
+    bounds = np.flatnonzero(np.r_[True, (cells[:2, 1:] != cells[:2, :-1]).any(axis=0),
+                                  True])
 
     series: dict[str, dict[str, np.ndarray]] = {}
-    for stock in stock_order:
-        series[stock] = {}
-        for model, cells in grouped[stock].items():
-            keys = sorted(cells)
-            series[stock][model] = np.array(
-                [float(np.mean(cells[k])) for k in keys], dtype=np.float64)
-    lengths = {a.size for models in series.values() for a in models.values()}
-    if len(lengths) > 1:
-        raise MalformedInput(f"{path}: unaligned error series lengths {sorted(lengths)}")
-    return series, max_h
+    first: dict[str, tuple[str, np.ndarray]] = {}
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        stock, model = stocks[cells[0, lo]], models[cells[1, lo]]
+        first_model, first_keys = first.setdefault(stock, (model, cells[2:, lo:hi]))
+        if not np.array_equal(cells[2:, lo:hi], first_keys):
+            raise MalformedInput(
+                f"{path}: stock {stock}: model {model} has other (w, h, origin, step) "
+                f"keys than model {first_model}")
+        series.setdefault(stock, {})[model] = means[lo:hi]
+    return series, max(1, int(rows["h"].max()))
 
 
 def dm_csv_text(errors_path, mode: str, alpha: float, loss: str = "squared",

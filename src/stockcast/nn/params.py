@@ -1,10 +1,6 @@
-"""Named parameter collections and their checkpoint serialization."""
+"""Named parameter collections."""
 
 from __future__ import annotations
-
-import json
-
-import numpy as np
 
 from ..errors import ShapeMismatch
 from .autodiff import Tensor
@@ -49,48 +45,3 @@ class ParamSet:
 
     def copy(self) -> "ParamSet":
         return ParamSet({k: Tensor(v.data.copy()) for k, v in self._tensors.items()})
-
-    # checkpoint format: flat float64 blob + JSON shape manifest
-    def to_blob(self) -> tuple[bytes, str]:
-        blob = b"".join(t.data.tobytes() for t in self._tensors.values())
-        manifest = json.dumps(
-            {
-                "dtype": "float64",
-                "entries": [
-                    {"name": k, "shape": list(v.data.shape)}
-                    for k, v in self._tensors.items()
-                ],
-            },
-            sort_keys=True,
-        )
-        return blob, manifest
-
-    @classmethod
-    def from_blob(cls, blob: bytes, manifest: str) -> "ParamSet":
-        meta = json.loads(manifest)
-        tensors = {}
-        offset = 0
-        for entry in meta["entries"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(blob, dtype=np.float64, count=n, offset=offset)
-            tensors[entry["name"]] = Tensor(arr.reshape(shape).copy())
-            offset += n * 8
-        if offset != len(blob):
-            raise ShapeMismatch("blob length disagrees with manifest")
-        return cls(tensors)
-
-    def save(self, path_prefix: str):
-        blob, manifest = self.to_blob()
-        with open(path_prefix + ".bin", "wb") as f:
-            f.write(blob)
-        with open(path_prefix + ".json", "w", encoding="utf-8") as f:
-            f.write(manifest)
-
-    @classmethod
-    def load(cls, path_prefix: str) -> "ParamSet":
-        with open(path_prefix + ".bin", "rb") as f:
-            blob = f.read()
-        with open(path_prefix + ".json", encoding="utf-8") as f:
-            manifest = f.read()
-        return cls.from_blob(blob, manifest)

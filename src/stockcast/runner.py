@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .preprocess import fit_scaler, scale, split_by_date
 
 RESULTS_CSV = "results.csv"
 RUN_ERRORS_CSV = "run_errors.csv"
+RUN_ERRORS_COLUMNS = ("stock", "model", "w", "h", "seed", "origin", "step", "abs_error_norm")
 TRACES_JSON = "traces.json"
 
 
@@ -29,10 +31,23 @@ def _fmt(x: float) -> str:
 
 
 def atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    """Write through a synced temp file of its own in the target's
+    directory, so `path` holds either its old or its whole new text."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        # mkstemp creates 0600; give the mode a plain open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with open(fd, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def prepare_series(cfg: ExperimentConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -73,7 +88,7 @@ def results_csv_text(cfg: ExperimentConfig, cells: list[CellResult]) -> str:
 
 def run_errors_csv_text(cfg: ExperimentConfig, cells: list[CellResult]) -> str:
     lines = _header(cfg)
-    lines.append("stock,model,w,h,seed,origin,step,abs_error_norm")
+    lines.append(",".join(RUN_ERRORS_COLUMNS))
     for cell in cells:
         for run in cell.runs:
             prefix = f"{cell.stock},{cell.model},{cell.w},{cell.h},{run.seed}"

@@ -17,6 +17,7 @@ from stockcast.errors import MissingDataFile, ParseError
 from stockcast.nn import autodiff as ad
 from stockcast.nn.autodiff import Tensor
 from stockcast.nn.params import ParamSet
+from stockcast.runner import atomic_write
 
 
 def write_lines(path, lines):
@@ -186,6 +187,28 @@ def test_run_iterative_strategy(tmp_path, tiny_dir):
     assert steps == {"1", "2", "3"}
 
 
+def test_atomic_write_ignores_stale_tmp_path(tmp_path):
+    # a leftover directory at the old fixed temp name must not block writes
+    target = tmp_path / "results.csv"
+    (tmp_path / "results.csv.tmp").mkdir()
+    atomic_write(str(target), "a,b\n")
+    assert target.read_text() == "a,b\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv", "results.csv.tmp"]
+
+
+def test_atomic_write_syncs_before_replace(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync"))
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda a, b: (calls.append("replace"),
+                                                     real_replace(a, b)))
+    atomic_write(str(tmp_path / "out.csv"), "x\n")
+    assert calls == ["fsync", "replace"]
+
+
 # ---------------------------------------------------------------- dm
 
 
@@ -204,9 +227,9 @@ def synthetic_run_errors(path, h=1, n_origins=30, seeds=(0, 1)):
 
 def test_dm_command_single(tmp_path, capsys):
     errors = synthetic_run_errors(tmp_path / "run_errors.csv")
-    out = str(tmp_path / "dm.csv")
-    assert main(["dm", "--errors", errors, "--output", out]) == 0
-    lines = open(out).read().splitlines()
+    out = tmp_path / "dm.csv"
+    assert main(["dm", "--errors", errors, "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
     assert any("alpha = 0.0001" in l for l in lines if l.startswith("#"))
     data = [l for l in lines if not l.startswith("#")]
     assert data[0] == "stock,pair,statistic,p_value,h,T,variant"
@@ -221,9 +244,9 @@ def test_dm_command_single(tmp_path, capsys):
 
 def test_dm_command_multi_pairs(tmp_path):
     errors = synthetic_run_errors(tmp_path / "run_errors.csv", h=7)
-    out = str(tmp_path / "dm.csv")
-    assert main(["dm", "--errors", errors, "--output", out, "--mode", "multi"]) == 0
-    data = [l for l in open(out).read().splitlines() if not l.startswith("#")]
+    out = tmp_path / "dm.csv"
+    assert main(["dm", "--errors", errors, "--output", str(out), "--mode", "multi"]) == 0
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     pairs = [row.split(",")[1] for row in data[1:]]
     assert pairs == ["MLP-CNN", "LSTM-GRU", "MLP-LSTM", "LSTM-CNN", "MLP-GRU"]
     assert all(row.split(",")[4] == "7" for row in data[1:])
@@ -231,9 +254,9 @@ def test_dm_command_multi_pairs(tmp_path):
 
 def test_dm_command_no_harvey_variant(tmp_path):
     errors = synthetic_run_errors(tmp_path / "run_errors.csv")
-    out = str(tmp_path / "dm.csv")
-    assert main(["dm", "--errors", errors, "--output", out, "--no-harvey"]) == 0
-    data = [l for l in open(out).read().splitlines() if not l.startswith("#")]
+    out = tmp_path / "dm.csv"
+    assert main(["dm", "--errors", errors, "--output", str(out), "--no-harvey"]) == 0
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert all(row.split(",")[6] == "plain" for row in data[1:])
 
 
@@ -249,6 +272,21 @@ def test_dm_command_wrong_header(tmp_path, capsys):
     errors = write_lines(tmp_path / "run_errors.csv", ["a,b,c", "1,2,3"])
     assert main(["dm", "--errors", errors, "--output", str(tmp_path / "dm.csv")]) == 2
     assert "expected columns" in capsys.readouterr().err
+
+
+def test_dm_command_misaligned_origins(tmp_path, capsys):
+    # MLP forecasts origins 35..94, the other models 30..89
+    rows = ["stock,model,w,h,seed,origin,step,abs_error_norm"]
+    for model in ALL_MODELS:
+        start = 35 if model == "MLP" else 30
+        for seed in (0, 1):
+            rows += [f"AAA,{model},3,1,{seed},{origin},1,0.0{seed + 1}"
+                     for origin in range(start, start + 60)]
+    errors = write_lines(tmp_path / "run_errors.csv", rows)
+    assert main(["dm", "--errors", errors, "--output", str(tmp_path / "dm.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "AAA" in err and "MLP" in err
+    assert not (tmp_path / "dm.csv").exists()
 
 
 def test_dm_command_missing_model(tmp_path, capsys):

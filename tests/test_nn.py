@@ -324,23 +324,3 @@ def test_forward_deterministic():
     a = dense(Tensor(x), Tensor(W), Tensor(b)).data
     b2 = dense(Tensor(x), Tensor(W), Tensor(b)).data
     assert np.array_equal(a, b2)
-
-
-def test_paramset_blob_roundtrip():
-    rng = np.random.default_rng(10)
-    ps = ParamSet({
-        "a": Tensor(rng.standard_normal((3, 2))),
-        "b": Tensor(rng.standard_normal(5)),
-    })
-    blob, manifest = ps.to_blob()
-    restored = ParamSet.from_blob(blob, manifest)
-    assert restored.names() == ps.names()
-    for name in ps.names():
-        assert np.array_equal(restored[name].data, ps[name].data)
-
-
-def test_paramset_file_roundtrip(tmp_path):
-    ps = ParamSet({"w": Tensor([1.5, -2.5])})
-    ps.save(str(tmp_path / "ckpt"))
-    restored = ParamSet.load(str(tmp_path / "ckpt"))
-    assert np.array_equal(restored["w"].data, ps["w"].data)
