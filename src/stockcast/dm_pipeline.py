@@ -10,6 +10,8 @@ The long-run variance lag uses the largest horizon present in the file.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .errors import MalformedInput
@@ -38,15 +40,16 @@ def _read_rows(path) -> np.ndarray:
         if tuple(header.rstrip("\n").split(",")) != RUN_ERRORS_COLUMNS:
             raise MalformedInput(
                 f"{path}: expected columns {list(RUN_ERRORS_COLUMNS)}, got {header.rstrip()!r}")
-        start = f.tell()
-        # checked here: np.loadtxt warns on input with no data
-        if _next_line(f) is None:
-            raise MalformedInput(f"{path}: no data rows")
-        f.seek(start)
-        try:
-            return np.loadtxt(f, dtype=_ROW, delimiter=",", quotechar='"', ndmin=1)
-        except ValueError as exc:
-            raise MalformedInput(f"{path}: malformed data row: {exc}") from None
+        # as errors: older numpy parses an int field "2.5" as 2 with only a
+        # DeprecationWarning, and np.loadtxt warns on input with no data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return np.loadtxt(f, dtype=_ROW, delimiter=",", quotechar='"', ndmin=1)
+            except UserWarning:
+                raise MalformedInput(f"{path}: no data rows") from None
+            except (ValueError, Warning) as exc:
+                raise MalformedInput(f"{path}: malformed data row: {exc}") from None
 
 
 def _codes(names: np.ndarray) -> tuple[list[str], np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -33,14 +33,11 @@ def _fmt(x: float) -> str:
 def atomic_write(path: str, text: str):
     """Write through a synced temp file of its own in the target's
     directory, so `path` holds either its old or its whole new text."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    # "x" creates the file or fails, with the mode a plain open() gives
+    f = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        # mkstemp creates 0600; give the mode a plain open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with open(fd, "w", encoding="utf-8", newline="\n") as f:
+        with f:
             f.write(text)
             f.flush()
             os.fsync(f.fileno())

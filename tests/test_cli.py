@@ -209,6 +209,16 @@ def test_atomic_write_syncs_before_replace(tmp_path, monkeypatch):
     assert calls == ["fsync", "replace"]
 
 
+def test_atomic_write_removes_tmp_on_failure(tmp_path, monkeypatch):
+    def fail(a, b):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        atomic_write(str(tmp_path / "out.csv"), "x\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- dm
 
 

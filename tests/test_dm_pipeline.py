@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,8 @@ def test_load_matches_per_key_mean_oracle(tmp_path):
             assert np.array_equal(series[stock][model], values)
 
 
+# "default": what users get, where pytest alone would turn warnings into errors
+@pytest.mark.filterwarnings("default")
 @pytest.mark.parametrize("row", [
     "AAA,MLP,3,1,0,5,1",
     "AAA,MLP,3,1,0,5,1,0.01,7",
@@ -58,5 +62,21 @@ def test_load_matches_per_key_mean_oracle(tmp_path):
 def test_load_rejects_malformed_rows(tmp_path, row):
     path = write_lines(tmp_path / "errors.csv",
                        [HEADER, "AAA,MLP,3,1,0,4,1,0.02", row])
+    with pytest.raises(MalformedInput):
+        load_run_errors(path)
+
+
+@pytest.mark.filterwarnings("default")
+def test_load_rejects_rows_numpy_only_warns_about(tmp_path, monkeypatch):
+    # older numpy parses an int field "2.5" as 2 and only warns
+    real_loadtxt = np.loadtxt
+
+    def warn_and_truncate(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return real_loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warn_and_truncate)
+    path = write_lines(tmp_path / "errors.csv", [HEADER, "AAA,MLP,3,1,0,2,1,0.02"])
     with pytest.raises(MalformedInput):
         load_run_errors(path)
