@@ -17,16 +17,7 @@ from .models import build_surrogate
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
 from .nn.gradcheck import grad_check_resampling
-from .nn.layers import (
-    conv1d,
-    dense,
-    gru_cell,
-    gru_param_shapes,
-    lstm_cell,
-    lstm_param_shapes,
-    maxpool1d,
-    mse,
-)
+from .nn.layers import conv1d, dense, maxpool1d, mse
 from .nn.params import ParamSet
 
 LINEAR_TOL = 1e-6
@@ -98,39 +89,19 @@ def _check_maxpool(seed):
     return make
 
 
-def _check_gru(seed, steps=3, n_in=2, n_hid=4):
+def _check_recurrent(seq, gates, seed, batch=2, steps=3, n_in=2, n_hid=4):
+    """A 3-step sequence op, every hidden state in the loss, input included."""
     def make(attempt):
         rng = _rng((seed, attempt))
-        tensors = {name: Tensor(0.5 * rng.standard_normal(shape))
-                   for name, shape in gru_param_shapes(n_in, n_hid).items()}
-        xs = rng.standard_normal((steps, n_in))
-        params = ParamSet(tensors)
+        params = ParamSet({
+            "W": Tensor(0.5 * rng.standard_normal((gates * n_hid, n_in))),
+            "U": Tensor(0.5 * rng.standard_normal((gates * n_hid, n_hid))),
+            "b": Tensor(0.5 * rng.standard_normal(gates * n_hid)),
+            "x": Tensor(rng.standard_normal((batch, steps, n_in))),
+        })
 
         def f(p):
-            h = Tensor(np.zeros(n_hid))
-            for t in range(steps):
-                h = gru_cell(Tensor(xs[t]), h, p)
-            return ad.tsum(h ** 2)
-
-        return f, params
-
-    return make
-
-
-def _check_lstm(seed, steps=3, n_in=2, n_hid=4):
-    def make(attempt):
-        rng = _rng((seed, attempt))
-        tensors = {name: Tensor(0.5 * rng.standard_normal(shape))
-                   for name, shape in lstm_param_shapes(n_in, n_hid).items()}
-        xs = rng.standard_normal((steps, n_in))
-        params = ParamSet(tensors)
-
-        def f(p):
-            h = Tensor(np.zeros(n_hid))
-            c = Tensor(np.zeros(n_hid))
-            for t in range(steps):
-                h, c = lstm_cell(Tensor(xs[t]), h, c, p)
-            return ad.tsum(h ** 2)
+            return ad.tsum(seq(p["x"], p["W"], p["U"], p["b"]) ** 2)
 
         return f, params
 
@@ -172,8 +143,8 @@ def run_gradcheck_suite(seed: int = 7, eps: float = 1e-5) -> list[CheckResult]:
         ("dense", _check_dense(seed), LINEAR_TOL),
         ("conv1d", _check_conv(seed), LINEAR_TOL),
         ("maxpool", _check_maxpool(seed), NONLINEAR_TOL),
-        ("gru_cell", _check_gru(seed), NONLINEAR_TOL),
-        ("lstm_cell", _check_lstm(seed), NONLINEAR_TOL),
+        ("gru_cell", _check_recurrent(ad.gru_seq, 3, seed), NONLINEAR_TOL),
+        ("lstm_cell", _check_recurrent(ad.lstm_seq, 4, seed), NONLINEAR_TOL),
         ("mse", _check_mse(seed), LINEAR_TOL),
         ("arch_MLP", _check_architecture("MLP", seed), NONLINEAR_TOL),
         ("arch_CNN", _check_architecture("CNN", seed), NONLINEAR_TOL),

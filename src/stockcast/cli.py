@@ -69,6 +69,13 @@ def cmd_validate_data(args) -> int:
     return 1 if bad else 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stockcast",
@@ -77,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute the configured experiment grid")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_run.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1)
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
     p_run.add_argument("--all-traces", action="store_true",

@@ -17,13 +17,7 @@ import numpy as np
 from .errors import ArityMismatch, WindowTooSmall
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
-from .nn.layers import (
-    dense,
-    gru_cell,
-    gru_param_shapes,
-    lstm_cell,
-    lstm_param_shapes,
-)
+from .nn.layers import dense
 from .nn.params import ParamSet
 
 KINDS = ("MLP", "CNN", "GRU", "LSTM")
@@ -107,14 +101,17 @@ def _xavier_uniform(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _init_gated(rng, shapes: dict[str, tuple]) -> dict[str, Tensor]:
-    out = {}
-    for name, shape in shapes.items():
-        if name.startswith("b"):
-            out[name] = Tensor(np.zeros(shape))
-        else:
-            out[name] = Tensor(_xavier_uniform(rng, shape, shape[1], shape[0]))
-    return out
+def _init_gated(rng, gates: int, n_in: int, n_hid: int) -> tuple[Tensor, Tensor, Tensor]:
+    """Fused W [gates*n, n_in], U [gates*n, n] and zero b [gates*n].
+
+    Each gate's W block, then its U block, is drawn in gate order, so the
+    weights equal those of separately drawn per-gate matrices.
+    """
+    W, U = [], []
+    for _ in range(gates):
+        W.append(_xavier_uniform(rng, (n_hid, n_in), n_in, n_hid))
+        U.append(_xavier_uniform(rng, (n_hid, n_hid), n_hid, n_hid))
+    return Tensor(np.concatenate(W)), Tensor(np.concatenate(U)), Tensor(np.zeros(gates * n_hid))
 
 
 # --- MLP ----------------------------------------------------------------------
@@ -205,37 +202,22 @@ def build_cnn(w: int, h: int, seed: int = 0, filters=CNN_FILTERS, pool: int = CN
 # --- recurrent ----------------------------------------------------------------
 
 def _build_recurrent(kind: str, w: int, h: int, seed: int, hidden) -> Model:
-    shapes_fn = gru_param_shapes if kind == "GRU" else lstm_param_shapes
-    cell = gru_cell if kind == "GRU" else lstm_cell
+    seq, gates = (ad.gru_seq, 3) if kind == "GRU" else (ad.lstm_seq, 4)
     n1, n2 = hidden
     rngs = _layer_rngs(seed, 3)
     tensors = {}
-    for name, t in _init_gated(rngs[0], shapes_fn(1, n1)).items():
-        tensors[f"r0.{name}"] = t
-    for name, t in _init_gated(rngs[1], shapes_fn(n1, n2)).items():
-        tensors[f"r1.{name}"] = t
+    for layer, (n_in, n_hid) in enumerate(((1, n1), (n1, n2))):
+        W, U, b = _init_gated(rngs[layer], gates, n_in, n_hid)
+        tensors.update({f"r{layer}.W": W, f"r{layer}.U": U, f"r{layer}.b": b})
     # linear output head
     tensors["out.W"] = Tensor(_xavier_uniform(rngs[2], (h, n2), n2, h))
     tensors["out.b"] = Tensor(np.zeros(h))
 
     def forward(x, params):
-        b = x.data.shape[0]
-        p0 = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("r0.")}
-        p1 = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("r1.")}
-        h1 = Tensor(np.zeros((b, n1)))
-        h2 = Tensor(np.zeros((b, n2)))
-        if kind == "LSTM":
-            c1 = Tensor(np.zeros((b, n1)))
-            c2 = Tensor(np.zeros((b, n2)))
-        for t in range(x.data.shape[1]):
-            x_t = x[:, t:t + 1]
-            if kind == "GRU":
-                h1 = gru_cell(x_t, h1, p0)
-                h2 = gru_cell(ad.relu(h1), h2, p1)
-            else:
-                h1, c1 = lstm_cell(x_t, h1, c1, p0)
-                h2, c2 = lstm_cell(ad.relu(h1), h2, c2, p1)
-        return dense(h2, params["out.W"], params["out.b"])
+        b, steps = x.data.shape
+        h1 = seq(ad.reshape(x, (b, steps, 1)), params["r0.W"], params["r0.U"], params["r0.b"])
+        h2 = seq(ad.relu(h1), params["r1.W"], params["r1.U"], params["r1.b"])
+        return dense(h2[:, -1], params["out.W"], params["out.b"])
 
     return Model(kind, w, h, ParamSet(tensors), forward, meta={"hidden": tuple(hidden)})
 

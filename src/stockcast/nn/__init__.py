@@ -1,17 +1,8 @@
 """Reverse-mode differentiable kernels for the forecasting models."""
 
-from .autodiff import Tensor, concat, reshape, tmean, tsum
+from .autodiff import Tensor, concat, gru_seq, lstm_seq, reshape, tmean, tsum
 from .gradcheck import grad_check, grad_check_resampling
-from .layers import (
-    conv1d,
-    dense,
-    gru_cell,
-    gru_param_shapes,
-    lstm_cell,
-    lstm_param_shapes,
-    maxpool1d,
-    mse,
-)
+from .layers import conv1d, dense, maxpool1d, mse
 from .optim import Adam
 from .params import ParamSet
 
@@ -24,10 +15,8 @@ __all__ = [
     "dense",
     "grad_check",
     "grad_check_resampling",
-    "gru_cell",
-    "gru_param_shapes",
-    "lstm_cell",
-    "lstm_param_shapes",
+    "gru_seq",
+    "lstm_seq",
     "maxpool1d",
     "mse",
     "reshape",

@@ -2,9 +2,10 @@
 
 Only the operations the forecasting layers need are differentiable:
 elementwise arithmetic, matmul, slicing, reshape, concat, the sigmoid /
-tanh / relu activations, reductions, a valid-mode 1-D convolution and a
-non-overlapping max-pool.  Everything is float64 so finite-difference
-checks are meaningful.
+tanh / relu activations, reductions, a valid-mode 1-D convolution, a
+non-overlapping max-pool, and whole-sequence GRU and LSTM layers with a
+hand-written backward through time.  Everything is float64 so
+finite-difference checks are meaningful.
 """
 
 from __future__ import annotations
@@ -95,9 +96,12 @@ def _as_tensor(x):
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    # a copy, never `g` itself: one array may reach several parents
+    # (add's backward hands the same g to both) and is then added into
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -146,8 +150,12 @@ def power(a: Tensor, k) -> Tensor:
     return Tensor(a.data ** k, (a,), backward)
 
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-a))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _sigmoid(a.data)
 
     def backward(g):
         _accum(a, g * s * (1.0 - s))
@@ -267,15 +275,18 @@ def conv1d_channels(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if L < k:
         raise ShapeMismatch(f"conv1d input length {L} shorter than kernel {k}")
     windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
-    out_data = np.einsum("bclk,fck->bfl", windows, kernels.data) + bias.data[None, :, None]
+    # optimize=True turns each contraction into a BLAS matmul
+    out_data = (np.einsum("bclk,fck->bfl", windows, kernels.data, optimize=True)
+                + bias.data[None, :, None])
     Lo = L - k + 1
 
     def backward(g):
-        _accum(kernels, np.einsum("bfl,bclk->fck", g, windows))
+        _accum(kernels, np.einsum("bfl,bclk->fck", g, windows, optimize=True))
         _accum(bias, g.sum(axis=(0, 2)))
         dx = np.zeros_like(x.data)
         for d in range(k):
-            dx[:, :, d:d + Lo] += np.einsum("bfl,fc->bcl", g, kernels.data[:, :, d])
+            dx[:, :, d:d + Lo] += np.einsum("bfl,fc->bcl", g, kernels.data[:, :, d],
+                                            optimize=True)
         _accum(x, dx)
 
     return Tensor(out_data, (x, kernels, bias), backward)
@@ -303,3 +314,154 @@ def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
         _accum(x, dx)
 
     return Tensor(out_data, (x,), backward)
+
+
+# --- recurrent sequences ----------------------------------------------------
+#
+# One graph node per layer and sequence, in the fused-gate layout of
+# Appleyard et al. (2016): the gate blocks of a layer are stacked into one
+# W [gates*n, n_in], one U [gates*n, n] and one b [gates*n].  The input
+# projection runs once for all steps, each step makes the recurrent
+# matmuls only, and the backward through time stores the per-step gate
+# gradients so dW, db and each block of dU are one matmul or sum over the
+# B*T rows.
+# Work is time-major ([T, B, .]) so every step reads contiguous rows.  The
+# initial state is a constant zero: step 0 skips the recurrent matmul, and
+# no gradient flows into it.
+
+
+def _seq_setup(x: Tensor, W: Tensor, U: Tensor, b: Tensor, gates: int):
+    """Time-major input [T, B, n_in] and its projection x W^T + b [T, B, gates*n];
+    the ops add the recurrent term to the projection and overwrite it with
+    the gate values step by step."""
+    if x.data.ndim != 3 or U.data.ndim != 2:
+        raise ShapeMismatch(f"sequence layer on x {x.data.shape}, U {U.data.shape}")
+    B, T, n_in = x.data.shape
+    n = U.data.shape[1]
+    if (W.data.shape != (gates * n, n_in) or U.data.shape != (gates * n, n)
+            or b.data.shape != (gates * n,)):
+        raise ShapeMismatch(f"sequence layer W {W.data.shape}, U {U.data.shape}, "
+                            f"b {b.data.shape} for input {x.data.shape}, {gates} gates")
+    xt = x.data.transpose(1, 0, 2).reshape(T * B, n_in)
+    xp = (xt @ W.data.T + b.data).reshape(T, B, gates * n)
+    return xt, xp, n
+
+
+def _seq_grads(x: Tensor, W: Tensor, b: Tensor, xt, dA):
+    """Accumulate dx, dW and db from the pre-activation gradients dA [T, B, gates*n]."""
+    T, B, width = dA.shape
+    flat = dA.reshape(T * B, width)
+    _accum(W, flat.T @ xt)
+    _accum(b, flat.sum(axis=0))
+    _accum(x, (flat @ W.data).reshape(T, B, -1).transpose(1, 0, 2))
+
+
+def _outer_sum(dA, inputs):
+    """sum over steps and batch of dA[t]^T inputs[t]: one matmul over the rows."""
+    return dA.reshape(-1, dA.shape[2]).T @ inputs.reshape(-1, inputs.shape[2])
+
+
+def gru_seq(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+    """A GRU layer over whole sequences, from a zero initial state.
+
+    x: [B, T, n_in]; W: [3n, n_in], U: [3n, n], b: [3n] with the gate
+    blocks in the order z, r, h.  Returns every hidden state, [B, T, n].
+    The reset gate is applied before the recurrent matrix (the
+    original-report GRU variant):
+
+        z = sigmoid(W_z x + U_z h + b_z)
+        r = sigmoid(W_r x + U_r h + b_r)
+        h~ = tanh(W_h x + U_h (r * h) + b_h)
+        h' = h + z * (h~ - h)
+    """
+    xt, G, n = _seq_setup(x, W, U, b, 3)   # G[t]: z, r, h~
+    T, B = G.shape[:2]
+    U_zr, U_h = U.data[:2 * n], U.data[2 * n:]
+    H = np.empty((T, B, n))
+    RH = np.empty((T, B, n))      # r * h_prev, the input of U_h (from step 1)
+    h = np.zeros((B, n))
+    for t in range(T):
+        a = G[t]
+        if t:
+            a[:, :2 * n] = _sigmoid(a[:, :2 * n] + h @ U_zr.T)
+            np.multiply(a[:, n:2 * n], h, out=RH[t])
+            a[:, 2 * n:] = np.tanh(a[:, 2 * n:] + RH[t] @ U_h.T)
+        else:
+            a[:, :2 * n] = _sigmoid(a[:, :2 * n])
+            a[:, 2 * n:] = np.tanh(a[:, 2 * n:])
+        z, h_tilde = a[:, :n], a[:, 2 * n:]
+        h = H[t] = h + z * (h_tilde - h)
+
+    def backward(g):
+        dH = g.transpose(1, 0, 2)
+        dA = np.empty((T, B, 3 * n))
+        dh = np.zeros((B, n))
+        for t in range(T - 1, -1, -1):
+            dh += dH[t]
+            z, r, h_tilde = G[t, :, :n], G[t, :, n:2 * n], G[t, :, 2 * n:]
+            h_prev = H[t - 1] if t else 0.0
+            dA[t, :, :n] = dh * (h_tilde - h_prev) * z * (1.0 - z)
+            dA[t, :, 2 * n:] = dh * z * (1.0 - h_tilde * h_tilde)
+            if not t:
+                dA[t, :, n:2 * n] = 0.0
+                break
+            drh = dA[t, :, 2 * n:] @ U_h
+            dA[t, :, n:2 * n] = drh * h_prev * r * (1.0 - r)
+            dh = dh * (1.0 - z) + drh * r + dA[t, :, :2 * n] @ U_zr
+        _seq_grads(x, W, b, xt, dA)
+        dU = np.empty_like(U.data)
+        dU[:2 * n] = _outer_sum(dA[1:, :, :2 * n], H[:-1])
+        dU[2 * n:] = _outer_sum(dA[1:, :, 2 * n:], RH[1:])
+        _accum(U, dU)
+
+    return Tensor(H.transpose(1, 0, 2), (x, W, U, b), backward)
+
+
+def lstm_seq(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+    """An LSTM layer over whole sequences, from zero initial h and c.
+
+    x: [B, T, n_in]; W: [4n, n_in], U: [4n, n], b: [4n] with the gate
+    blocks in the order i, f, o, g.  Returns every hidden state, [B, T, n]:
+
+        i, f, o = sigmoid(W_. x + U_. h + b_.);  g = tanh(W_g x + U_g h + b_g)
+        c' = f * c + i * g;  h' = o * tanh(c')
+    """
+    xt, G, n = _seq_setup(x, W, U, b, 4)   # G[t]: i, f, o, g
+    T, B = G.shape[:2]
+    C = np.empty((T, B, n))
+    TC = np.empty((T, B, n))      # tanh(c)
+    H = np.empty((T, B, n))
+    h = c = np.zeros((B, n))
+    for t in range(T):
+        a = G[t]
+        if t:
+            a += h @ U.data.T
+        a[:, :3 * n] = _sigmoid(a[:, :3 * n])
+        a[:, 3 * n:] = np.tanh(a[:, 3 * n:])
+        i, f, o, g = (a[:, k * n:(k + 1) * n] for k in range(4))
+        c = C[t] = f * c + i * g
+        np.tanh(c, out=TC[t])
+        h = H[t] = o * TC[t]
+
+    def backward(grad):
+        dH = grad.transpose(1, 0, 2)
+        dA = np.empty((T, B, 4 * n))
+        dh = np.zeros((B, n))
+        dc = np.zeros((B, n))
+        for t in range(T - 1, -1, -1):
+            dh += dH[t]
+            i, f, o, g = (G[t, :, k * n:(k + 1) * n] for k in range(4))
+            dc = dc + dh * o * (1.0 - TC[t] * TC[t])
+            dA[t, :, :n] = dc * g
+            dA[t, :, n:2 * n] = dc * C[t - 1] if t else 0.0
+            dA[t, :, 2 * n:3 * n] = dh * TC[t]
+            s = G[t, :, :3 * n]
+            dA[t, :, :3 * n] *= s * (1.0 - s)
+            dA[t, :, 3 * n:] = dc * i * (1.0 - g * g)
+            if t:
+                dh = dA[t] @ U.data
+                dc = dc * f
+        _seq_grads(x, W, b, xt, dA)
+        _accum(U, _outer_sum(dA[1:], H[:-1]))
+
+    return Tensor(H.transpose(1, 0, 2), (x, W, U, b), backward)

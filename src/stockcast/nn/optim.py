@@ -25,9 +25,17 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # two scratch arrays per parameter, reused by every step
+        self._tmp = {k: (np.empty_like(p.data), np.empty_like(p.data))
+                     for k, p in params.items()}
 
     def step(self):
+        """One update in place: the class formula's operations in its
+        order, written into two scratch arrays per parameter, so the result
+        is bit-identical to evaluating the formula with temporaries."""
         self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -36,13 +44,19 @@ class Adam:
                 raise ShapeMismatch(f"gradient shape for {name}: {g.shape} vs {p.data.shape}")
             m = self.m[name]
             v = self.v[name]
+            a, d = self._tmp[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, c1, out=a)         # m_hat
+            a *= self.lr
+            np.divide(v, c2, out=d)         # v_hat
+            np.sqrt(d, out=d)
+            d += self.eps
+            a /= d
+            p.data -= a
 
     def zero_grad(self):
         self.params.zero_grad()

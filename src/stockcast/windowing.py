@@ -16,10 +16,11 @@ from .errors import ArityMismatch, WindowTooLarge
 
 # Origins per batched model call in rolling_test_forecast.  Evaluation
 # still builds the autodiff graph, so its memory grows with the batch: at
-# w=30 h=7, one batch of all 496 origins of a 532-point test series peaked
-# at 1,010 MB RSS (GRU) and 1,230 MB (LSTM), chunks of 32 at 163 MB and
-# 178 MB.  A chunk of 32 keeps the evaluation graph no larger than a
-# default training step's graph.
+# w=30 h=7, one batch of all 496 origins of a 532-point test series peaks
+# at 402 MB RSS (GRU) and 488 MB (LSTM), chunks of 32 at 126 MB and
+# 133 MB, of which about 104 MB is the interpreter and its imports.  A
+# chunk of 32 keeps the evaluation graph no larger than a default
+# training step's graph.
 EVAL_CHUNK = 32
 
 

@@ -170,6 +170,16 @@ def test_run_seed_override(tmp_path, tiny_dir):
     assert {row.split(",")[4] for row in err_lines} == {"9", "10"}
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_rejects_jobs_below_one(tmp_path, tiny_dir, capsys, jobs):
+    cfg_path = make_config(tmp_path, tiny_dir)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg_path, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_run_missing_file_no_partial_output(tmp_path, tiny_dir, capsys):
     cfg_path = make_config(tmp_path, tiny_dir, out_name="never", stocks="AAA,ZZZ")
     assert main(["run", "--config", cfg_path]) == 2

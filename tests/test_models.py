@@ -92,6 +92,30 @@ def test_same_seed_identical_params():
             assert np.array_equal(a.params[name].data, b.params[name].data)
 
 
+@pytest.mark.parametrize("kind,gates", [("GRU", 3), ("LSTM", 4)])
+def test_fused_gates_equal_per_gate_draws(kind, gates):
+    # the per-gate initialization the fused tensors replaced: per layer, a
+    # split PRNG draws each gate's W [n, n_in] then U [n, n], xavier-uniform
+    def xavier(rng, shape):
+        limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+        return rng.uniform(-limit, limit, size=shape)
+
+    n1, n2 = 8, 6
+    model = build_model(kind, 5, 2, seed=21, hidden=(n1, n2))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(21).spawn(3)]
+    for layer, (n_in, n) in enumerate(((1, n1), (n1, n2))):
+        blocks = [(xavier(rngs[layer], (n, n_in)), xavier(rngs[layer], (n, n)))
+                  for _ in range(gates)]
+        assert np.array_equal(model.params[f"r{layer}.W"].data,
+                              np.concatenate([W for W, _ in blocks]))
+        assert np.array_equal(model.params[f"r{layer}.U"].data,
+                              np.concatenate([U for _, U in blocks]))
+        assert np.array_equal(model.params[f"r{layer}.b"].data, np.zeros(gates * n))
+    limit = np.sqrt(6.0 / (n2 + 2))
+    assert np.array_equal(model.params["out.W"].data,
+                          rngs[2].uniform(-limit, limit, size=(2, n2)))
+
+
 def test_different_seed_different_params():
     a = build_mlp(5, 1, seed=0)
     b = build_mlp(5, 1, seed=1)

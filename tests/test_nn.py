@@ -6,22 +6,9 @@ from stockcast.errors import NonFiniteGradient, ShapeMismatch
 from stockcast.nn import autodiff as ad
 from stockcast.nn.autodiff import Tensor
 from stockcast.nn.gradcheck import grad_check
-from stockcast.nn.layers import (
-    conv1d,
-    dense,
-    gru_cell,
-    gru_param_shapes,
-    lstm_cell,
-    lstm_param_shapes,
-    maxpool1d,
-    mse,
-)
+from stockcast.nn.layers import affine, conv1d, dense, maxpool1d, mse
 from stockcast.nn.optim import Adam
 from stockcast.nn.params import ParamSet
-
-
-def tensors_from(rng, shapes, scale=1.0):
-    return {k: Tensor(scale * rng.standard_normal(v)) for k, v in shapes.items()}
 
 
 # --- dense -------------------------------------------------------------------
@@ -105,6 +92,20 @@ def test_maxpool_gradcheck_non_tied():
     assert err < 1e-6
 
 
+# --- gradient accumulation ----------------------------------------------------
+
+def test_shared_operand_gradients_accumulate():
+    # add's backward hands one array to both parents: the first write must
+    # not alias it, or the second would add into both gradients
+    a = Tensor([1.0, -2.0, 3.0])
+    ad.tsum(a + a).backward()
+    assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
+    a, b = Tensor([1.0, -2.0, 3.0]), Tensor([0.5, 4.0, -1.0])
+    ad.tsum(a * b + a).backward()
+    assert np.array_equal(a.grad, b.data + 1.0)
+    assert np.array_equal(b.grad, a.data)
+
+
 # --- activations -------------------------------------------------------------
 
 def test_relu():
@@ -125,97 +126,173 @@ def test_tanh_act():
     assert np.allclose(ad.tanh(Tensor([0.0, 1.0])).data, np.tanh([0.0, 1.0]))
 
 
-# --- recurrent cells ---------------------------------------------------------
+# --- recurrent sequence ops ---------------------------------------------------
+#
+# The per-step cells below are the reference the fused sequence ops are
+# checked against: one GRU or LSTM step built from autodiff primitives,
+# reading gate blocks out of the fused W [gates*n, n_in], U [gates*n, n]
+# and b [gates*n], so autodiff routes their gradients to the fused tensors.
 
-def zero_gru_params(n_in=2, n_hid=3):
-    return {k: Tensor(np.zeros(v)) for k, v in gru_param_shapes(n_in, n_hid).items()}
+
+def _block(t, k, n):
+    return t[k * n:(k + 1) * n]
 
 
-def zero_lstm_params(n_in=2, n_hid=3):
-    return {k: Tensor(np.zeros(v)) for k, v in lstm_param_shapes(n_in, n_hid).items()}
+def _gate(x_t, h, W, U, b, k, n):
+    return dense(x_t, _block(W, k, n), _block(b, k, n)) + affine(h, _block(U, k, n))
+
+
+def gru_cell(x_t, h_prev, W, U, b):
+    """z = sigmoid(W_z x + U_z h + b_z); r = sigmoid(W_r x + U_r h + b_r);
+    h~ = tanh(W_h x + U_h (r * h) + b_h); h' = (1 - z) * h + z * h~."""
+    n = h_prev.data.shape[-1]
+    z = ad.sigmoid(_gate(x_t, h_prev, W, U, b, 0, n))
+    r = ad.sigmoid(_gate(x_t, h_prev, W, U, b, 1, n))
+    h_tilde = ad.tanh(_gate(x_t, r * h_prev, W, U, b, 2, n))
+    return h_prev + z * (h_tilde - h_prev)
+
+
+def lstm_cell(x_t, h_prev, c_prev, W, U, b):
+    """i, f, o = sigmoid gates; g = tanh(W_g x + U_g h + b_g);
+    c' = f * c + i * g;  h' = o * tanh(c')."""
+    n = h_prev.data.shape[-1]
+    i, f, o = (ad.sigmoid(_gate(x_t, h_prev, W, U, b, k, n)) for k in range(3))
+    g = ad.tanh(_gate(x_t, h_prev, W, U, b, 3, n))
+    c_t = f * c_prev + i * g
+    return o * ad.tanh(c_t), c_t
+
+
+def reference_seq(kind, x, W, U, b):
+    """The per-step cells unrolled from zero state: H [B, T, n]."""
+    B, T, _ = x.data.shape
+    n = U.data.shape[1]
+    h = c = Tensor(np.zeros((B, n)))
+    states = []
+    for t in range(T):
+        x_t = x[:, t]
+        if kind == "GRU":
+            h = gru_cell(x_t, h, W, U, b)
+        else:
+            h, c = lstm_cell(x_t, h, c, W, U, b)
+        states.append(ad.reshape(h, (B, 1, n)))
+    return ad.concat(states, axis=1)
+
+
+SEQ_OPS = {"GRU": (ad.gru_seq, 3), "LSTM": (ad.lstm_seq, 4)}
+
+
+def seq_tensors(rng, kind, B, T, n_in, n, scale=0.5):
+    gates = SEQ_OPS[kind][1]
+    return (Tensor(rng.standard_normal((B, T, n_in))),
+            Tensor(scale * rng.standard_normal((gates * n, n_in))),
+            Tensor(scale * rng.standard_normal((gates * n, n))),
+            Tensor(scale * rng.standard_normal(gates * n)))
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+@pytest.mark.parametrize("B,T,n_in,n", [(2, 3, 2, 4), (5, 7, 3, 6), (3, 1, 1, 5)])
+def test_seq_op_matches_per_step_cells(kind, B, T, n_in, n):
+    rng = np.random.default_rng((B, T, n_in, n))
+    weights = rng.standard_normal((B, T, n))
+    results = []
+    for fn in (SEQ_OPS[kind][0], lambda *a: reference_seq(kind, *a)):
+        inputs = seq_tensors(np.random.default_rng((B, T, n_in, n)), kind, B, T, n_in, n)
+        H = fn(*inputs)
+        ad.tsum(H * Tensor(weights)).backward()
+        results.append((H.data, [t.grad for t in inputs]))
+    (H, grads), (H_ref, grads_ref) = results
+    assert H.shape == (B, T, n)
+    np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12)
+    for name, g, g_ref in zip("xWUb", grads, grads_ref):
+        np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+def test_seq_op_rejects_wrong_shapes(kind):
+    rng = np.random.default_rng(0)
+    x, W, U, b = seq_tensors(rng, kind, 2, 3, 2, 4)
+    seq = SEQ_OPS[kind][0]
+    with pytest.raises(ShapeMismatch):
+        seq(Tensor(x.data[0]), W, U, b)
+    with pytest.raises(ShapeMismatch):
+        seq(x, W, U, Tensor(b.data[1:]))
+    with pytest.raises(ShapeMismatch):
+        seq(Tensor(x.data[:, :, :1]), W, U, b)
+
+
+def zero_seq_params(kind, n_in=2, n=3):
+    gates = SEQ_OPS[kind][1]
+    return (Tensor(np.zeros((gates * n, n_in))), Tensor(np.zeros((gates * n, n))),
+            Tensor(np.zeros(gates * n)))
 
 
 def test_gru_zero_params_zero_state():
-    h = gru_cell(Tensor([1.0, -2.0]), Tensor(np.zeros(3)), zero_gru_params())
-    assert np.allclose(h.data, 0.0)
+    H = ad.gru_seq(Tensor([[[1.0, -2.0], [0.5, 3.0]]]), *zero_seq_params("GRU"))
+    assert np.allclose(H.data, 0.0)
 
 
 def test_gru_update_gate_saturation():
-    params = zero_gru_params()
-    params["b_z"] = Tensor(np.full(3, 30.0))
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal(2))
-    h_prev = Tensor(rng.standard_normal(3))
-    # z ~= 1 so h_t ~= h_tilde; with zero W_h/U_h/b_h, h_tilde = 0
-    h = gru_cell(x, h_prev, params)
-    assert np.max(np.abs(h.data)) < 1e-9
+    x, W, U, b = seq_tensors(rng, "GRU", 2, 4, 2, 3)
+    b.data[:3] = 30.0
+    H = ad.gru_seq(x, W, U, b).data
+    # z ~= 1, so each state is the candidate alone: h_t = h~_t
+    for t in range(4):
+        h_prev = H[:, t - 1] if t else np.zeros((2, 3))
+        r = 1.0 / (1.0 + np.exp(-(x.data[:, t] @ W.data[3:6].T + h_prev @ U.data[3:6].T
+                                  + b.data[3:6])))
+        h_tilde = np.tanh(x.data[:, t] @ W.data[6:].T + (r * h_prev) @ U.data[6:].T
+                          + b.data[6:])
+        assert np.max(np.abs(H[:, t] - h_tilde)) < 1e-9
 
 
 def test_gru_unrolled_gradcheck():
     rng = np.random.default_rng(3)
-    params = ParamSet(tensors_from(rng, gru_param_shapes(2, 4), scale=0.5))
-    xs = rng.standard_normal((3, 2))
-
-    def f(p):
-        h = Tensor(np.zeros(4))
-        for t in range(3):
-            h = gru_cell(Tensor(xs[t]), h, p)
-        return ad.tsum(h ** 2)
-
+    x, W, U, b = seq_tensors(rng, "GRU", 2, 3, 2, 4)
+    params = ParamSet({"x": x, "W": W, "U": U, "b": b})
+    f = lambda p: ad.tsum(ad.gru_seq(p["x"], p["W"], p["U"], p["b"]) ** 2)  # noqa: E731
     assert grad_check(f, params) < 1e-5
 
 
 def test_gru_hidden_state_bounded():
     rng = np.random.default_rng(4)
-    params = {k: Tensor(2.0 * rng.standard_normal(v))
-              for k, v in gru_param_shapes(1, 5).items()}
-    h = Tensor(np.zeros(5))
-    for t in range(50):
-        h = gru_cell(Tensor([float(np.sin(t))]), h, params)
-        assert np.max(np.abs(h.data)) <= 1.0 + 1e-12
+    _, W, U, b = seq_tensors(rng, "GRU", 1, 1, 1, 5, scale=2.0)
+    x = Tensor(np.sin(np.arange(50.0))[None, :, None])
+    assert np.max(np.abs(ad.gru_seq(x, W, U, b).data)) <= 1.0 + 1e-12
 
 
 def test_lstm_zero_params():
-    h, c = lstm_cell(Tensor([1.0, 2.0]), Tensor(np.zeros(3)), Tensor(np.zeros(3)),
-                     zero_lstm_params())
-    assert np.allclose(h.data, 0.0)
-    assert np.allclose(c.data, 0.0)
+    H = ad.lstm_seq(Tensor([[[1.0, 2.0], [-1.0, 0.5]]]), *zero_seq_params("LSTM"))
+    assert np.allclose(H.data, 0.0)
 
 
 def test_lstm_pure_memory_saturation():
-    params = zero_lstm_params()
-    params["b_f"] = Tensor(np.full(3, 30.0))
-    params["b_i"] = Tensor(np.full(3, -30.0))
+    # f ~= 1 and i ~= 1 with U = 0: the cell sums the candidates,
+    # c_t = g_1 + ... + g_t, and h_t = o_t * tanh(c_t)
     rng = np.random.default_rng(5)
-    c_prev = Tensor(rng.standard_normal(3))
-    _, c = lstm_cell(Tensor(rng.standard_normal(2)), Tensor(rng.standard_normal(3)),
-                     c_prev, params)
-    assert np.max(np.abs(c.data - c_prev.data)) < 1e-9
+    x, W, U, b = seq_tensors(rng, "LSTM", 2, 5, 2, 3)
+    U.data[:] = 0.0
+    b.data[:6] = 30.0
+    H = ad.lstm_seq(x, W, U, b).data
+    pre = x.data @ W.data.T + b.data
+    o = 1.0 / (1.0 + np.exp(-pre[..., 6:9]))
+    c = np.cumsum(np.tanh(pre[..., 9:]), axis=1)
+    assert np.max(np.abs(H - o * np.tanh(c))) < 1e-9
 
 
 def test_lstm_unrolled_gradcheck():
     rng = np.random.default_rng(6)
-    params = ParamSet(tensors_from(rng, lstm_param_shapes(2, 4), scale=0.5))
-    xs = rng.standard_normal((3, 2))
-
-    def f(p):
-        h = Tensor(np.zeros(4))
-        c = Tensor(np.zeros(4))
-        for t in range(3):
-            h, c = lstm_cell(Tensor(xs[t]), h, c, p)
-        return ad.tsum(h ** 2)
-
+    x, W, U, b = seq_tensors(rng, "LSTM", 2, 3, 2, 4)
+    params = ParamSet({"x": x, "W": W, "U": U, "b": b})
+    f = lambda p: ad.tsum(ad.lstm_seq(p["x"], p["W"], p["U"], p["b"]) ** 2)  # noqa: E731
     assert grad_check(f, params) < 1e-5
 
 
 def test_lstm_hidden_state_bounded():
     rng = np.random.default_rng(7)
-    params = {k: Tensor(2.0 * rng.standard_normal(v))
-              for k, v in lstm_param_shapes(1, 5).items()}
-    h, c = Tensor(np.zeros(5)), Tensor(np.zeros(5))
-    for t in range(50):
-        h, c = lstm_cell(Tensor([float(np.cos(t))]), h, c, params)
-        assert np.max(np.abs(h.data)) <= 1.0 + 1e-12
+    _, W, U, b = seq_tensors(rng, "LSTM", 1, 1, 1, 5, scale=2.0)
+    x = Tensor(np.cos(np.arange(50.0))[None, :, None])
+    assert np.max(np.abs(ad.lstm_seq(x, W, U, b).data)) <= 1.0 + 1e-12
 
 
 # --- loss --------------------------------------------------------------------
@@ -285,6 +362,29 @@ def test_adam_shape_mismatch():
     params["w"].grad = np.zeros(3)
     with pytest.raises(ShapeMismatch):
         opt.step()
+
+
+def test_adam_step_equals_written_out_formula():
+    rng = np.random.default_rng(14)
+    shapes = {"W": (4, 3), "b": (4,)}
+    params = ParamSet({k: Tensor(rng.standard_normal(v)) for k, v in shapes.items()})
+    opt = Adam(params, lr=3e-3)
+    p_ref = {k: t.data.copy() for k, t in params.items()}
+    m = {k: np.zeros(v) for k, v in shapes.items()}
+    v_ = {k: np.zeros(v) for k, v in shapes.items()}
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
+    for t in range(1, 9):
+        grads = {k: rng.standard_normal(v) for k, v in shapes.items()}
+        for k, t_ in params.items():
+            t_.grad = grads[k].copy()
+        opt.step()
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v_[k] = b2 * v_[k] + (1.0 - b2) * g * g
+            m_hat = m[k] / (1.0 - b1 ** t)
+            v_hat = v_[k] / (1.0 - b2 ** t)
+            p_ref[k] = p_ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(params[k].data, p_ref[k]), (k, t)
 
 
 # --- grad_check behavior ------------------------------------------------------
