@@ -76,6 +76,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def default_jobs() -> int:
+    """The number of CPUs this process may run on (its affinity mask where
+    the OS reports one, as under taskset or a cpuset), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stockcast",
@@ -84,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute the configured experiment grid")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1)
+    p_run.add_argument("--jobs", type=positive_int, default=default_jobs())
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
     p_run.add_argument("--all-traces", action="store_true",

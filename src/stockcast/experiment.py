@@ -188,10 +188,12 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
         for w in windows
         for h in horizons
     ]
-    if jobs > 1:
+    # a forked pool starts every worker up front, so never more than there are cells
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell_task, tasks))
     return [_run_cell_task(task) for task in tasks]
 

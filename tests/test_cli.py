@@ -1,11 +1,13 @@
 import os
+import subprocess
+import sys
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from stockcast import checks
-from stockcast.cli import main
+from stockcast.cli import build_parser, main
 from stockcast.config import (
     ALL_MODELS,
     MULTI_STEP_HORIZONS,
@@ -168,6 +170,21 @@ def test_run_seed_override(tmp_path, tiny_dir):
     err_lines = [l for l in (tmp_path / "results" / "run_errors.csv").read_text().splitlines()
                  if not l.startswith("#") and "," in l][1:]
     assert {row.split(",")[4] for row in err_lines} == {"9", "10"}
+
+
+@pytest.mark.parametrize("affinity, cpu_count, expect", [
+    ({0}, 64, 1),        # pinned to one of 64 CPUs
+    ({1, 3, 5}, 8, 3),
+    (None, 6, 6),        # no sched_getaffinity on this OS
+    (None, None, 1),     # and no CPU count either
+])
+def test_jobs_default_follows_cpu_affinity(monkeypatch, affinity, cpu_count, expect):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert build_parser().parse_args(["run", "--config", "x.cfg"]).jobs == expect
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -375,3 +392,16 @@ def test_validate_data_reports_dropped_rows(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "MIX: ok, 3 points" in out
     assert "dropped 2 row(s)" in out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; a fresh interpreter shows what the CLI really imports
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, stockcast.cli; "
+            "assert stockcast.cli.__file__.startswith(sys.argv[1]), stockcast.cli.__file__; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,8 @@ from stockcast.errors import DegenerateDifferential, TooFewRuns
 from stockcast.evaluation import (
     MULTI_STEP_PAIRS,
     SINGLE_STEP_PAIRS,
+    _two_sided_normal_p,
+    _two_sided_t_p,
     dm_test,
     loss_interval,
     majority_vote_ranking,
@@ -59,6 +61,39 @@ def test_dm_oracle_randomized():
         report = dm_test(e_a, e_b, h=h)
         assert report.statistic == pytest.approx(want[0], abs=1e-9)
         assert report.p_value == pytest.approx(want[1], abs=1e-9)
+
+
+# |t| from 0 to 1e3, denser around the incomplete-beta symmetry switch at |t| ~ sqrt(3)
+TAIL_T = np.concatenate([[0.0, 1e-300, 1e-12, 1.70, 1.72, 1.73, 1.74, 1.76],
+                         np.geomspace(1e-6, 1e3, 91), np.linspace(0.0, 6.0, 61)])
+
+
+@pytest.mark.parametrize("df", [3, 4, 5, 7, 10, 29, 30, 100, 495, 3471, 10**4, 10**5,
+                                10**6, 10**7])
+def test_t_tail_matches_scipy(df):
+    tol = 1e-9 if df <= 10**5 else 1e-7
+    assert _two_sided_t_p(0.0, df) == 1.0
+    for t in TAIL_T:
+        want = 2.0 * float(stats.t.sf(t, df))
+        if want < 1e-300:
+            continue
+        for signed in (t, -t):
+            assert _two_sided_t_p(float(signed), df) == pytest.approx(want, rel=tol, abs=0.0)
+
+
+def test_normal_tail_matches_scipy():
+    assert _two_sided_normal_p(0.0) == 1.0
+    for z in TAIL_T:
+        want = 2.0 * float(stats.norm.sf(z))
+        if want < 1e-300:
+            continue
+        for signed in (z, -z):
+            assert _two_sided_normal_p(float(signed)) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_tails_propagate_nan():
+    assert math.isnan(_two_sided_t_p(math.nan, 10))
+    assert math.isnan(_two_sided_normal_p(math.nan))
 
 
 def test_dm_identical_errors_degenerate():

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,37 @@ def test_run_grid_checks_windows_before_training(monkeypatch):
     with pytest.raises(WindowTooLarge, match=r"stock A: window 50, horizon 1"):
         run_grid(series, ["MLP"], [3, 50], [1], cfg, 1, "direct")
     assert calls == []
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replaces ProcessPoolExecutor with an in-process stand-in; returns the
+    list of pool sizes requested."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("n_cells, jobs, sizes", [
+    (1, 8, []), (1, 4096, []), (2, 1, []), (3, 8, [3]), (3, 2, [2]),
+])
+def test_run_grid_pool_capped_at_cells(recording_pool, n_cells, jobs, sizes):
+    series = {"A": (sine_series(100), sine_series(30))}
+    cfg = TrainConfig(epochs=1, seed=0)
+    cells = run_grid(series, ["MLP"], [3, 4, 5][:n_cells], [1], cfg, 2, "direct", jobs=jobs)
+    assert [c.w for c in cells] == [3, 4, 5][:n_cells]
+    assert recording_pool == sizes
