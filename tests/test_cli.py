@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from stockcast import checks
 from stockcast.cli import build_parser, main
@@ -333,6 +335,63 @@ def test_dm_command_missing_model(tmp_path, capsys):
     errors = write_lines(tmp_path / "run_errors.csv", rows)
     assert main(["dm", "--errors", errors, "--output", str(tmp_path / "dm.csv")]) == 2
     assert "missing error series" in capsys.readouterr().err
+
+
+def reference_dm_absolute(errors_path, a, b, h):
+    """Harvey DM statistic and p-value of pair a-b under absolute loss,
+    written out from the formula with plain loops over the CSV rows."""
+    cells = {}
+    with open(errors_path, encoding="utf-8") as f:
+        for line in f.read().splitlines()[1:]:
+            _, model, _, _, _, origin, step, err = line.split(",")
+            cells.setdefault(model, {}).setdefault((int(origin), int(step)), []).append(
+                float(err))
+    mean = {m: [sum(v) / len(v) for _, v in sorted(c.items())] for m, c in cells.items()}
+    T = len(mean[a])
+    d = [abs(mean[a][t]) - abs(mean[b][t]) for t in range(T)]
+    d_bar = sum(d) / T
+    gammas = [sum((d[t] - d_bar) * (d[t - k] - d_bar) for t in range(k, T)) / T
+              for k in range(h)]
+    v = gammas[0] + 2.0 * sum(gammas[1:])
+    dm = d_bar / math.sqrt(v / T) * math.sqrt((T + 1 - 2 * h + h * (h - 1) / T) / T)
+    return dm, 2.0 * stats.t.sf(abs(dm), df=T - 1), T
+
+
+def test_dm_command_absolute_loss_matches_formula(tmp_path):
+    errors = synthetic_run_errors(tmp_path / "run_errors.csv", h=7)
+    out = tmp_path / "dm.csv"
+    assert main(["dm", "--errors", errors, "--output", str(out), "--mode", "multi",
+                 "--loss", "absolute"]) == 0
+    text = out.read_text()
+    assert "# loss = absolute" in text.splitlines()
+    rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 5
+    for _, pair, stat, p, h, t, variant in rows:
+        want_stat, want_p, want_t = reference_dm_absolute(errors, *pair.split("-"), 7)
+        assert float(stat) == pytest.approx(want_stat, rel=1e-9)
+        assert float(p) == pytest.approx(want_p, rel=1e-6, abs=1e-12)
+        assert (h, int(t), variant) == ("7", want_t, "harvey")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dm_command_rejects_non_finite_error(tmp_path, capsys, value):
+    errors = synthetic_run_errors(tmp_path / "run_errors.csv")
+    lines = (tmp_path / "run_errors.csv").read_text().splitlines()
+    lines[40] = lines[40].rsplit(",", 1)[0] + "," + value
+    write_lines(errors, lines)
+    assert main(["dm", "--errors", errors, "--output", str(tmp_path / "dm.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "line 41" in err and "non-finite" in err
+    assert not (tmp_path / "dm.csv").exists()
+
+
+def test_dm_command_rejects_too_short_series(tmp_path, capsys):
+    # 3 aligned errors per model at h = 1; the DM test needs more than 4
+    errors = synthetic_run_errors(tmp_path / "run_errors.csv", n_origins=3)
+    assert main(["dm", "--errors", errors, "--output", str(tmp_path / "dm.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "stock AAA" in err and "T = 3" in err
+    assert not (tmp_path / "dm.csv").exists()
 
 
 # ---------------------------------------------------------------- gradcheck
