@@ -133,6 +133,12 @@ def parse_config(path) -> ExperimentConfig:
         except ValueError:
             raise ParseError(f"field {key!r}: expected an integer, got {raw[key]!r}")
 
+    def _count(key, default):
+        value = _int(key, default)
+        if value < 1:
+            raise ParseError(f"field {key!r}: must be >= 1, got {value}")
+        return value
+
     def _float(key, default):
         try:
             return float(raw.get(key, default))
@@ -156,15 +162,15 @@ def parse_config(path) -> ExperimentConfig:
         horizons=horizons,
         strategy=strategy,
         models=models,
-        n_runs=_int("n_runs", 5),
+        n_runs=_count("n_runs", 5),
         output_dir=raw.get("output_dir", "./results"),
         train=TrainConfig(
-            epochs=_int("epochs", 100),
-            batch_size=_int("batch_size", 32),
+            epochs=_count("epochs", 100),
+            batch_size=_count("batch_size", 32),
             lr=_float("lr", 1e-3),
             seed=_int("seed", 0),
             shuffle=shuffle_raw == "true",
-            origin_stride=_int("origin_stride", 1),
+            origin_stride=_count("origin_stride", 1),
             scaler_scope=scaler_scope,
         ),
     )

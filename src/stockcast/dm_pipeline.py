@@ -62,12 +62,25 @@ def _loadtxt(lines: list[str]) -> np.ndarray | None:
             return None
 
 
+def _finite_rows(lines: list[str]) -> np.ndarray | None:
+    """The rows of `lines` (None if none); ValueError if an error is not finite."""
+    rows = _loadtxt(lines)
+    if rows is not None and not np.isfinite(rows["abs_error_norm"]).all():
+        raise ValueError("non-finite abs_error_norm")
+    return rows
+
+
 def _parse_block(lines: list[str], path, first_line: int) -> np.ndarray | None:
     """The rows of one block, or None if it holds only comments and blanks."""
     try:
-        rows = _loadtxt(lines)
-        if rows is None or np.isfinite(rows["abs_error_norm"]).all():
-            return rows
+        return _finite_rows(lines)
+    except (ValueError, Warning):
+        pass
+    # np.loadtxt reads a line of spaces, or spaces before a comment, as a
+    # one-field row; empty it, so it is blank as it is before the header
+    lines = [line if line.split("#", 1)[0].strip() else "\n" for line in lines]
+    try:
+        return _finite_rows(lines)
     except (ValueError, Warning):
         pass
     # numpy counts rows within the block; name the bad line of the file

@@ -5,6 +5,13 @@ seeded train/test runs, each reporting the test MSE in normalized
 space; the cell aggregates to a mean (+/- sample std) loss interval.
 Run seeds derive from the master seed as master + i so any single run
 is re-executable in isolation.
+
+The grid is scheduled as one task per trained model.  The iterative
+strategy's single-output model does not depend on h, so it is trained
+once per (stock, model, w, seed) and evaluated at every horizon; a
+direct model is trained per horizon.  Tasks run longest first by a
+static cost estimate, and their runs are put back into cells in grid
+order and seed order, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.origin_stride < 1:
+            raise ValueError("origin_stride must be >= 1")
         if self.scaler_scope not in ("train", "full"):
             raise ValueError(f"scaler_scope {self.scaler_scope!r} not in (train, full)")
 
@@ -127,38 +136,58 @@ def evaluate_run(model, test_values, w: int, h: int, strategy: str,
     return float(np.mean((predictions - targets) ** 2)), origins, predictions, targets
 
 
-def run_cell(stock: str, train_values, test_values, arch: ArchSpec,
-             cfg: TrainConfig, n_runs: int, strategy: str) -> CellResult:
-    """Execute n_runs seeded train/evaluate runs on pre-normalized values.
+def run_model(train_values, test_values, arch: ArchSpec, cfg: TrainConfig, strategy: str,
+              horizons: tuple[int, ...]) -> list[RunResult] | None:
+    """Train one model seeded with cfg.seed, then evaluate it at each horizon.
 
-    The iterative strategy trains a single-output model and feeds its
-    predictions back in; the direct strategy trains an h-output model.
+    The direct strategy trains an arch.h-output model, so `horizons` must
+    be (arch.h,).  The iterative strategy trains a single-output model and
+    feeds its predictions back in; nothing in that depends on h, so one
+    model serves every horizon.  Returns one RunResult per horizon, or
+    None if training diverged.
     """
     n_out = 1 if strategy == "iterative" else arch.h
     X, Y = make_samples(train_values, arch.w, n_out)
-    spec = replace(arch, h=n_out)
+    model = replace(arch, h=n_out).build(seed=cfg.seed)
+    try:
+        history = train(model, X, Y, cfg)
+    except NonFiniteLoss:
+        return None
+    runs = []
+    for h in horizons:
+        test_mse, origins, predictions, targets = evaluate_run(
+            model, test_values, arch.w, h, strategy, cfg.origin_stride)
+        runs.append(RunResult(seed=cfg.seed, train_mse=history[-1], test_mse=test_mse,
+                              loss_history=history, origins=origins,
+                              predictions=predictions, targets=targets))
+    return runs
+
+
+def _add_runs(cells: list[CellResult], runs: list[RunResult] | None):
+    """Book one model's runs in its cells, one cell per horizon."""
+    if runs is None:
+        for cell in cells:
+            cell.failed_runs += 1
+    else:
+        for cell, run in zip(cells, runs):
+            cell.runs.append(run)
+
+
+def run_cell(stock: str, train_values, test_values, arch: ArchSpec,
+             cfg: TrainConfig, n_runs: int, strategy: str) -> CellResult:
+    """Execute n_runs seeded train/evaluate runs on pre-normalized values."""
     result = CellResult(stock=stock, model=arch.kind, w=arch.w, h=arch.h,
                         strategy=strategy)
     for i in range(n_runs):
-        run_seed = cfg.seed + i
-        model = spec.build(seed=run_seed)
-        try:
-            history = train(model, X, Y, replace(cfg, seed=run_seed))
-            test_mse, origins, predictions, targets = evaluate_run(
-                model, test_values, arch.w, arch.h, strategy, cfg.origin_stride)
-        except NonFiniteLoss:
-            result.failed_runs += 1
-            continue
-        result.runs.append(RunResult(
-            seed=run_seed,
-            train_mse=history[-1],
-            test_mse=test_mse,
-            loss_history=history,
-            origins=origins,
-            predictions=predictions,
-            targets=targets,
-        ))
+        _add_runs([result], run_model(train_values, test_values, arch,
+                                      replace(cfg, seed=cfg.seed + i), strategy, (arch.h,)))
     return result
+
+
+# per-architecture weights of the task cost estimate: seconds per training
+# epoch over 3,909 samples at w=5, batch 32, on a 2-vCPU Xeon VM; only
+# their ratios matter
+_EPOCH_COST = {"MLP": 0.02, "CNN": 0.12, "GRU": 1.73, "LSTM": 2.24}
 
 
 def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
@@ -171,6 +200,8 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
     test values).  A window and horizon too long for some stock's train
     or test series raise WindowTooLarge before any cell trains; divergent
     runs are counted in their cell and never abort other cells.
+
+    Tasks, one per seeded model, run on at most min(jobs, tasks) workers.
     """
     for stock, (tr, te) in series_by_stock.items():
         for w in windows:
@@ -180,25 +211,49 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
                     raise WindowTooLarge(
                         f"stock {stock}: window {w}, horizon {h} need {w + n_out} train "
                         f"and {w + h} test points, have {len(tr)} and {len(te)}")
-    tasks = [
-        (stock, series_by_stock[stock], ArchSpec(kind, w, h, overrides or {}),
-         cfg, n_runs, strategy)
+    # a group is the cells that share their models: one per cell if direct
+    groups = [
+        (stock, kind, w, hs)
         for stock in series_by_stock
         for kind in kinds
         for w in windows
-        for h in horizons
+        for hs in ([tuple(horizons)] if strategy == "iterative" else [(h,) for h in horizons])
     ]
-    # a forked pool starts every worker up front, so never more than there are cells
+    tasks, costs = [], []
+    for stock, kind, w, hs in groups:
+        tr, te = series_by_stock[stock]
+        n_out = 1 if strategy == "iterative" else hs[0]
+        arch = ArchSpec(kind, w, n_out, overrides or {})
+        cost = (len(tr) - w - n_out + 1) * cfg.epochs * w * _EPOCH_COST[kind]
+        for i in range(n_runs):
+            tasks.append((tr, te, arch, replace(cfg, seed=cfg.seed + i), strategy, hs))
+            costs.append(cost)
+    # longest first; sorted is stable, so ties keep grid order
+    order = sorted(range(len(tasks)), key=lambda i: -costs[i])
+    ordered = [tasks[i] for i in order]
+    # a forked pool starts every worker up front, so never more than there are tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_cell_task, tasks))
-    return [_run_cell_task(task) for task in tasks]
+            done = list(pool.map(_run_model_task, ordered))
+    else:
+        done = [_run_model_task(task) for task in ordered]
+    outcomes = [None] * len(tasks)
+    for i, runs in zip(order, done):
+        outcomes[i] = runs
+
+    cells = []
+    per_seed = iter(outcomes)
+    for stock, kind, w, hs in groups:
+        group = [CellResult(stock=stock, model=kind, w=w, h=h, strategy=strategy) for h in hs]
+        for _ in range(n_runs):
+            _add_runs(group, next(per_seed))
+        cells += group
+    return cells
 
 
-def _run_cell_task(task) -> CellResult:
-    """One grid cell; a module-level function so the pool can pickle it."""
-    stock, (tr, te), arch, cfg, n_runs, strategy = task
-    return run_cell(stock, tr, te, arch, cfg, n_runs, strategy)
+def _run_model_task(task) -> list[RunResult] | None:
+    """One seeded model; a module-level function so the pool can pickle it."""
+    return run_model(*task)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from stockcast import checks
+from stockcast import checks, experiment
 from stockcast.cli import build_parser, main
 from stockcast.config import (
     ALL_MODELS,
@@ -196,6 +196,20 @@ def test_run_rejects_jobs_below_one(tmp_path, tiny_dir, capsys, jobs):
         main(["run", "--config", cfg_path, "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("field", ["n_runs", "origin_stride", "epochs", "batch_size"])
+def test_run_rejects_count_below_one_before_training(tmp_path, tiny_dir, capsys, monkeypatch,
+                                                     field):
+    trained = []
+    monkeypatch.setattr(experiment, "train", lambda *args: trained.append(args) or [0.0])
+    cfg_path = make_config(tmp_path, tiny_dir, **{field: "0"})
+    with pytest.raises(ParseError, match=rf"field '{field}': must be >= 1, got 0"):
+        parse_config(cfg_path)
+    assert main(["run", "--config", cfg_path, "--jobs", "1"]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert trained == []
     assert not (tmp_path / "results").exists()
 
 

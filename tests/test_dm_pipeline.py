@@ -127,6 +127,26 @@ def test_load_skips_comments_and_blanks_inside_and_at_block_edges(tmp_path, smal
     assert_series_equal(got, want)
 
 
+@pytest.mark.parametrize("blank", ["   ", "\t", "  # indented comment"])
+def test_load_skips_whitespace_only_lines_as_blank(tmp_path, blank):
+    rows = data_rows()
+    want = load_run_errors(write_lines(tmp_path / "clean.csv", [HEADER] + rows))
+    # before the header, mid-data and at the end of the file
+    body = rows[:3] + [blank] + rows[3:] + [blank]
+    got = load_run_errors(write_lines(tmp_path / "spaces.csv", [blank, HEADER] + body))
+    assert_series_equal(got, want)
+
+
+def test_load_names_the_file_line_of_a_bad_row_after_a_line_of_spaces(tmp_path):
+    body = data_rows()
+    body.insert(3, "   ")
+    body[10] = "AAA,MLP,3,2,0,x,1,0.1"
+    path = write_lines(tmp_path / "errors.csv", [HEADER] + body)
+    # the header is line 1, so body index 10 is line 12
+    with pytest.raises(MalformedInput, match=r": line 12: malformed data row 'AAA,MLP,3,2,0,x"):
+        load_run_errors(path)
+
+
 def test_load_accepts_comment_only_tail(tmp_path, small_blocks):
     rows = data_rows()[:35]
     want = load_run_errors(write_lines(tmp_path / "clean.csv", [HEADER] + rows))

@@ -1,9 +1,11 @@
 import concurrent.futures
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from stockcast import experiment
+from stockcast.config import ExperimentConfig
 from stockcast.errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
 from stockcast.experiment import (
     CellResult,
@@ -16,6 +18,7 @@ from stockcast.experiment import (
     train,
 )
 from stockcast.models import ArchSpec, build_mlp
+from stockcast.runner import execute
 from stockcast.windowing import FunctionModel, make_samples
 
 
@@ -38,6 +41,11 @@ def test_epochs_zero_rejected():
 def test_batch_size_zero_rejected():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+def test_origin_stride_zero_rejected():
+    with pytest.raises(ValueError, match="origin_stride"):
+        TrainConfig(origin_stride=0)
 
 
 def test_same_seed_identical_history():
@@ -181,11 +189,115 @@ def recording_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("n_cells, jobs, sizes", [
-    (1, 8, []), (1, 4096, []), (2, 1, []), (3, 8, [3]), (3, 2, [2]),
+    (1, 8, [2]), (1, 4096, [2]), (2, 1, []), (3, 8, [6]), (3, 2, [2]),
 ])
 def test_run_grid_pool_capped_at_cells(recording_pool, n_cells, jobs, sizes):
+    # a task is one seeded model, so the cap is min(jobs, cells x n_runs)
     series = {"A": (sine_series(100), sine_series(30))}
     cfg = TrainConfig(epochs=1, seed=0)
     cells = run_grid(series, ["MLP"], [3, 4, 5][:n_cells], [1], cfg, 2, "direct", jobs=jobs)
     assert [c.w for c in cells] == [3, 4, 5][:n_cells]
     assert recording_pool == sizes
+
+
+def two_stocks():
+    return {"A": (sine_series(100), sine_series(30)),
+            "B": (sine_series(90, 0.3, 0.7), sine_series(30, 0.3, 0.7))}
+
+
+def record_training(monkeypatch, diverge_seed=None):
+    """Wraps experiment.train; returns the (kind, w, outputs, samples, seed)
+    of every model trained, in training order."""
+    trained = []
+    real = experiment.train
+
+    def recording(model, X, Y, cfg):
+        trained.append((model.kind, model.w, model.h, len(X), cfg.seed))
+        if cfg.seed == diverge_seed:
+            raise NonFiniteLoss(f"seed {cfg.seed}")
+        return real(model, X, Y, cfg)
+
+    monkeypatch.setattr(experiment, "train", recording)
+    return trained
+
+
+@pytest.mark.parametrize("strategy, trainings_per_group", [("iterative", 1), ("direct", 2)])
+def test_run_grid_trains_each_model_once(monkeypatch, strategy, trainings_per_group):
+    trained = record_training(monkeypatch)
+    cfg = TrainConfig(epochs=1, seed=0)
+    cells = run_grid(two_stocks(), ["MLP", "CNN"], [3, 4], [2, 3], cfg, 2, strategy)
+    # n_runs x stocks x kinds x windows, times the horizons if direct
+    assert len(trained) == 2 * 2 * 2 * 2 * trainings_per_group
+    assert len(set(trained)) == len(trained)
+    assert {outputs for _, _, outputs, _, _ in trained} == (
+        {1} if strategy == "iterative" else {2, 3})
+    assert [(c.stock, c.model, c.w, c.h) for c in cells] == [
+        (stock, kind, w, h) for stock in "AB" for kind in ("MLP", "CNN")
+        for w in (3, 4) for h in (2, 3)]
+
+
+def assert_cells_equal(got, want):
+    assert (got.stock, got.model, got.w, got.h, got.strategy, got.failed_runs) == (
+        want.stock, want.model, want.w, want.h, want.strategy, want.failed_runs)
+    assert len(got.runs) == len(want.runs)
+    for a, b in zip(got.runs, want.runs):
+        assert (a.seed, a.train_mse, a.test_mse, a.loss_history) == (
+            b.seed, b.train_mse, b.test_mse, b.loss_history)
+        for name in ("origins", "predictions", "targets"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_iterative_grid_cells_equal_standalone_cells():
+    tr, te = sine_series(100), sine_series(30)
+    cfg = TrainConfig(epochs=2, seed=4)
+    cells = run_grid({"A": (tr, te)}, ["MLP", "CNN"], [3, 5], [2, 6], cfg, 3, "iterative")
+    assert len(cells) == 8
+    for cell in cells:
+        solo = run_cell("A", tr, te, ArchSpec(cell.model, cell.w, cell.h), cfg, 3, "iterative")
+        assert_cells_equal(cell, solo)
+
+
+def test_diverged_seed_fails_every_horizon_of_its_group(monkeypatch):
+    trained = record_training(monkeypatch, diverge_seed=11)
+    cfg = TrainConfig(epochs=1, seed=10)
+    cells = run_grid(two_stocks(), ["MLP"], [3], [2, 3, 4], cfg, 3, "iterative")
+    assert len(trained) == 2 * 3
+    assert len(cells) == 6
+    for cell in cells:
+        assert cell.failed_runs == 1
+        assert [r.seed for r in cell.runs] == [10, 12]
+
+
+def test_run_grid_trains_longest_first_and_keeps_grid_order(monkeypatch):
+    trained = record_training(monkeypatch)
+    cfg = TrainConfig(epochs=1, seed=0)
+    cells = run_grid(two_stocks(), ["MLP", "GRU"], [3, 5], [1], cfg, 2, "direct")
+    # cost is samples x w x a per-kind weight: A has 100 train points, B 90;
+    # ties (the seeds of one cell) go in grid order
+    assert trained == [(kind, w, 1, samples, seed) for kind, w, samples in [
+        ("GRU", 5, 95), ("GRU", 5, 85), ("GRU", 3, 97), ("GRU", 3, 87),
+        ("MLP", 5, 95), ("MLP", 5, 85), ("MLP", 3, 97), ("MLP", 3, 87)] for seed in (0, 1)]
+    assert [(c.stock, c.model, c.w) for c in cells] == [
+        (stock, kind, w) for stock in "AB" for kind in ("MLP", "GRU") for w in (3, 5)]
+    assert all([r.seed for r in c.runs] == [0, 1] for c in cells)
+
+
+@pytest.mark.parametrize("mode, strategy, horizons", [
+    ("single", "direct", (1,)), ("multi", "iterative", (2, 4)),
+])
+def test_execute_files_identical_for_any_jobs(tmp_path, mode, strategy, horizons):
+    days = [date(2016, 9, 1) + timedelta(days=i) for i in range(200)]
+    prices = 50.0 + 5.0 * np.sin(np.arange(200) / 7.0)
+    lines = ["date,close"] + [f"{d.isoformat()},{p!r}" for d, p in zip(days, prices.tolist())]
+    (tmp_path / "AAA.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(data_dir=str(tmp_path), stocks=("AAA",), mode=mode, windows=(3, 5),
+                           horizons=horizons, strategy=strategy, models=("MLP", "CNN"),
+                           n_runs=2, output_dir=str(out),
+                           train=TrainConfig(epochs=2, batch_size=16, seed=3))
+    files = []
+    for jobs in (1, 2):  # 2: a real process pool over 8 tasks
+        assert execute(cfg, jobs=jobs) == 0
+        files.append({name: (out / name).read_bytes()
+                      for name in ("results.csv", "run_errors.csv", "traces.json")})
+    assert files[0] == files[1]
