@@ -9,9 +9,9 @@ is re-executable in isolation.
 The grid is scheduled as one task per trained model.  The iterative
 strategy's single-output model does not depend on h, so it is trained
 once per (stock, model, w, seed) and evaluated at every horizon; a
-direct model is trained per horizon.  Tasks run longest first by a
-static cost estimate, and their runs are put back into cells in grid
-order and seed order, so results do not depend on the worker count.
+direct model is trained per horizon.  Tasks run in grid order, and
+their runs are put back into cells in grid order and seed order, so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -184,12 +184,6 @@ def run_cell(stock: str, train_values, test_values, arch: ArchSpec,
     return result
 
 
-# per-architecture weights of the task cost estimate: seconds per training
-# epoch over 3,909 samples at w=5, batch 32, on a 2-vCPU Xeon VM; only
-# their ratios matter
-_EPOCH_COST = {"MLP": 0.02, "CNN": 0.12, "GRU": 1.73, "LSTM": 2.24}
-
-
 def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
              kinds: list[str], windows: list[int], horizons: list[int],
              cfg: TrainConfig, n_runs: int, strategy: str,
@@ -219,30 +213,21 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
         for w in windows
         for hs in ([tuple(horizons)] if strategy == "iterative" else [(h,) for h in horizons])
     ]
-    tasks, costs = [], []
+    tasks = []
     for stock, kind, w, hs in groups:
         tr, te = series_by_stock[stock]
-        n_out = 1 if strategy == "iterative" else hs[0]
-        arch = ArchSpec(kind, w, n_out, overrides or {})
-        cost = (len(tr) - w - n_out + 1) * cfg.epochs * w * _EPOCH_COST[kind]
+        arch = ArchSpec(kind, w, 1 if strategy == "iterative" else hs[0], overrides or {})
         for i in range(n_runs):
             tasks.append((tr, te, arch, replace(cfg, seed=cfg.seed + i), strategy, hs))
-            costs.append(cost)
-    # longest first; sorted is stable, so ties keep grid order
-    order = sorted(range(len(tasks)), key=lambda i: -costs[i])
-    ordered = [tasks[i] for i in order]
     # a forked pool starts every worker up front, so never more than there are tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_model_task, ordered))
+            outcomes = list(pool.map(run_model, *zip(*tasks)))
     else:
-        done = [_run_model_task(task) for task in ordered]
-    outcomes = [None] * len(tasks)
-    for i, runs in zip(order, done):
-        outcomes[i] = runs
+        outcomes = [run_model(*task) for task in tasks]
 
     cells = []
     per_seed = iter(outcomes)
@@ -253,7 +238,3 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
         cells += group
     return cells
 
-
-def _run_model_task(task) -> list[RunResult] | None:
-    """One seeded model; a module-level function so the pool can pickle it."""
-    return run_model(*task)

@@ -181,8 +181,8 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
@@ -266,20 +266,6 @@ def test_diverged_seed_fails_every_horizon_of_its_group(monkeypatch):
     for cell in cells:
         assert cell.failed_runs == 1
         assert [r.seed for r in cell.runs] == [10, 12]
-
-
-def test_run_grid_trains_longest_first_and_keeps_grid_order(monkeypatch):
-    trained = record_training(monkeypatch)
-    cfg = TrainConfig(epochs=1, seed=0)
-    cells = run_grid(two_stocks(), ["MLP", "GRU"], [3, 5], [1], cfg, 2, "direct")
-    # cost is samples x w x a per-kind weight: A has 100 train points, B 90;
-    # ties (the seeds of one cell) go in grid order
-    assert trained == [(kind, w, 1, samples, seed) for kind, w, samples in [
-        ("GRU", 5, 95), ("GRU", 5, 85), ("GRU", 3, 97), ("GRU", 3, 87),
-        ("MLP", 5, 95), ("MLP", 5, 85), ("MLP", 3, 97), ("MLP", 3, 87)] for seed in (0, 1)]
-    assert [(c.stock, c.model, c.w) for c in cells] == [
-        (stock, kind, w) for stock in "AB" for kind in ("MLP", "GRU") for w in (3, 5)]
-    assert all([r.seed for r in c.runs] == [0, 1] for c in cells)
 
 
 @pytest.mark.parametrize("mode, strategy, horizons", [
