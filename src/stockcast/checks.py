@@ -1,7 +1,8 @@
 """The gradient-check suite behind the `gradcheck` command and tests.
 
 Every differentiable kernel plus all four architectures at surrogate
-widths is compared against central finite differences.  Purely linear
+widths is compared against central finite differences; a kernel's
+output enters the loss as mse against a random target.  Purely linear
 paths must agree to 1e-6; relu/pool/gated paths to 1e-4, with kink
 resampling (a finite-difference step that crosses a relu kink or a pool
 argmax flip is a property of the probe point, not a wrong gradient).
@@ -15,9 +16,8 @@ import numpy as np
 
 from .models import build_surrogate
 from .nn import autodiff as ad
-from .nn.autodiff import Tensor
+from .nn.autodiff import Tensor, mse
 from .nn.gradcheck import grad_check_resampling
-from .nn.layers import conv1d, dense, maxpool1d, mse
 from .nn.params import ParamSet
 
 LINEAR_TOL = 1e-6
@@ -46,11 +46,12 @@ def _check_dense(seed):
         params = ParamSet({
             "W": Tensor(rng.standard_normal((4, 3))),
             "b": Tensor(rng.standard_normal(4)),
-            "x": Tensor(rng.standard_normal(3)),
+            "x": Tensor(rng.standard_normal((2, 3))),
         })
+        target = Tensor(rng.standard_normal((2, 4)))
 
         def f(p):
-            return ad.tsum(dense(p["x"], p["W"], p["b"]) ** 2)
+            return mse(ad.dense(p["x"], p["W"], p["b"]), target)
 
         return f, params
 
@@ -61,13 +62,14 @@ def _check_conv(seed):
     def make(attempt):
         rng = _rng((seed, attempt))
         params = ParamSet({
-            "K": Tensor(rng.standard_normal((2, 4))),
-            "b": Tensor(rng.standard_normal(2)),
-            "x": Tensor(rng.standard_normal(9)),
+            "K": Tensor(rng.standard_normal((3, 2, 4))),
+            "b": Tensor(rng.standard_normal(3)),
+            "x": Tensor(rng.standard_normal((2, 2, 9))),
         })
+        target = Tensor(rng.standard_normal((2, 3, 6)))
 
         def f(p):
-            return ad.tsum(conv1d(p["x"], p["K"], p["b"]) ** 2)
+            return mse(ad.conv1d_channels(p["x"], p["K"], p["b"]), target)
 
         return f, params
 
@@ -78,11 +80,12 @@ def _check_maxpool(seed):
     def make(attempt):
         rng = _rng((seed, attempt))
         # well-separated entries keep the argmax away from ties
-        x = rng.permutation(np.linspace(-3.0, 3.0, 12)) + 0.01 * rng.standard_normal(12)
-        params = ParamSet({"x": Tensor(x)})
+        x = rng.permutation(np.linspace(-3.0, 3.0, 48)) + 0.01 * rng.standard_normal(48)
+        params = ParamSet({"x": Tensor(x.reshape(2, 2, 12))})
+        target = Tensor(rng.standard_normal((2, 2, 4)))
 
         def f(p):
-            return ad.tsum(maxpool1d(p["x"], 3) ** 2)
+            return mse(ad.maxpool1d_op(p["x"], 3), target)
 
         return f, params
 
@@ -99,9 +102,10 @@ def _check_recurrent(seq, gates, seed, batch=2, steps=3, n_in=2, n_hid=4):
             "b": Tensor(0.5 * rng.standard_normal(gates * n_hid)),
             "x": Tensor(rng.standard_normal((batch, steps, n_in))),
         })
+        target = Tensor(rng.standard_normal((batch, steps, n_hid)))
 
         def f(p):
-            return ad.tsum(seq(p["x"], p["W"], p["U"], p["b"]) ** 2)
+            return mse(seq(p["x"], p["W"], p["U"], p["b"]), target)
 
         return f, params
 
@@ -111,11 +115,11 @@ def _check_recurrent(seq, gates, seed, batch=2, steps=3, n_in=2, n_hid=4):
 def _check_mse(seed):
     def make(attempt):
         rng = _rng((seed, attempt))
-        target = rng.standard_normal(6)
-        params = ParamSet({"pred": Tensor(rng.standard_normal(6))})
+        params = ParamSet({"pred": Tensor(rng.standard_normal(6)),
+                           "target": Tensor(rng.standard_normal(6))})
 
         def f(p):
-            return mse(p["pred"], Tensor(target))
+            return mse(p["pred"], p["target"])
 
         return f, params
 

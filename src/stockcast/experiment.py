@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
 from .models import ArchSpec
-from .nn.autodiff import Tensor
-from .nn.layers import mse as mse_loss
+from .nn.autodiff import Tensor, mse
 from .nn.optim import Adam
 from .windowing import make_samples, rolling_test_forecast
 
@@ -111,7 +110,7 @@ def train(model, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> list[float]:
             idx = order[start:start + cfg.batch_size]
             model.params.zero_grad()
             pred = model.forward(Tensor(X[idx]))
-            loss = mse_loss(pred, Tensor(Y[idx]))
+            loss = mse(pred, Tensor(Y[idx]))
             value = float(loss.data)
             if not math.isfinite(value):
                 raise NonFiniteLoss(
@@ -187,7 +186,7 @@ def run_cell(stock: str, train_values, test_values, arch: ArchSpec,
 def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
              kinds: list[str], windows: list[int], horizons: list[int],
              cfg: TrainConfig, n_runs: int, strategy: str,
-             jobs: int = 1, overrides: dict | None = None) -> list[CellResult]:
+             jobs: int = 1) -> list[CellResult]:
     """One CellResult per (stock, kind, w, h), row order deterministic.
 
     `series_by_stock` maps symbol -> (normalized train values, normalized
@@ -216,7 +215,7 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
     tasks = []
     for stock, kind, w, hs in groups:
         tr, te = series_by_stock[stock]
-        arch = ArchSpec(kind, w, 1 if strategy == "iterative" else hs[0], overrides or {})
+        arch = ArchSpec(kind, w, 1 if strategy == "iterative" else hs[0])
         for i in range(n_runs):
             tasks.append((tr, te, arch, replace(cfg, seed=cfg.seed + i), strategy, hs))
     # a forked pool starts every worker up front, so never more than there are tasks

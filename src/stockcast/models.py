@@ -10,14 +10,13 @@ so two builds with the same seed are parameter-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityMismatch, WindowTooSmall
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
-from .nn.layers import dense
 from .nn.params import ParamSet
 
 KINDS = ("MLP", "CNN", "GRU", "LSTM")
@@ -35,14 +34,13 @@ class ArchSpec:
     kind: str
     w: int
     h: int
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown architecture {self.kind!r}")
 
     def build(self, seed: int) -> "Model":
-        return build_model(self.kind, self.w, self.h, seed=seed, **self.overrides)
+        return build_model(self.kind, self.w, self.h, seed=seed)
 
 
 class Model:
@@ -134,7 +132,7 @@ def build_mlp(w: int, h: int, seed: int = 0, hidden=MLP_HIDDEN) -> Model:
     def forward(x, params):
         out = x
         for i in range(n_layers):
-            out = ad.relu(dense(out, params[f"l{i}.W"], params[f"l{i}.b"]))
+            out = ad.relu(ad.dense(out, params[f"l{i}.W"], params[f"l{i}.b"]))
         return out
 
     return Model("MLP", w, h, ParamSet(tensors), forward, meta={"hidden": tuple(hidden)})
@@ -191,8 +189,8 @@ def build_cnn(w: int, h: int, seed: int = 0, filters=CNN_FILTERS, pool: int = CN
         out = ad.relu(ad.conv1d_channels(out, params["conv1.K"], params["conv1.b"]))
         out = ad.maxpool1d_op(out, pool)
         out = ad.reshape(out, (b, flat))
-        out = ad.relu(dense(out, params["fc0.W"], params["fc0.b"]))
-        return ad.relu(dense(out, params["fc1.W"], params["fc1.b"]))
+        out = ad.relu(ad.dense(out, params["fc0.W"], params["fc0.b"]))
+        return ad.relu(ad.dense(out, params["fc1.W"], params["fc1.b"]))
 
     meta = {"kernel": kernel, "pool": pool, "filters": tuple(filters),
             "flat": flat, "conv_lengths": (l1, l2, lp)}
@@ -217,7 +215,7 @@ def _build_recurrent(kind: str, w: int, h: int, seed: int, hidden) -> Model:
         b, steps = x.data.shape
         h1 = seq(ad.reshape(x, (b, steps, 1)), params["r0.W"], params["r0.U"], params["r0.b"])
         h2 = seq(ad.relu(h1), params["r1.W"], params["r1.U"], params["r1.b"])
-        return dense(h2[:, -1], params["out.W"], params["out.b"])
+        return ad.dense(h2[:, -1], params["out.W"], params["out.b"])
 
     return Model(kind, w, h, ParamSet(tensors), forward, meta={"hidden": tuple(hidden)})
 

@@ -1,8 +1,17 @@
 """Reverse-mode differentiable kernels for the forecasting models."""
 
-from .autodiff import Tensor, concat, gru_seq, lstm_seq, reshape, tmean, tsum
+from .autodiff import (
+    Tensor,
+    conv1d_channels,
+    dense,
+    gru_seq,
+    lstm_seq,
+    maxpool1d_op,
+    mse,
+    relu,
+    reshape,
+)
 from .gradcheck import grad_check, grad_check_resampling
-from .layers import conv1d, dense, maxpool1d, mse
 from .optim import Adam
 from .params import ParamSet
 
@@ -10,16 +19,14 @@ __all__ = [
     "Adam",
     "ParamSet",
     "Tensor",
-    "concat",
-    "conv1d",
+    "conv1d_channels",
     "dense",
     "grad_check",
     "grad_check_resampling",
     "gru_seq",
     "lstm_seq",
-    "maxpool1d",
+    "maxpool1d_op",
     "mse",
+    "relu",
     "reshape",
-    "tmean",
-    "tsum",
 ]

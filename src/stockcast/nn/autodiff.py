@@ -1,11 +1,10 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Only the operations the forecasting layers need are differentiable:
-elementwise arithmetic, matmul, slicing, reshape, concat, the sigmoid /
-tanh / relu activations, reductions, a valid-mode 1-D convolution, a
-non-overlapping max-pool, and whole-sequence GRU and LSTM layers with a
-hand-written backward through time.  Everything is float64 so
-finite-difference checks are meaningful.
+Each graph node is one op of the four forecasting models, with a
+hand-written backward: a dense layer, relu, reshape, slicing, a
+valid-mode 1-D convolution, a non-overlapping max-pool, whole-sequence
+GRU and LSTM layers (backward through time), and the MSE loss.
+Everything is float64 so finite-difference checks are meaningful.
 """
 
 from __future__ import annotations
@@ -59,117 +58,23 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __pow__(self, k):
-        return power(self, k)
-
     def __getitem__(self, key):
         return take(self, key)
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _accum(t: Tensor, g: np.ndarray):
-    # a copy, never `g` itself: one array may reach several parents
-    # (add's backward hands the same g to both) and is then added into
+    # a copy, never `g` itself: `g` may be a view of another node's
+    # gradient (reshape hands one on) and is then added into
     if t.grad is None:
         t.grad = g.copy()
     else:
         t.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 # --- elementwise ------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, -g)
-
-    return Tensor(-a.data, (a,), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, (a, b), backward)
-
-
-def power(a: Tensor, k) -> Tensor:
-    def backward(g):
-        _accum(a, g * k * a.data ** (k - 1))
-
-    return Tensor(a.data ** k, (a,), backward)
-
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-a))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-
-    def backward(g):
-        _accum(a, g * s * (1.0 - s))
-
-    return Tensor(s, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-
-    def backward(g):
-        _accum(a, g * (1.0 - t * t))
-
-    return Tensor(t, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -180,33 +85,6 @@ def relu(a: Tensor) -> Tensor:
         _accum(a, g * mask)
 
     return Tensor(a.data * mask, (a,), backward)
-
-
-# --- linear algebra ---------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim not in (1, 2) or b.data.ndim != 2:
-        raise ShapeMismatch(f"matmul on shapes {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul on shapes {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.data.ndim == 1:
-            _accum(a, g @ b.data.T)
-            _accum(b, np.outer(a.data, g))
-        else:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-
-    return Tensor(out_data, (a, b), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, g.T)
-
-    return Tensor(a.data.T, (a,), backward)
 
 
 # --- shape plumbing ---------------------------------------------------------
@@ -227,35 +105,35 @@ def take(a: Tensor, key) -> Tensor:
     return Tensor(a.data[key], (a,), backward)
 
 
-def concat(tensors, axis=0) -> Tensor:
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+# --- dense layer and loss ---------------------------------------------------
+
+def dense(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """y = x W^T + b for x: [batch, in], W: [out, in], b: [out]."""
+    if W.data.ndim != 2 or b.data.shape != (W.data.shape[0],):
+        raise ShapeMismatch(f"dense W {W.data.shape} / b {b.data.shape}")
+    if x.data.ndim != 2 or x.data.shape[1] != W.data.shape[1]:
+        raise ShapeMismatch(f"dense input {x.data.shape} vs W {W.data.shape}")
 
     def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+        _accum(x, g @ W.data)
+        _accum(W, g.T @ x.data)
+        _accum(b, g.sum(axis=0))
 
-    return Tensor(out_data, tuple(tensors), backward)
-
-
-# --- reductions -------------------------------------------------------------
-
-def tsum(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, np.full_like(a.data, float(g)))
-
-    return Tensor(a.data.sum(), (a,), backward)
+    return Tensor(x.data @ W.data.T + b.data, (x, W, b), backward)
 
 
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
+def mse(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean squared error over all elements."""
+    if pred.data.shape != target.data.shape:
+        raise ShapeMismatch(f"mse shapes {pred.data.shape} vs {target.data.shape}")
+    diff = pred.data - target.data
 
     def backward(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
+        d_pred = (2.0 * float(g) / diff.size) * diff
+        _accum(pred, d_pred)
+        _accum(target, -d_pred)
 
-    return Tensor(a.data.mean(), (a,), backward)
+    return Tensor((diff * diff).mean(), (pred, target), backward)
 
 
 # --- convolution and pooling ------------------------------------------------

@@ -37,10 +37,8 @@ from stockcast.evaluation import dm_test, loss_interval
 from stockcast.experiment import TrainConfig, run_cell, run_grid, train
 from stockcast.ingest import TimeSeries, load_series
 from stockcast.models import ArchSpec, build_cnn, build_surrogate
-from stockcast.nn import autodiff as ad
-from stockcast.nn.autodiff import Tensor
+from stockcast.nn.autodiff import Tensor, dense, mse
 from stockcast.nn.gradcheck import grad_check
-from stockcast.nn.layers import dense
 from stockcast.nn.params import ParamSet
 from stockcast.preprocess import fit_scaler, scale, split_by_date
 from stockcast.synthetic import SYMBOLS
@@ -276,14 +274,14 @@ def test_criterion_7_degenerate_inputs(tmp_path):
 
     # network layers and training
     check("mismatched shapes -> ShapeMismatch",
-          lambda: pytest.raises(ShapeMismatch, dense, Tensor(np.ones(3)),
+          lambda: pytest.raises(ShapeMismatch, dense, Tensor(np.ones((1, 3))),
                                 Tensor(np.ones((4, 2))), Tensor(np.ones(4))))
 
     def _nonfinite_gradient():
-        params = ParamSet({"w": Tensor(np.array([0.0, 1.0]))})
-        with np.errstate(divide="ignore"):
+        params = ParamSet({"w": Tensor(np.array([0.0, 1e308]))})
+        with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteGradient):
-                grad_check(lambda p: ad.tsum(p["w"] ** -1), params)
+                grad_check(lambda p: mse(p["w"], Tensor([0.0, -1e308])), params)
 
     check("gradient overflow -> NonFiniteGradient", _nonfinite_gradient)
 

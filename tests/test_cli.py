@@ -18,8 +18,7 @@ from stockcast.config import (
     parse_config,
 )
 from stockcast.errors import MissingDataFile, ParseError
-from stockcast.nn import autodiff as ad
-from stockcast.nn.autodiff import Tensor
+from stockcast.nn.autodiff import Tensor, mse
 from stockcast.nn.params import ParamSet
 from stockcast.runner import atomic_write
 
@@ -421,15 +420,15 @@ def test_gradcheck_command_passes(capsys):
 
 
 def test_gradcheck_command_detects_wrong_gradient(monkeypatch, capsys):
-    # a value term invisible to the tape: finite differences see it,
-    # the analytic gradient does not
+    # a target that moves with w[0] outside the tape: finite differences
+    # see it, the analytic gradient does not
     def bad_check(seed):
         def make(attempt):
             rng = np.random.default_rng((seed, attempt))
             params = ParamSet({"w": Tensor(rng.standard_normal(3))})
 
             def f(p):
-                return ad.tsum(p["w"] ** 2) + Tensor(np.float64(p["w"].data[0]))
+                return mse(p["w"], Tensor(np.full(3, p["w"].data[0])))
 
             return f, params
 

@@ -11,9 +11,8 @@ from stockcast.models import (
     build_model,
     build_surrogate,
 )
-from stockcast.nn.autodiff import Tensor
+from stockcast.nn.autodiff import Tensor, mse
 from stockcast.nn.gradcheck import grad_check
-from stockcast.nn.layers import mse
 
 
 def zero_params(model):
@@ -144,6 +143,7 @@ def test_archspec_build_and_validation():
     spec = ArchSpec("MLP", 5, 2)
     model = spec.build(seed=4)
     assert (model.kind, model.w, model.h) == ("MLP", 5, 2)
+    assert {spec, ArchSpec("MLP", 5, 2)} == {spec}  # frozen and hashable
     with pytest.raises(ValueError):
         ArchSpec("VAE", 5, 2)
     with pytest.raises(ValueError):
