@@ -76,6 +76,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def open_unit_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:   # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
 def default_jobs() -> int:
     """The number of CPUs this process may run on (its affinity mask where
     the OS reports one, as under taskset or a cpuset), else the CPU count."""
@@ -93,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute the configured experiment grid")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--jobs", type=positive_int, default=default_jobs())
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", type=non_negative_int, default=None,
                        help="override the config master seed")
     p_run.add_argument("--all-traces", action="store_true",
                        help="emit forecast traces for every seed, not just the best")
@@ -102,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dm = sub.add_parser("dm", help="pairwise DM tests from a run_errors CSV")
     p_dm.add_argument("--errors", required=True, help="run_errors.csv from `run`")
     p_dm.add_argument("--mode", choices=("single", "multi"), default="single")
-    p_dm.add_argument("--alpha", type=float, default=1e-4)
+    p_dm.add_argument("--alpha", type=open_unit_float, default=1e-4,
+                      help="significance level, in (0, 1)")
     p_dm.add_argument("--loss", choices=("squared", "absolute"), default="squared")
     p_dm.add_argument("--no-harvey", action="store_true",
                       help="plain DM statistic with a normal reference")
@@ -110,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dm.set_defaults(fn=cmd_dm)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of every layer")
-    p_gc.add_argument("--seed", type=int, default=7)
+    p_gc.add_argument("--seed", type=non_negative_int, default=7)
     p_gc.set_defaults(fn=cmd_gradcheck)
 
     p_vd = sub.add_parser("validate-data", help="validate close-price CSV files")

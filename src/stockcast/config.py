@@ -7,6 +7,7 @@ echoed config in result headers is self-describing.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import date
@@ -111,6 +112,9 @@ def parse_config(path) -> ExperimentConfig:
         raise ParseError("field 'horizons': single-step mode forces horizon 1")
     if not windows or not horizons:
         raise ParseError("window/horizon grids must be non-empty")
+    for key, grid in (("windows", windows), ("horizons", horizons)):
+        if min(grid) < 1:
+            raise ParseError(f"field {key!r}: must be >= 1, got {min(grid)}")
 
     strategy = raw.get("strategy", "direct")
     if strategy not in ("direct", "iterative"):
@@ -139,11 +143,18 @@ def parse_config(path) -> ExperimentConfig:
             raise ParseError(f"field {key!r}: must be >= 1, got {value}")
         return value
 
-    def _float(key, default):
+    def _positive_float(key, default):
         try:
-            return float(raw.get(key, default))
+            value = float(raw.get(key, default))
         except ValueError:
             raise ParseError(f"field {key!r}: expected a number, got {raw[key]!r}")
+        if not (math.isfinite(value) and value > 0.0):
+            raise ParseError(f"field {key!r}: must be finite and > 0, got {value}")
+        return value
+
+    seed = _int("seed", 0)
+    if seed < 0:
+        raise ParseError(f"field 'seed': must be >= 0, got {seed}")
 
     shuffle_raw = raw.get("shuffle", "true").lower()
     if shuffle_raw not in ("true", "false"):
@@ -167,8 +178,8 @@ def parse_config(path) -> ExperimentConfig:
         train=TrainConfig(
             epochs=_count("epochs", 100),
             batch_size=_count("batch_size", 32),
-            lr=_float("lr", 1e-3),
-            seed=_int("seed", 0),
+            lr=_positive_float("lr", 1e-3),
+            seed=seed,
             shuffle=shuffle_raw == "true",
             origin_stride=_count("origin_stride", 1),
             scaler_scope=scaler_scope,

@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.origin_stride < 1:
             raise ValueError("origin_stride must be >= 1")
         if self.scaler_scope not in ("train", "full"):

@@ -63,10 +63,15 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    # a copy, never `g` itself: `g` may be a view of another node's
-    # gradient (reshape hands one on) and is then added into
+    # Invariant: every backward hands each parent an array that nothing
+    # else holds, so a first gradient that owns its C-order memory is kept
+    # as it is and later ones are added into it.  A view (reshape hands on
+    # one of the child's gradient) is copied, or adding into it would write
+    # through to the child; so is a non-C-order array (einsum can return
+    # one), because the reductions of conv1d_channels round differently on
+    # other layouts.
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if g.base is None and g.flags.c_contiguous else g.copy()
     else:
         t.grad += g
 
@@ -221,8 +226,9 @@ def _seq_setup(x: Tensor, W: Tensor, U: Tensor, b: Tensor, gates: int):
         raise ShapeMismatch(f"sequence layer W {W.data.shape}, U {U.data.shape}, "
                             f"b {b.data.shape} for input {x.data.shape}, {gates} gates")
     xt = x.data.transpose(1, 0, 2).reshape(T * B, n_in)
-    xp = (xt @ W.data.T + b.data).reshape(T, B, gates * n)
-    return xt, xp, n
+    xp = xt @ W.data.T
+    xp += b.data
+    return xt, xp.reshape(T, B, gates * n), n
 
 
 def _seq_grads(x: Tensor, W: Tensor, b: Tensor, xt, dA):
@@ -234,9 +240,10 @@ def _seq_grads(x: Tensor, W: Tensor, b: Tensor, xt, dA):
     _accum(x, (flat @ W.data).reshape(T, B, -1).transpose(1, 0, 2))
 
 
-def _outer_sum(dA, inputs):
+def _outer_sum(dA, inputs, out=None):
     """sum over steps and batch of dA[t]^T inputs[t]: one matmul over the rows."""
-    return dA.reshape(-1, dA.shape[2]).T @ inputs.reshape(-1, inputs.shape[2])
+    return np.matmul(dA.reshape(-1, dA.shape[2]).T, inputs.reshape(-1, inputs.shape[2]),
+                     out=out)
 
 
 def gru_seq(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
@@ -288,8 +295,8 @@ def gru_seq(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
             dh = dh * (1.0 - z) + drh * r + dA[t, :, :2 * n] @ U_zr
         _seq_grads(x, W, b, xt, dA)
         dU = np.empty_like(U.data)
-        dU[:2 * n] = _outer_sum(dA[1:, :, :2 * n], H[:-1])
-        dU[2 * n:] = _outer_sum(dA[1:, :, 2 * n:], RH[1:])
+        _outer_sum(dA[1:, :, :2 * n], H[:-1], out=dU[:2 * n])
+        _outer_sum(dA[1:, :, 2 * n:], RH[1:], out=dU[2 * n:])
         _accum(U, dU)
 
     return Tensor(H.transpose(1, 0, 2), (x, W, U, b), backward)

@@ -7,6 +7,11 @@ import numpy as np
 from ..errors import ShapeMismatch
 from .params import ParamSet
 
+# Elements per pass of the update: 256 KiB per float64 array, so a block of
+# a parameter, its gradient, m, v and the two scratch arrays stay in L2
+# across the update's operations.
+_BLOCK = 32768
+
 
 class Adam:
     """Standard bias-corrected Adam over a ParamSet.
@@ -23,16 +28,18 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        # two scratch arrays per parameter, reused by every step
-        self._tmp = {k: (np.empty_like(p.data), np.empty_like(p.data))
-                     for k, p in params.items()}
+        # m and v over each parameter's flat (C-order) elements
+        self.m = {k: np.zeros(p.data.size) for k, p in params.items()}
+        self.v = {k: np.zeros(p.data.size) for k, p in params.items()}
+        # two block-sized scratch arrays, shared by every parameter and step
+        self._a = np.empty(_BLOCK)
+        self._d = np.empty(_BLOCK)
 
     def step(self):
         """One update in place: the class formula's operations in its
-        order, written into two scratch arrays per parameter, so the result
-        is bit-identical to evaluating the formula with temporaries."""
+        order, block by block over each parameter's flat view and written
+        into the scratch arrays, so the result is bit-identical to
+        evaluating the formula with temporaries."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
@@ -42,21 +49,26 @@ class Adam:
                 g = np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ShapeMismatch(f"gradient shape for {name}: {g.shape} vs {p.data.shape}")
-            m = self.m[name]
-            v = self.v[name]
-            a, d = self._tmp[name]
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            np.divide(m, c1, out=a)         # m_hat
-            a *= self.lr
-            np.divide(v, c2, out=d)         # v_hat
-            np.sqrt(d, out=d)
-            d += self.eps
-            a /= d
-            p.data -= a
+            # p.data is C-contiguous (ParamSet checks it), so its flat
+            # reshape is a view the update writes through
+            flat_p, flat_g = p.data.reshape(-1), g.reshape(-1)
+            flat_m, flat_v = self.m[name], self.v[name]
+            for lo in range(0, flat_p.size, _BLOCK):
+                hi = lo + _BLOCK
+                pb, gb, m, v = flat_p[lo:hi], flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+                a, d = self._a[:pb.size], self._d[:pb.size]
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, gb, out=a)
+                v *= self.beta2
+                np.multiply(1.0 - self.beta2, gb, out=a)
+                v += np.multiply(a, gb, out=a)
+                np.divide(m, c1, out=a)         # m_hat
+                a *= self.lr
+                np.divide(v, c2, out=d)         # v_hat
+                np.sqrt(d, out=d)
+                d += self.eps
+                a /= d
+                pb -= a
 
     def zero_grad(self):
         self.params.zero_grad()

@@ -10,12 +10,17 @@ class ParamSet:
     """An ordered, named map of parameter tensors.
 
     Names are unique and shapes are fixed after construction; training
-    mutates `.data` in place but never reshapes.
+    mutates `.data` in place but never reshapes.  Every `.data` is
+    C-contiguous: Adam and grad_check write through `data.reshape(-1)`,
+    which for any other layout is a copy, and the write would be lost.
     """
 
     def __init__(self, tensors: dict[str, Tensor]):
         if len(set(tensors)) != len(tensors):
             raise ShapeMismatch("duplicate parameter names")
+        for name, t in tensors.items():
+            if not t.data.flags.c_contiguous:
+                raise ShapeMismatch(f"parameter {name} is not C-contiguous")
         self._tensors = dict(tensors)
 
     def __getitem__(self, name: str) -> Tensor:

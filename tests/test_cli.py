@@ -212,6 +212,40 @@ def test_run_rejects_count_below_one_before_training(tmp_path, tiny_dir, capsys,
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("field, value, extra", [
+    ("lr", "nan", {}),
+    ("lr", "inf", {}),
+    ("lr", "0", {}),
+    ("lr", "-1e-3", {}),
+    ("windows", "0", {}),
+    ("windows", "-3", {}),
+    ("windows", "5,0", {}),   # the w=5 cells must not train first
+    ("horizons", "0", {"mode": "multi", "windows": "5"}),
+    ("seed", "-1", {}),
+])
+def test_run_rejects_out_of_range_value_before_training(tmp_path, tiny_dir, capsys, monkeypatch,
+                                                        field, value, extra):
+    trained = []
+    monkeypatch.setattr(experiment, "train", lambda *args: trained.append(args) or [0.0])
+    cfg_path = make_config(tmp_path, tiny_dir, **extra, **{field: value})
+    with pytest.raises(ParseError, match=rf"field '{field}': must be "):
+        parse_config(cfg_path)
+    assert main(["run", "--config", cfg_path, "--jobs", "1"]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert trained == []
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "gradcheck"])
+def test_negative_seed_option_rejected(tmp_path, tiny_dir, capsys, command):
+    argv = ["run", "--config", make_config(tmp_path, tiny_dir)] if command == "run" else [command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_run_missing_file_no_partial_output(tmp_path, tiny_dir, capsys):
     cfg_path = make_config(tmp_path, tiny_dir, out_name="never", stocks="AAA,ZZZ")
     assert main(["run", "--config", cfg_path]) == 2
@@ -292,6 +326,17 @@ def test_dm_command_single(tmp_path, capsys):
         assert np.isfinite(float(stat))
         assert 0.0 <= float(p) <= 1.0
         assert (h, t, variant) == ("1", "30", "harvey")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "-1", "5", "0", "1"])
+def test_dm_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+    errors = synthetic_run_errors(tmp_path / "run_errors.csv")
+    out = tmp_path / "dm.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["dm", "--errors", errors, "--output", str(out), "--alpha", alpha])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dm_command_multi_pairs(tmp_path):

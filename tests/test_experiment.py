@@ -48,6 +48,12 @@ def test_origin_stride_zero_rejected():
         TrainConfig(origin_stride=0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_bad_lr_rejected(lr):
+    with pytest.raises(ValueError, match="lr must be finite and > 0"):
+        TrainConfig(lr=lr)
+
+
 def test_same_seed_identical_history():
     X, Y = make_samples(list(np.sin(np.linspace(0, 6, 80)) * 0.3 + 0.5), 4, 1)
     histories = []

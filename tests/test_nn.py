@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stockcast.checks import run_gradcheck_suite
 from stockcast.errors import NonFiniteGradient, ShapeMismatch
+from stockcast.experiment import TrainConfig, train
+from stockcast.models import build_model
 from stockcast.nn import autodiff as ad
 from stockcast.nn.autodiff import Tensor, dense, mse
 from stockcast.nn.gradcheck import grad_check
-from stockcast.nn.optim import Adam
+from stockcast.nn.optim import _BLOCK, Adam
 from stockcast.nn.params import ParamSet
 
 
@@ -396,8 +400,10 @@ def test_adam_shape_mismatch():
 
 
 def test_adam_step_equals_written_out_formula():
+    # the update runs in blocks of _BLOCK elements: these shapes span
+    # several blocks, end in a partial one, or fit in one
     rng = np.random.default_rng(14)
-    shapes = {"W": (4, 3), "b": (4,)}
+    shapes = {"W": (3, _BLOCK // 2 + 1), "u": (2 * _BLOCK + 5,), "b": (4,)}
     params = ParamSet({k: Tensor(rng.standard_normal(v)) for k, v in shapes.items()})
     opt = Adam(params, lr=3e-3)
     p_ref = {k: t.data.copy() for k, t in params.items()}
@@ -416,6 +422,54 @@ def test_adam_step_equals_written_out_formula():
             v_hat = v_[k] / (1.0 - b2 ** t)
             p_ref[k] = p_ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
             assert np.array_equal(params[k].data, p_ref[k]), (k, t)
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+def test_training_peak_memory_bound(kind):
+    # parameters, gradients, m and v are 4x the parameter bytes; the
+    # update's scratch is block-sized and gradients are kept as computed,
+    # so an epoch's peak (activations included) stays below 6.5x
+    rng = np.random.default_rng(21)
+    X, Y = rng.standard_normal((100, 5)), rng.standard_normal((100, 1))
+    tracemalloc.start()
+    try:
+        model = build_model(kind, 5, 1, seed=2)
+        param_bytes = sum(p.data.nbytes for p in model.params.tensors())
+        tracemalloc.reset_peak()
+        train(model, X, Y, TrainConfig(epochs=1, batch_size=32, seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * param_bytes, peak / param_bytes
+
+
+@pytest.mark.parametrize("kind", ["MLP", "CNN", "GRU", "LSTM"])
+def test_gradients_own_their_memory(kind):
+    # _accum keeps a first gradient without copying it.  Every node's
+    # gradient must still be its own C-order array: a shared one would be
+    # added into through another node, and other layouts change how the
+    # backward reductions round
+    model = build_model(kind, 5, 1, seed=2)
+    x = Tensor(np.random.default_rng(22).standard_normal((4, 5)))
+    loss = mse(model.forward(x), Tensor(np.zeros((4, 1))))
+    loss.backward()
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    assert all(p.grad is not None for p in model.params.tensors())
+    grads = [node.grad for node in nodes.values() if node.grad is not None]
+    assert all(g.flags.c_contiguous for g in grads)
+    for i, g in enumerate(grads):
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(g, other)
+
+
+def test_paramset_rejects_non_contiguous_data():
+    with pytest.raises(ShapeMismatch, match="C-contiguous"):
+        ParamSet({"W": Tensor(np.ones((3, 4)).T)})
 
 
 # --- grad_check behavior ------------------------------------------------------
