@@ -11,9 +11,8 @@ from datetime import date
 
 import numpy as np
 
-from stockcast.experiment import TrainConfig, run_cell
+from stockcast.experiment import TrainConfig, run_grid
 from stockcast.ingest import load_series
-from stockcast.models import ArchSpec
 from stockcast.preprocess import fit_scaler, scale, split_by_date
 from stockcast.windowing import FunctionModel, rolling_test_forecast
 
@@ -28,8 +27,8 @@ train_n = scale(scaler, split.train.values)
 test_n = scale(scaler, split.test.values)
 print(f"{SYMBOL}: {len(train_n)} train / {len(test_n)} test points, window {W}")
 
-cell = run_cell(SYMBOL, train_n, test_n, ArchSpec("MLP", W, 1),
-                TrainConfig(seed=0), n_runs=5, strategy="direct")
+[cell] = run_grid({SYMBOL: (train_n, test_n)}, ["MLP"], [W], [1],
+                  TrainConfig(seed=0), n_runs=5, strategy="direct")
 iv = cell.interval
 print(f"MLP test MSE over {iv.n_runs} seeds: {iv.mean:.3e} +/- {iv.std:.3e}")
 

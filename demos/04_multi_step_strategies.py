@@ -11,9 +11,8 @@ import os
 import sys
 from datetime import date
 
-from stockcast.experiment import TrainConfig, run_cell
+from stockcast.experiment import TrainConfig, run_grid
 from stockcast.ingest import load_series
-from stockcast.models import ArchSpec
 from stockcast.preprocess import fit_scaler, scale, split_by_date
 
 DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
@@ -29,17 +28,16 @@ print(f"{SYMBOL}: window {W}, horizon {H}, "
       f"{len(test_n) - W - H + 1} rolling test origins")
 
 cfg = TrainConfig(epochs=40, batch_size=64, seed=0)
+cells = {}
 for strategy in ("direct", "iterative"):
-    cell = run_cell(SYMBOL, train_n, test_n, ArchSpec("MLP", W, H),
-                    cfg, n_runs=3, strategy=strategy)
-    iv = cell.interval
+    [cells[strategy]] = run_grid({SYMBOL: (train_n, test_n)}, ["MLP"], [W], [H],
+                                 cfg, n_runs=3, strategy=strategy)
+    iv = cells[strategy].interval
     print(f"  {strategy:9s} test MSE {iv.mean:.3e} +/- {iv.std:.3e} "
           f"({iv.n_runs} seeds)")
 
 print("\nper-step error growth for the best direct run:")
-cell = run_cell(SYMBOL, train_n, test_n, ArchSpec("MLP", W, H),
-                cfg, n_runs=1, strategy="direct")
-run = cell.runs[0]
+run = min(cells["direct"].runs, key=lambda r: r.test_mse)
 step_mse = ((run.predictions - run.targets) ** 2).mean(axis=0)
 for step, mse in enumerate(step_mse, start=1):
     print(f"  step {step}: MSE {mse:.3e}")

@@ -13,9 +13,8 @@ from datetime import date
 import numpy as np
 
 from stockcast.evaluation import dm_test
-from stockcast.experiment import TrainConfig, run_cell
+from stockcast.experiment import TrainConfig, run_grid
 from stockcast.ingest import load_series
-from stockcast.models import ArchSpec
 from stockcast.preprocess import fit_scaler, scale, split_by_date
 
 DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
@@ -29,14 +28,13 @@ train_n = scale(scaler, split.train.values)
 test_n = scale(scaler, split.test.values)
 
 errors = {}
-for kind in ("MLP", "CNN"):
-    cell = run_cell(SYMBOL, train_n, test_n, ArchSpec(kind, W, 1),
-                    TrainConfig(epochs=40, seed=0), n_runs=3, strategy="direct")
+for cell in run_grid({SYMBOL: (train_n, test_n)}, ["MLP", "CNN"], [W], [1],
+                     TrainConfig(epochs=40, seed=0), n_runs=3, strategy="direct"):
     # mean absolute error per origin, averaged across the seeds
     per_seed = np.array([np.abs(run.predictions[:, 0] - run.targets[:, 0])
                          for run in cell.runs])
-    errors[kind] = per_seed.mean(axis=0)
-    print(f"{kind}: mean test MSE {cell.interval.mean:.3e} over 3 seeds")
+    errors[cell.model] = per_seed.mean(axis=0)
+    print(f"{cell.model}: mean test MSE {cell.interval.mean:.3e} over 3 seeds")
 
 report = dm_test(errors["MLP"], errors["CNN"], h=1)
 better = "MLP" if report.statistic < 0 else "CNN"

@@ -5,10 +5,10 @@ single-step and multi-step forecasting (direct and iterative), a seeded
 multi-run experiment harness, and Diebold-Mariano significance testing.
 """
 
-from .evaluation import DmReport, dm_test, loss_interval, majority_vote_ranking, pairwise_dm_matrix
-from .experiment import LossInterval, RunResult, TrainConfig, evaluate_run, run_grid, train
+from .evaluation import DmReport, dm_test, majority_vote_ranking, pairwise_dm_matrix
+from .experiment import LossInterval, RunResult, TrainConfig, run_grid, train
 from .ingest import TimeSeries, ValidationReport, load_series, validate_series, write_series
-from .models import ArchSpec, Model, build_cnn, build_gru, build_lstm, build_mlp, build_model
+from .models import Model, build_cnn, build_gru, build_lstm, build_mlp, build_model
 from .preprocess import Scaler, SplitSeries, fit_scaler, inverse_scale, scale, split_by_date
 from .windowing import FunctionModel, forecast, make_samples, rolling_test_forecast
 

@@ -74,6 +74,12 @@ def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
         raise ParseError(f"field {key!r}: expected comma-separated integers, got {raw!r}")
 
 
+def _check_no_repeats(key: str, values: tuple):
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ParseError(f"field {key!r}: must not repeat {value}")
+
+
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate; all defaults materialized."""
     raw: dict[str, str] = {}
@@ -93,6 +99,8 @@ def parse_config(path) -> ExperimentConfig:
 
     if "stocks" not in raw or not raw["stocks"].strip():
         raise ParseError("field 'stocks' is required")
+    stocks = tuple(s.strip().upper() for s in raw["stocks"].split(",") if s.strip())
+    _check_no_repeats("stocks", stocks)
 
     mode = raw.get("mode", "single")
     if mode not in ("single", "multi"):
@@ -115,6 +123,7 @@ def parse_config(path) -> ExperimentConfig:
     for key, grid in (("windows", windows), ("horizons", horizons)):
         if min(grid) < 1:
             raise ParseError(f"field {key!r}: must be >= 1, got {min(grid)}")
+        _check_no_repeats(key, grid)
 
     strategy = raw.get("strategy", "direct")
     if strategy not in ("direct", "iterative"):
@@ -125,6 +134,7 @@ def parse_config(path) -> ExperimentConfig:
     for m in models:
         if m not in ALL_MODELS:
             raise ParseError(f"field 'models': unknown model {m!r}")
+    _check_no_repeats("models", models)
 
     try:
         cutoff = date.fromisoformat(raw.get("cutoff", "2017-01-01"))
@@ -166,7 +176,7 @@ def parse_config(path) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         data_dir=raw.get("data_dir", "./data"),
-        stocks=tuple(s.strip().upper() for s in raw["stocks"].split(",") if s.strip()),
+        stocks=stocks,
         cutoff=cutoff,
         mode=mode,
         windows=windows,

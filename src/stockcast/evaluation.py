@@ -1,4 +1,4 @@
-"""Forecast-accuracy statistics: loss intervals and the Diebold-Mariano test.
+"""Forecast-accuracy statistics: the Diebold-Mariano test and its rankings.
 
 The DM test compares two aligned forecast-error series through the mean
 of their loss differential d_t = e_a,t^2 - e_b,t^2, scaled by a long-run
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDifferential, TooFewRuns
-from .experiment import LossInterval
+from .errors import DegenerateDifferential
 
 # fixed pair orderings for the single-step and multi-step comparison reports
 SINGLE_STEP_PAIRS = (
@@ -144,18 +143,6 @@ def dm_test(errors_a, errors_b, h: int = 1, loss: str = "squared",
     else:
         p = _two_sided_normal_p(dm)
     return DmReport(statistic=dm, p_value=p, h=h, n_obs=T, variant=variant)
-
-
-def loss_interval(run_errors) -> LossInterval:
-    """Sample mean and sample std (n-1) over per-run test errors."""
-    errors = np.asarray(run_errors, dtype=np.float64)
-    if errors.size < 2:
-        raise TooFewRuns(f"need >= 2 runs, got {errors.size}")
-    if not np.all(np.isfinite(errors)):
-        raise ValueError("non-finite run errors")
-    return LossInterval(mean=float(errors.mean()),
-                        std=float(errors.std(ddof=1)),
-                        n_runs=int(errors.size))
 
 
 def pairwise_dm_matrix(per_model_errors: dict[str, np.ndarray], h: int,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
-from .models import ArchSpec
+from .models import build_model, cnn_kernel
 from .nn.autodiff import Tensor, mse
 from .nn.optim import Adam
 from .windowing import make_samples, rolling_test_forecast
@@ -54,7 +54,6 @@ class TrainConfig:
 @dataclass
 class RunResult:
     seed: int
-    train_mse: float
     test_mse: float
     loss_history: list[float]
     origins: np.ndarray      # [N] index of each forecast's first predicted point
@@ -127,62 +126,32 @@ def train(model, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> list[float]:
     return history
 
 
-def evaluate_run(model, test_values, w: int, h: int, strategy: str,
-                 origin_stride: int = 1
-                 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Rolling-origin test MSE (normalized space) plus the (origins,
-    predictions, targets) arrays of `rolling_test_forecast`."""
-    origins, predictions, targets = rolling_test_forecast(
-        model, test_values, w, h, strategy=strategy, origin_stride=origin_stride)
-    return float(np.mean((predictions - targets) ** 2)), origins, predictions, targets
-
-
-def run_model(train_values, test_values, arch: ArchSpec, cfg: TrainConfig, strategy: str,
+def run_model(train_values, test_values, kind: str, w: int, cfg: TrainConfig, strategy: str,
               horizons: tuple[int, ...]) -> list[RunResult] | None:
     """Train one model seeded with cfg.seed, then evaluate it at each horizon.
 
-    The direct strategy trains an arch.h-output model, so `horizons` must
-    be (arch.h,).  The iterative strategy trains a single-output model and
-    feeds its predictions back in; nothing in that depends on h, so one
-    model serves every horizon.  Returns one RunResult per horizon, or
-    None if training diverged.
+    The direct strategy trains an h-output model, so `horizons` must be
+    (h,).  The iterative strategy trains a single-output model and feeds
+    its predictions back in; nothing in that depends on h, so one model
+    serves every horizon.  Returns one RunResult per horizon, with the
+    rolling-origin test MSE in normalized space, or None if training
+    diverged.
     """
-    n_out = 1 if strategy == "iterative" else arch.h
-    X, Y = make_samples(train_values, arch.w, n_out)
-    model = replace(arch, h=n_out).build(seed=cfg.seed)
+    n_out = 1 if strategy == "iterative" else horizons[0]
+    X, Y = make_samples(train_values, w, n_out)
+    model = build_model(kind, w, n_out, seed=cfg.seed)
     try:
         history = train(model, X, Y, cfg)
     except NonFiniteLoss:
         return None
     runs = []
     for h in horizons:
-        test_mse, origins, predictions, targets = evaluate_run(
-            model, test_values, arch.w, h, strategy, cfg.origin_stride)
-        runs.append(RunResult(seed=cfg.seed, train_mse=history[-1], test_mse=test_mse,
+        origins, predictions, targets = rolling_test_forecast(
+            model, test_values, w, h, strategy=strategy, origin_stride=cfg.origin_stride)
+        runs.append(RunResult(seed=cfg.seed, test_mse=float(np.mean((predictions - targets) ** 2)),
                               loss_history=history, origins=origins,
                               predictions=predictions, targets=targets))
     return runs
-
-
-def _add_runs(cells: list[CellResult], runs: list[RunResult] | None):
-    """Book one model's runs in its cells, one cell per horizon."""
-    if runs is None:
-        for cell in cells:
-            cell.failed_runs += 1
-    else:
-        for cell, run in zip(cells, runs):
-            cell.runs.append(run)
-
-
-def run_cell(stock: str, train_values, test_values, arch: ArchSpec,
-             cfg: TrainConfig, n_runs: int, strategy: str) -> CellResult:
-    """Execute n_runs seeded train/evaluate runs on pre-normalized values."""
-    result = CellResult(stock=stock, model=arch.kind, w=arch.w, h=arch.h,
-                        strategy=strategy)
-    for i in range(n_runs):
-        _add_runs([result], run_model(train_values, test_values, arch,
-                                      replace(cfg, seed=cfg.seed + i), strategy, (arch.h,)))
-    return result
 
 
 def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
@@ -192,12 +161,16 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
     """One CellResult per (stock, kind, w, h), row order deterministic.
 
     `series_by_stock` maps symbol -> (normalized train values, normalized
-    test values).  A window and horizon too long for some stock's train
-    or test series raise WindowTooLarge before any cell trains; divergent
-    runs are counted in their cell and never abort other cells.
+    test values).  A window too short for a CNN raises WindowTooSmall, and
+    a window and horizon too long for some stock's train or test series
+    raise WindowTooLarge, before any cell trains; divergent runs are
+    counted in their cell and never abort other cells.
 
     Tasks, one per seeded model, run on at most min(jobs, tasks) workers.
     """
+    if "CNN" in kinds:
+        for w in windows:
+            cnn_kernel(w)  # raises WindowTooSmall below the CNN's minimum window
     for stock, (tr, te) in series_by_stock.items():
         for w in windows:
             for h in horizons:
@@ -217,9 +190,8 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
     tasks = []
     for stock, kind, w, hs in groups:
         tr, te = series_by_stock[stock]
-        arch = ArchSpec(kind, w, 1 if strategy == "iterative" else hs[0])
         for i in range(n_runs):
-            tasks.append((tr, te, arch, replace(cfg, seed=cfg.seed + i), strategy, hs))
+            tasks.append((tr, te, kind, w, replace(cfg, seed=cfg.seed + i), strategy, hs))
     # a forked pool starts every worker up front, so never more than there are tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -235,7 +207,13 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
     for stock, kind, w, hs in groups:
         group = [CellResult(stock=stock, model=kind, w=w, h=h, strategy=strategy) for h in hs]
         for _ in range(n_runs):
-            _add_runs(group, next(per_seed))
+            runs = next(per_seed)
+            if runs is None:  # a diverged model fails every cell it serves
+                for cell in group:
+                    cell.failed_runs += 1
+            else:
+                for cell, run in zip(group, runs):
+                    cell.runs.append(run)
         cells += group
     return cells
 

@@ -10,8 +10,6 @@ so two builds with the same seed are parameter-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ArityMismatch, WindowTooSmall
@@ -27,20 +25,6 @@ CNN_POOL = 2
 CNN_DENSE = 32
 CNN_KERNEL = 3
 RNN_HIDDEN = (256, 128)
-
-
-@dataclass(frozen=True)
-class ArchSpec:
-    kind: str
-    w: int
-    h: int
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown architecture {self.kind!r}")
-
-    def build(self, seed: int) -> "Model":
-        return build_model(self.kind, self.w, self.h, seed=seed)
 
 
 class Model:
@@ -140,33 +124,36 @@ def build_mlp(w: int, h: int, seed: int = 0, hidden=MLP_HIDDEN) -> Model:
 
 # --- CNN ----------------------------------------------------------------------
 
-def _cnn_lengths(w: int, kernel: int, pool: int) -> tuple[int, int, int]:
+def _cnn_lengths(w: int, kernel: int) -> tuple[int, int, int]:
     l1 = w - kernel + 1
     l2 = l1 - kernel + 1
-    lp = l2 // pool if l2 > 0 else 0
+    lp = l2 // CNN_POOL if l2 > 0 else 0
     return l1, l2, lp
 
 
-def build_cnn(w: int, h: int, seed: int = 0, filters=CNN_FILTERS, pool: int = CNN_POOL,
-              dense_size: int = CNN_DENSE, kernel_size: int = CNN_KERNEL,
-              auto_kernel: bool = True) -> Model:
-    """conv(32) relu, conv(32) relu, maxpool(2), dense(->32) relu, dense(32->h) relu.
-
-    With `auto_kernel` (the default, needed for the small single-step
-    windows) the kernel shrinks until both conv layers and the pool
-    still produce a non-empty output; without it a too-small window
-    raises WindowTooSmall.
-    """
-    kernel = kernel_size
-    if auto_kernel:
-        while kernel > 1 and _cnn_lengths(w, kernel, pool)[2] < 1:
-            kernel -= 1
-    l1, l2, lp = _cnn_lengths(w, kernel, pool)
+def cnn_kernel(w: int) -> int:
+    """The CNN's kernel at window w: CNN_KERNEL, shrunk (for the small
+    single-step windows) until both conv layers and the pool still
+    produce a non-empty output.  Raises WindowTooSmall when even a
+    kernel of 1 does not."""
+    kernel = CNN_KERNEL
+    while kernel > 1 and _cnn_lengths(w, kernel)[2] < 1:
+        kernel -= 1
+    l1, l2, lp = _cnn_lengths(w, kernel)
     if lp < 1:
         raise WindowTooSmall(
-            f"window {w} too small for kernel {kernel} + pool {pool} "
+            f"window {w} too small for kernel {kernel} + pool {CNN_POOL} "
             f"(conv lengths {l1}, {l2})"
         )
+    return kernel
+
+
+def build_cnn(w: int, h: int, seed: int = 0, filters=CNN_FILTERS,
+              dense_size: int = CNN_DENSE) -> Model:
+    """conv(32) relu, conv(32) relu, maxpool(2), dense(->32) relu, dense(32->h) relu,
+    with the kernel of `cnn_kernel(w)`."""
+    kernel = cnn_kernel(w)
+    l1, l2, lp = _cnn_lengths(w, kernel)
     f1, f2 = filters
     flat = f2 * lp
     rngs = _layer_rngs(seed, 4)
@@ -187,12 +174,12 @@ def build_cnn(w: int, h: int, seed: int = 0, filters=CNN_FILTERS, pool: int = CN
         out = ad.reshape(x, (b, 1, x.data.shape[1]))
         out = ad.relu(ad.conv1d_channels(out, params["conv0.K"], params["conv0.b"]))
         out = ad.relu(ad.conv1d_channels(out, params["conv1.K"], params["conv1.b"]))
-        out = ad.maxpool1d_op(out, pool)
+        out = ad.maxpool1d_op(out, CNN_POOL)
         out = ad.reshape(out, (b, flat))
         out = ad.relu(ad.dense(out, params["fc0.W"], params["fc0.b"]))
         return ad.relu(ad.dense(out, params["fc1.W"], params["fc1.b"]))
 
-    meta = {"kernel": kernel, "pool": pool, "filters": tuple(filters),
+    meta = {"kernel": kernel, "pool": CNN_POOL, "filters": tuple(filters),
             "flat": flat, "conv_lengths": (l1, l2, lp)}
     return Model("CNN", w, h, ParamSet(tensors), forward, meta=meta)
 

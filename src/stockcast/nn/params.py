@@ -47,6 +47,3 @@ class ParamSet:
 
     def n_scalars(self) -> int:
         return sum(t.data.size for t in self._tensors.values())
-
-    def copy(self) -> "ParamSet":
-        return ParamSet({k: Tensor(v.data.copy()) for k, v in self._tensors.items()})

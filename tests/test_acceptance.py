@@ -33,10 +33,10 @@ from stockcast.errors import (
     WindowTooLarge,
     WindowTooSmall,
 )
-from stockcast.evaluation import dm_test, loss_interval
-from stockcast.experiment import TrainConfig, run_cell, run_grid, train
+from stockcast.evaluation import dm_test
+from stockcast.experiment import TrainConfig, run_grid, train
 from stockcast.ingest import TimeSeries, load_series
-from stockcast.models import ArchSpec, build_cnn, build_surrogate
+from stockcast.models import build_cnn, build_surrogate
 from stockcast.nn.autodiff import Tensor, dense, mse
 from stockcast.nn.gradcheck import grad_check
 from stockcast.nn.params import ParamSet
@@ -156,8 +156,8 @@ def _normalized_split(data_dir, symbol):
 def test_criterion_4_single_step_mlp_band(data_dir):
     t0 = time.time()
     tr, te = _normalized_split(data_dir, "ACC")
-    cell = run_cell("ACC", tr, te, ArchSpec("MLP", 3, 1),
-                    TrainConfig(seed=0), n_runs=5, strategy="direct")
+    [cell] = run_grid({"ACC": (tr, te)}, ["MLP"], [3], [1], TrainConfig(seed=0), n_runs=5,
+                      strategy="direct")
     elapsed = time.time() - t0
     assert cell.failed_runs == 0 and len(cell.runs) == 5
     mean = cell.interval.mean
@@ -294,9 +294,8 @@ def test_criterion_7_degenerate_inputs(tmp_path):
                 train(model, X, Y, TrainConfig(epochs=2, seed=0))
 
     check("divergent training -> NonFiniteLoss", _nonfinite_loss)
-    check("window too small for fixed kernel -> WindowTooSmall",
-          lambda: pytest.raises(WindowTooSmall, build_cnn, 3, 1,
-                                auto_kernel=False))
+    check("window too small for the CNN -> WindowTooSmall",
+          lambda: pytest.raises(WindowTooSmall, build_cnn, 1, 1))
 
     # evaluation
     check("identical error sequences -> DegenerateDifferential",
@@ -311,8 +310,14 @@ def test_criterion_7_degenerate_inputs(tmp_path):
         assert rep.statistic == 0.0 and rep.p_value == 1.0
 
     check("zero-mean differential -> statistic 0, p 1", _zero_mean_differential)
-    check("single run -> TooFewRuns",
-          lambda: pytest.raises(TooFewRuns, loss_interval, [0.5]))
+    def _single_run():
+        values = np.linspace(0.1, 0.9, 30)
+        [cell] = run_grid({"ACC": (values, values)}, ["MLP"], [3], [1],
+                          TrainConfig(epochs=1, seed=0), n_runs=1, strategy="direct")
+        with pytest.raises(TooFewRuns):
+            cell.interval
+
+    check("single run -> TooFewRuns", _single_run)
 
     # config and DM input files
     def _unknown_field():

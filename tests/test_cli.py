@@ -222,13 +222,20 @@ def test_run_rejects_count_below_one_before_training(tmp_path, tiny_dir, capsys,
     ("windows", "5,0", {}),   # the w=5 cells must not train first
     ("horizons", "0", {"mode": "multi", "windows": "5"}),
     ("seed", "-1", {}),
+    # repeated grid entries would train (or for stocks, silently drop) a cell twice
+    ("stocks", "AAA,AAA", {}),
+    ("models", "MLP,mlp", {}),
+    ("windows", "3,5,3", {}),
+    ("horizons", "7,7", {"mode": "multi", "windows": "5"}),
 ])
 def test_run_rejects_out_of_range_value_before_training(tmp_path, tiny_dir, capsys, monkeypatch,
                                                         field, value, extra):
     trained = []
     monkeypatch.setattr(experiment, "train", lambda *args: trained.append(args) or [0.0])
     cfg_path = make_config(tmp_path, tiny_dir, **extra, **{field: value})
-    with pytest.raises(ParseError, match=rf"field '{field}': must be "):
+    parts = value.upper().split(",")
+    rule = f"must not repeat {parts[-1]}$" if len(set(parts)) < len(parts) else "must be "
+    with pytest.raises(ParseError, match=rf"field '{field}': {rule}"):
         parse_config(cfg_path)
     assert main(["run", "--config", cfg_path, "--jobs", "1"]) == 2
     assert f"field '{field}'" in capsys.readouterr().err

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from stockcast.errors import DegenerateDifferential, TooFewRuns
+from stockcast.errors import DegenerateDifferential
 from stockcast.evaluation import (
     MULTI_STEP_PAIRS,
     SINGLE_STEP_PAIRS,
     _two_sided_normal_p,
     _two_sided_t_p,
     dm_test,
-    loss_interval,
     majority_vote_ranking,
     pairwise_dm_matrix,
 )
@@ -171,23 +170,6 @@ def test_dm_sign_convention():
     r = dm_test(e_a, e_b, h=1)
     assert r.statistic < -5
     assert r.p_value < 1e-6
-
-
-def test_loss_interval():
-    iv = loss_interval([1.0, 2.0, 3.0])
-    assert iv.mean == pytest.approx(2.0)
-    assert iv.std == pytest.approx(1.0)
-
-
-def test_loss_interval_constant():
-    iv = loss_interval([0.4] * 5)
-    assert iv.mean == pytest.approx(0.4)
-    assert iv.std == 0.0
-
-
-def test_loss_interval_single_run():
-    with pytest.raises(TooFewRuns):
-        loss_interval([0.1])
 
 
 def _error_map(seed=26, T=60):

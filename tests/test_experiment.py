@@ -1,4 +1,5 @@
 import concurrent.futures
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -6,18 +7,9 @@ import pytest
 
 from stockcast import experiment
 from stockcast.config import ExperimentConfig
-from stockcast.errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
-from stockcast.experiment import (
-    CellResult,
-    LossInterval,
-    RunResult,
-    TrainConfig,
-    evaluate_run,
-    run_cell,
-    run_grid,
-    train,
-)
-from stockcast.models import ArchSpec, build_mlp
+from stockcast.errors import NonFiniteLoss, TooFewRuns, WindowTooLarge, WindowTooSmall
+from stockcast.experiment import CellResult, RunResult, TrainConfig, run_grid, run_model, train
+from stockcast.models import build_mlp
 from stockcast.runner import execute
 from stockcast.windowing import FunctionModel, make_samples
 
@@ -72,41 +64,54 @@ def test_train_divergence_raises():
             train(model, X, Y, TrainConfig(epochs=1, seed=0))
 
 
-def test_evaluate_echo_on_constant_series():
-    model = FunctionModel(lambda x: x[-1], input_arity=3, output_arity=1)
-    mse, origins, predictions, targets = evaluate_run(model, np.full(20, 0.7), 3, 1, "direct")
-    assert mse == 0.0
-    assert len(origins) == len(predictions) == len(targets) == 17
+def evaluate_fixed(monkeypatch, fn, test_values, w, h):
+    """run_model's one direct run, with training skipped and the built
+    model replaced by the function fn of one window."""
+    monkeypatch.setattr(experiment, "build_model", lambda kind, w, h, seed: FunctionModel(
+        fn, input_arity=w, output_arity=h))
+    monkeypatch.setattr(experiment, "train", lambda *args: [0.0])
+    [run] = run_model(np.zeros(w + h), test_values, "MLP", w, TrainConfig(), "direct", (h,))
+    assert run.test_mse == np.mean((run.predictions - run.targets) ** 2)
+    return run
 
 
-def test_evaluate_constant_half_vs_zero_targets():
-    model = FunctionModel(lambda x: 0.5, input_arity=3, output_arity=1)
-    mse, *_ = evaluate_run(model, np.zeros(20), 3, 1, "direct")
-    assert mse == pytest.approx(0.25)
+def test_evaluate_echo_on_constant_series(monkeypatch):
+    run = evaluate_fixed(monkeypatch, lambda x: x[-1], np.full(20, 0.7), 3, 1)
+    assert run.test_mse == 0.0
+    assert len(run.origins) == len(run.predictions) == len(run.targets) == 17
 
 
-def test_evaluate_mse_equals_mean_of_trace_mses():
+def test_evaluate_constant_half_vs_zero_targets(monkeypatch):
+    run = evaluate_fixed(monkeypatch, lambda x: 0.5, np.zeros(20), 3, 1)
+    assert run.test_mse == pytest.approx(0.25)
+
+
+def test_evaluate_mse_equals_mean_of_trace_mses(monkeypatch):
     rng = np.random.default_rng(14)
     values = rng.uniform(0, 1, 40)
-    model = FunctionModel(lambda x: np.full(3, x.mean()), input_arity=5, output_arity=3)
-    mse, _, predictions, targets = evaluate_run(model, values, 5, 3, "direct")
+    run = evaluate_fixed(monkeypatch, lambda x: np.full(3, x.mean()), values, 5, 3)
     per_origin = [np.mean((np.array(p) - np.array(t)) ** 2)
-                  for p, t in zip(predictions.tolist(), targets.tolist())]
-    assert mse == pytest.approx(np.mean(per_origin))
+                  for p, t in zip(run.predictions.tolist(), run.targets.tolist())]
+    assert run.test_mse == pytest.approx(np.mean(per_origin))
 
 
 def run_result(seed, test_mse):
     no_origins = np.empty((0, 1))
-    return RunResult(seed, 0.0, test_mse, [], np.empty(0, dtype=int), no_origins, no_origins)
+    return RunResult(seed, test_mse, [], np.empty(0, dtype=int), no_origins, no_origins)
 
 
-def test_loss_interval_arithmetic():
+@pytest.mark.parametrize("errors, mean, std", [
+    pytest.param([0.001, 0.002, 0.003], 0.002, 0.001, id="small"),
+    pytest.param([1.0, 2.0, 3.0], 2.0, 1.0, id="unit"),
+    pytest.param([0.4] * 5, 0.4, 0.0, id="constant"),
+])
+def test_cell_interval_arithmetic(errors, mean, std):
     cell = CellResult("A", "MLP", 3, 1, "direct", runs=[
-        run_result(i, v) for i, v in enumerate([0.001, 0.002, 0.003])])
+        run_result(i, v) for i, v in enumerate(errors)])
     iv = cell.interval
-    assert iv.mean == pytest.approx(0.002)
-    assert iv.std == pytest.approx(0.001)
-    assert iv.n_runs == 3
+    assert iv.mean == pytest.approx(mean)
+    assert iv.std == pytest.approx(std, abs=0)  # exactly 0 for constant errors
+    assert iv.n_runs == len(errors)
 
 
 def test_interval_needs_two_runs():
@@ -121,20 +126,22 @@ def sine_series(n, lo=0.2, hi=0.8):
     return lo + (hi - lo) * (x + 1) / 2
 
 
-def test_run_cell_seeds_derive_from_master():
+def test_run_grid_seeds_derive_from_master():
     tr = sine_series(120)
     te = sine_series(40)
     cfg = TrainConfig(epochs=2, seed=100)
-    cell = run_cell("S", tr, te, ArchSpec("MLP", 4, 1), cfg, 3, "direct")
+    [cell] = run_grid({"S": (tr, te)}, ["MLP"], [4], [1], cfg, 3, "direct")
     assert [r.seed for r in cell.runs] == [100, 101, 102]
 
 
-def test_run_cell_iterative_uses_single_output_model():
+def test_run_grid_iterative_uses_single_output_model(monkeypatch):
+    trained = record_training(monkeypatch)
     tr = sine_series(120)
     te = sine_series(40)
     cfg = TrainConfig(epochs=2, seed=0)
-    cell = run_cell("S", tr, te, ArchSpec("MLP", 4, 3), cfg, 2, "iterative")
+    [cell] = run_grid({"S": (tr, te)}, ["MLP"], [4], [3], cfg, 2, "iterative")
     assert cell.h == 3
+    assert [outputs for _, _, outputs, _, _ in trained] == [1, 1]
     assert all(r.predictions.shape == (40 - 4 - 3 + 1, 3) for r in cell.runs)
 
 
@@ -153,9 +160,10 @@ def test_run_order_independence():
     # a run's result depends only on its seed, not on which runs precede it
     tr = sine_series(120)
     te = sine_series(40)
-    arch = ArchSpec("MLP", 4, 1)
-    full = run_cell("S", tr, te, arch, TrainConfig(epochs=3, seed=5), 3, "direct")
-    solo = run_cell("S", tr, te, arch, TrainConfig(epochs=3, seed=7), 1, "direct")
+    [full] = run_grid({"S": (tr, te)}, ["MLP"], [4], [1], TrainConfig(epochs=3, seed=5), 3,
+                      "direct")
+    [solo] = run_grid({"S": (tr, te)}, ["MLP"], [4], [1], TrainConfig(epochs=3, seed=7), 1,
+                      "direct")
     assert full.runs[2].seed == solo.runs[0].seed == 7
     assert full.runs[2].test_mse == solo.runs[0].test_mse
     assert full.runs[2].loss_history == solo.runs[0].loss_history
@@ -168,6 +176,16 @@ def test_run_grid_checks_windows_before_training(monkeypatch):
     cfg = TrainConfig(epochs=1, seed=0)
     with pytest.raises(WindowTooLarge, match=r"stock A: window 50, horizon 1"):
         run_grid(series, ["MLP"], [3, 50], [1], cfg, 1, "direct")
+    assert calls == []
+
+
+def test_run_grid_checks_cnn_window_before_training(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiment, "train", lambda *args: calls.append(args) or [0.0])
+    series = {"A": (sine_series(100), sine_series(40))}
+    cfg = TrainConfig(epochs=1, seed=0)
+    with pytest.raises(WindowTooSmall, match=r"window 1 too small for kernel 1 \+ pool 2"):
+        run_grid(series, ["MLP", "CNN"], [5, 1], [1], cfg, 1, "direct")
     assert calls == []
 
 
@@ -242,25 +260,24 @@ def test_run_grid_trains_each_model_once(monkeypatch, strategy, trainings_per_gr
         for w in (3, 4) for h in (2, 3)]
 
 
-def assert_cells_equal(got, want):
-    assert (got.stock, got.model, got.w, got.h, got.strategy, got.failed_runs) == (
-        want.stock, want.model, want.w, want.h, want.strategy, want.failed_runs)
-    assert len(got.runs) == len(want.runs)
-    for a, b in zip(got.runs, want.runs):
-        assert (a.seed, a.train_mse, a.test_mse, a.loss_history) == (
-            b.seed, b.train_mse, b.test_mse, b.loss_history)
-        for name in ("origins", "predictions", "targets"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-
-
 def test_iterative_grid_cells_equal_standalone_cells():
+    # the reference trains one model per horizon, so a model shared
+    # across a group's horizons must not change any run
     tr, te = sine_series(100), sine_series(30)
     cfg = TrainConfig(epochs=2, seed=4)
     cells = run_grid({"A": (tr, te)}, ["MLP", "CNN"], [3, 5], [2, 6], cfg, 3, "iterative")
-    assert len(cells) == 8
+    assert [(c.model, c.w, c.h) for c in cells] == [
+        (kind, w, h) for kind in ("MLP", "CNN") for w in (3, 5) for h in (2, 6)]
     for cell in cells:
-        solo = run_cell("A", tr, te, ArchSpec(cell.model, cell.w, cell.h), cfg, 3, "iterative")
-        assert_cells_equal(cell, solo)
+        assert (cell.stock, cell.strategy, cell.failed_runs) == ("A", "iterative", 0)
+        assert [r.seed for r in cell.runs] == [4, 5, 6]
+        for run in cell.runs:
+            [solo] = run_model(tr, te, cell.model, cell.w, replace(cfg, seed=run.seed),
+                               "iterative", (cell.h,))
+            assert (run.seed, run.test_mse, run.loss_history) == (
+                solo.seed, solo.test_mse, solo.loss_history)
+            for name in ("origins", "predictions", "targets"):
+                assert np.array_equal(getattr(run, name), getattr(solo, name))
 
 
 def test_diverged_seed_fails_every_horizon_of_its_group(monkeypatch):

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stockcast.experiment import TrainConfig, run_cell
-from stockcast.models import KINDS, ArchSpec
+from stockcast.experiment import TrainConfig, run_grid
+from stockcast.models import KINDS
 from stockcast.preprocess import fit_scaler, scale
 from stockcast.synthetic import make_series
 
@@ -39,8 +39,8 @@ def compute(kind: str) -> dict:
     train_values, test_values = _series()
     out = {}
     for w, h, strategy in CELLS:
-        cell = run_cell("ACC", train_values, test_values, ArchSpec(kind, w, h),
-                        TrainConfig(epochs=2, seed=0), n_runs=2, strategy=strategy)
+        [cell] = run_grid({"ACC": (train_values, test_values)}, [kind], [w], [h],
+                          TrainConfig(epochs=2, seed=0), n_runs=2, strategy=strategy)
         out[f"w={w} h={h} {strategy}"] = {
             "failed_runs": cell.failed_runs,
             "runs": [{"seed": r.seed, "loss_history": r.loss_history,

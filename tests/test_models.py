@@ -3,7 +3,6 @@ import pytest
 
 from stockcast.errors import ArityMismatch, WindowTooSmall
 from stockcast.models import (
-    ArchSpec,
     build_cnn,
     build_gru,
     build_lstm,
@@ -46,12 +45,12 @@ def test_cnn_shape_arithmetic():
     assert model.meta["flat"] == 160
 
 
-def test_cnn_window_too_small_without_auto_kernel():
-    with pytest.raises(WindowTooSmall):
-        build_cnn(3, 1, auto_kernel=False)
+def test_cnn_window_too_small():
+    with pytest.raises(WindowTooSmall, match="window 1 too small for kernel 1 \\+ pool 2"):
+        build_cnn(1, 1)
 
 
-def test_cnn_auto_kernel_shrinks():
+def test_cnn_kernel_shrinks():
     model = build_cnn(3, 1)
     assert model.meta["kernel"] == 1
     assert model(np.array([0.1, 0.2, 0.3])).shape == (1,)
@@ -139,14 +138,10 @@ def test_forward_arity_checks():
         model.forward(Tensor(np.zeros((2, 4))))
 
 
-def test_archspec_build_and_validation():
-    spec = ArchSpec("MLP", 5, 2)
-    model = spec.build(seed=4)
+def test_build_model_kind_and_validation():
+    model = build_model("MLP", 5, 2, seed=4)
     assert (model.kind, model.w, model.h) == ("MLP", 5, 2)
-    assert {spec, ArchSpec("MLP", 5, 2)} == {spec}  # frozen and hashable
-    with pytest.raises(ValueError):
-        ArchSpec("VAE", 5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown architecture 'VAE'"):
         build_model("VAE", 5, 2)
 
 

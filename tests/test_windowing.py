@@ -193,7 +193,7 @@ def test_trace_json_shape():
     origins, predictions, targets = rolling_test_forecast(
         echo(2), [1.0, 2.0, 1.5, 2.5, 3.0], 2, 2, strategy="iterative")
     cell = CellResult("A", "MLP", 2, 2, "iterative", runs=[
-        RunResult(0, 0.0, 0.1, [], origins, predictions, targets)])
+        RunResult(0, 0.1, [], origins, predictions, targets)])
     record, = json.loads(traces_json_text(ExperimentConfig(), [cell]))["records"]
     assert record["traces"] == [
         {"origin": 2, "predictions": [2.0, 2.0], "targets": [1.5, 2.5]},
