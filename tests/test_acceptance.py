@@ -310,6 +310,7 @@ def test_criterion_7_degenerate_inputs(tmp_path):
         assert rep.statistic == 0.0 and rep.p_value == 1.0
 
     check("zero-mean differential -> statistic 0, p 1", _zero_mean_differential)
+
     def _single_run():
         values = np.linspace(0.1, 0.9, 30)
         [cell] = run_grid({"ACC": (values, values)}, ["MLP"], [3], [1],
