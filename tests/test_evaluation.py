@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from stockcast.errors import DegenerateDifferential
+from stockcast.errors import DegenerateDifferential, TooFewRuns
 from stockcast.evaluation import (
     MULTI_STEP_PAIRS,
     SINGLE_STEP_PAIRS,
@@ -14,6 +14,7 @@ from stockcast.evaluation import (
     majority_vote_ranking,
     pairwise_dm_matrix,
 )
+from stockcast.experiment import CellResult, RunResult
 
 
 def reference_dm(errors_a, errors_b, h):
@@ -170,6 +171,15 @@ def test_dm_sign_convention():
     r = dm_test(e_a, e_b, h=1)
     assert r.statistic < -5
     assert r.p_value < 1e-6
+
+
+def test_loss_interval_single_run():
+    # failed runs do not count towards the two runs an interval needs
+    no_origins = np.empty((0, 1))
+    run = RunResult(0, 0.1, [], np.empty(0, dtype=int), no_origins, no_origins)
+    cell = CellResult("A", "MLP", 3, 1, "direct", runs=[run], failed_runs=2)
+    with pytest.raises(TooFewRuns):
+        cell.interval
 
 
 def _error_map(seed=26, T=60):
