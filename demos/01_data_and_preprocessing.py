@@ -1,14 +1,16 @@
 """From raw close-price CSVs to normalized train/test arrays.
 
-Walks the reference corpus, validates each file, then shows the
-date-cutoff split and min-max normalization for one symbol.
+Walks the reference corpus, loading each file and reporting the rows the
+loader dropped, then shows the date-cutoff split (at the config's
+default cutoff) and min-max normalization for one symbol.
 """
 
 import os
 import sys
 
-from stockcast.ingest import load_series, validate_series
-from stockcast.preprocess import DEFAULT_CUTOFF, fit_scaler, scale, split_by_date
+from stockcast.config import ExperimentConfig
+from stockcast.ingest import load_series
+from stockcast.preprocess import fit_scaler, scale, split_by_date
 from stockcast.synthetic import make_reference_corpus
 
 DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
@@ -22,15 +24,14 @@ for name in sorted(os.listdir(DATA_DIR)):
     if not name.endswith(".csv"):
         continue
     symbol = os.path.splitext(name)[0]
-    ts, load_report = load_series(os.path.join(DATA_DIR, name), symbol)
-    report = validate_series(ts)
-    status = "ok" if report.ok else f"{len(report.issues)} issue(s)"
+    ts, report = load_series(os.path.join(DATA_DIR, name), symbol)
+    status = "ok" if report.ok else f"dropped {report.dropped_rows} row(s)"
     print(f"  {symbol:12s} {len(ts):5d} points "
           f"{ts.dates[0]}..{ts.dates[-1]}  {status}")
 
 symbol = "ACC"
 ts, _ = load_series(os.path.join(DATA_DIR, f"{symbol}.csv"), symbol)
-split = split_by_date(ts, DEFAULT_CUTOFF)
+split = split_by_date(ts, ExperimentConfig().cutoff)
 print(f"\n{symbol}: split at {split.cutoff}")
 print(f"  train {len(split.train)} points, test {len(split.test)} points")
 

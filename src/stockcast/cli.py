@@ -11,7 +11,7 @@ from .checks import run_gradcheck_suite
 from .config import parse_config
 from .dm_pipeline import dm_csv_text
 from .errors import StockcastError
-from .ingest import load_series, validate_series
+from .ingest import load_series
 from .runner import atomic_write, execute
 
 
@@ -51,21 +51,16 @@ def cmd_validate_data(args) -> int:
     bad = 0
     for symbol, path in paths:
         try:
-            ts, load_report = load_series(path, symbol)
+            ts, report = load_series(path, symbol)
         except (StockcastError, FileNotFoundError) as exc:
             print(f"{symbol}: ERROR {exc}")
             bad += 1
             continue
-        report = validate_series(ts)
-        note = f", dropped {load_report.dropped_rows} row(s)" if load_report.dropped_rows else ""
-        if report.ok:
-            print(f"{symbol}: ok, {len(ts)} points "
-                  f"{ts.dates[0].isoformat()}..{ts.dates[-1].isoformat()}{note}")
-        else:
-            print(f"{symbol}: {len(report.issues)} issue(s){note}")
-            for idx, reason in report.issues[:10]:
-                print(f"  row {idx}: {reason}")
-            bad += 1
+        note = f", dropped {report.dropped_rows} row(s)" if report.dropped_rows else ""
+        print(f"{symbol}: ok, {len(ts)} points "
+              f"{ts.dates[0].isoformat()}..{ts.dates[-1].isoformat()}{note}")
+        for idx, reason in report.issues[:10]:
+            print(f"  row {idx}: {reason}")
     return 1 if bad else 0
 
 

@@ -1,15 +1,17 @@
 """Flat key/value experiment config files.
 
 Format: one ``key = value`` per line, ``#`` comments, unknown keys
-rejected by name.  Every default is materialized at parse time so the
-echoed config in result headers is self-describing.
+rejected by name.  The keys are the fields of `ExperimentConfig`
+(except `train`) followed by those of `TrainConfig`, in that order;
+their defaults are the field defaults.  Every default is materialized
+at parse time so the echoed config in result headers is
+self-describing.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 
 from .errors import MissingDataFile, ParseError
@@ -20,12 +22,6 @@ MULTI_STEP_WINDOWS = (30, 60, 90)
 MULTI_STEP_HORIZONS = (7, 14, 21, 28)
 ALL_MODELS = ("MLP", "CNN", "GRU", "LSTM")
 
-_KNOWN_KEYS = {
-    "data_dir", "stocks", "cutoff", "mode", "windows", "horizons", "strategy",
-    "models", "epochs", "batch_size", "lr", "seed", "shuffle", "origin_stride",
-    "scaler_scope", "n_runs", "output_dir",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -33,8 +29,8 @@ class ExperimentConfig:
     stocks: tuple[str, ...] = ()
     cutoff: date = date(2017, 1, 1)
     mode: str = "single"
-    windows: tuple[int, ...] = ()
-    horizons: tuple[int, ...] = (1,)
+    windows: tuple[int, ...] = ()      # unset in a file: the mode's grid
+    horizons: tuple[int, ...] = (1,)   # unset in a multi-mode file: MULTI_STEP_HORIZONS
     strategy: str = "direct"
     models: tuple[str, ...] = ALL_MODELS
     n_runs: int = 5
@@ -46,32 +42,45 @@ class ExperimentConfig:
 
     def echo_lines(self) -> list[str]:
         """Fully materialized key=value lines for output headers."""
-        return [
-            f"data_dir = {self.data_dir}",
-            f"stocks = {','.join(self.stocks)}",
-            f"cutoff = {self.cutoff.isoformat()}",
-            f"mode = {self.mode}",
-            f"windows = {','.join(str(w) for w in self.windows)}",
-            f"horizons = {','.join(str(h) for h in self.horizons)}",
-            f"strategy = {self.strategy}",
-            f"models = {','.join(self.models)}",
-            f"n_runs = {self.n_runs}",
-            f"output_dir = {self.output_dir}",
-            f"epochs = {self.train.epochs}",
-            f"batch_size = {self.train.batch_size}",
-            f"lr = {self.train.lr!r}",
-            f"seed = {self.train.seed}",
-            f"shuffle = {str(self.train.shuffle).lower()}",
-            f"origin_stride = {self.train.origin_stride}",
-            f"scaler_scope = {self.train.scaler_scope}",
-        ]
+        return [f"{f.name} = {_format(getattr(obj, f.name))}" for obj, f in _keys(self)]
 
 
-def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-    except ValueError:
-        raise ParseError(f"field {key!r}: expected comma-separated integers, got {raw!r}")
+def _keys(cfg):
+    """(owner, field) for every config key, in file and echo order."""
+    return ([(cfg, f) for f in fields(cfg) if f.name != "train"]
+            + [(cfg.train, f) for f in fields(cfg.train)])
+
+
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
+
+
+def _items(raw: str) -> list[str]:
+    return [p.strip() for p in raw.split(",") if p.strip()]
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(raw)
+    return raw.lower() == "true"
+
+
+# field type -> (parser, what a parse failure says was expected); the
+# str parsers cannot fail, and names are compared upper-cased
+_PARSERS = {
+    "str": (str, None),
+    "tuple[str, ...]": (lambda raw: tuple(p.upper() for p in _items(raw)), None),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_bool, "true/false"),
+    "date": (date.fromisoformat, "YYYY-MM-DD"),
+    "tuple[int, ...]": (lambda raw: tuple(int(p) for p in _items(raw)),
+                        "comma-separated integers"),
+}
 
 
 def _check_no_repeats(key: str, values: tuple):
@@ -82,7 +91,8 @@ def _check_no_repeats(key: str, values: tuple):
 
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate; all defaults materialized."""
-    raw: dict[str, str] = {}
+    types = {f.name: f.type for _, f in _keys(ExperimentConfig())}
+    values = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             text = line.split("#", 1)[0].strip()
@@ -90,111 +100,50 @@ def parse_config(path) -> ExperimentConfig:
                 continue
             if "=" not in text:
                 raise ParseError(f"line {lineno}: expected 'key = value', got {text!r}")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key not in _KNOWN_KEYS:
+            key, raw = (part.strip() for part in text.split("=", 1))
+            if key not in types:
                 raise ParseError(f"line {lineno}: unknown field {key!r}")
-            if key in raw:
+            if key in values:
                 raise ParseError(f"line {lineno}: duplicate field {key!r}")
-            raw[key] = value
+            parse, expected = _PARSERS[types[key]]
+            try:
+                values[key] = parse(raw)
+            except ValueError:
+                raise ParseError(f"field {key!r}: expected {expected}, got {raw!r}") from None
 
-    if "stocks" not in raw or not raw["stocks"].strip():
+    if not values.get("stocks"):
         raise ParseError("field 'stocks' is required")
-    stocks = tuple(s.strip().upper() for s in raw["stocks"].split(",") if s.strip())
-    _check_no_repeats("stocks", stocks)
+    train_keys = {f.name for f in fields(TrainConfig)}
+    try:
+        train = TrainConfig(**{k: v for k, v in values.items() if k in train_keys})
+    except ValueError as exc:  # TrainConfig's rules read "<field> <rule>"
+        key, _, rule = str(exc).partition(" ")
+        raise ParseError(f"field {key!r}: {rule}") from None
+    cfg = ExperimentConfig(**{k: v for k, v in values.items() if k not in train_keys},
+                           train=train)
 
-    mode = raw.get("mode", "single")
-    if mode not in ("single", "multi"):
-        raise ParseError(f"field 'mode': must be 'single' or 'multi', got {mode!r}")
-
-    if "windows" in raw:
-        windows = _parse_int_list(raw["windows"], "windows")
-    else:
-        windows = SINGLE_STEP_WINDOWS if mode == "single" else MULTI_STEP_WINDOWS
-    if "horizons" in raw:
-        horizons = _parse_int_list(raw["horizons"], "horizons")
-    elif mode == "multi":
-        horizons = MULTI_STEP_HORIZONS
-    else:
-        horizons = (1,)
-    if mode == "single" and horizons != (1,):
+    if cfg.mode not in ("single", "multi"):
+        raise ParseError(f"field 'mode': must be 'single' or 'multi', got {cfg.mode!r}")
+    if "windows" not in values:
+        cfg.windows = SINGLE_STEP_WINDOWS if cfg.mode == "single" else MULTI_STEP_WINDOWS
+    if "horizons" not in values and cfg.mode == "multi":
+        cfg.horizons = MULTI_STEP_HORIZONS
+    if cfg.mode == "single" and cfg.horizons != (1,):
         raise ParseError("field 'horizons': single-step mode forces horizon 1")
-    if not windows or not horizons:
+    if not cfg.windows or not cfg.horizons:
         raise ParseError("window/horizon grids must be non-empty")
-    for key, grid in (("windows", windows), ("horizons", horizons)):
+    for key, grid in (("windows", cfg.windows), ("horizons", cfg.horizons),
+                      ("n_runs", (cfg.n_runs,))):
         if min(grid) < 1:
             raise ParseError(f"field {key!r}: must be >= 1, got {min(grid)}")
-        _check_no_repeats(key, grid)
-
-    strategy = raw.get("strategy", "direct")
-    if strategy not in ("direct", "iterative"):
-        raise ParseError(f"field 'strategy': must be 'direct' or 'iterative', got {strategy!r}")
-
-    models = tuple(m.strip().upper() for m in raw.get("models", ",".join(ALL_MODELS)).split(",")
-                   if m.strip())
-    for m in models:
+    if cfg.strategy not in ("direct", "iterative"):
+        raise ParseError(
+            f"field 'strategy': must be 'direct' or 'iterative', got {cfg.strategy!r}")
+    for m in cfg.models:
         if m not in ALL_MODELS:
             raise ParseError(f"field 'models': unknown model {m!r}")
-    _check_no_repeats("models", models)
-
-    try:
-        cutoff = date.fromisoformat(raw.get("cutoff", "2017-01-01"))
-    except ValueError:
-        raise ParseError(f"field 'cutoff': expected YYYY-MM-DD, got {raw['cutoff']!r}")
-
-    def _int(key, default):
-        try:
-            return int(raw.get(key, default))
-        except ValueError:
-            raise ParseError(f"field {key!r}: expected an integer, got {raw[key]!r}")
-
-    def _count(key, default):
-        value = _int(key, default)
-        if value < 1:
-            raise ParseError(f"field {key!r}: must be >= 1, got {value}")
-        return value
-
-    def _positive_float(key, default):
-        try:
-            value = float(raw.get(key, default))
-        except ValueError:
-            raise ParseError(f"field {key!r}: expected a number, got {raw[key]!r}")
-        if not (math.isfinite(value) and value > 0.0):
-            raise ParseError(f"field {key!r}: must be finite and > 0, got {value}")
-        return value
-
-    seed = _int("seed", 0)
-    if seed < 0:
-        raise ParseError(f"field 'seed': must be >= 0, got {seed}")
-
-    shuffle_raw = raw.get("shuffle", "true").lower()
-    if shuffle_raw not in ("true", "false"):
-        raise ParseError(f"field 'shuffle': expected true/false, got {shuffle_raw!r}")
-
-    scaler_scope = raw.get("scaler_scope", "train")
-    if scaler_scope not in ("train", "full"):
-        raise ParseError(f"field 'scaler_scope': must be 'train' or 'full', got {scaler_scope!r}")
-
-    cfg = ExperimentConfig(
-        data_dir=raw.get("data_dir", "./data"),
-        stocks=stocks,
-        cutoff=cutoff,
-        mode=mode,
-        windows=windows,
-        horizons=horizons,
-        strategy=strategy,
-        models=models,
-        n_runs=_count("n_runs", 5),
-        output_dir=raw.get("output_dir", "./results"),
-        train=TrainConfig(
-            epochs=_count("epochs", 100),
-            batch_size=_count("batch_size", 32),
-            lr=_positive_float("lr", 1e-3),
-            seed=seed,
-            shuffle=shuffle_raw == "true",
-            origin_stride=_count("origin_stride", 1),
-            scaler_scope=scaler_scope,
-        ),
-    )
+    for key in ("stocks", "models", "windows", "horizons"):
+        _check_no_repeats(key, getattr(cfg, key))
 
     for symbol in cfg.stocks:
         if not os.path.isfile(cfg.stock_path(symbol)):

@@ -1,4 +1,4 @@
-"""Forecast-accuracy statistics: the Diebold-Mariano test and its rankings.
+"""Forecast-accuracy statistics: the Diebold-Mariano test and its pairwise tables.
 
 The DM test compares two aligned forecast-error series through the mean
 of their loss differential d_t = e_a,t^2 - e_b,t^2, scaled by a long-run
@@ -163,29 +163,3 @@ def pairwise_dm_matrix(per_model_errors: dict[str, np.ndarray], h: int,
             report = None
         out.append(((a, b), report))
     return out
-
-
-def majority_vote_ranking(dm_by_stock: dict[str, list],
-                          alpha: float) -> dict[tuple[str, str], str | None]:
-    """Per-pair winner by majority vote across stocks.
-
-    A model wins a pair when it has the significantly smaller loss
-    (p < alpha, sign pointing at it) in strictly more than half of the
-    stocks; otherwise the pair is a tie (None).
-    """
-    n_stocks = len(dm_by_stock)
-    votes: dict[tuple[str, str], dict[str, int]] = {}
-    for reports in dm_by_stock.values():
-        for pair, report in reports:
-            tally = votes.setdefault(pair, {})
-            if report is None or report.p_value >= alpha or report.statistic == 0.0:
-                continue
-            winner = pair[0] if report.statistic < 0.0 else pair[1]
-            tally[winner] = tally.get(winner, 0) + 1
-    ranking: dict[tuple[str, str], str | None] = {}
-    for pair, tally in votes.items():
-        ranking[pair] = None
-        for model, wins in tally.items():
-            if wins > n_stocks / 2:
-                ranking[pair] = model
-    return ranking

@@ -39,16 +39,16 @@ class TrainConfig:
     scaler_scope: str = "train"
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # each message starts with the field name: parse_config reports it as the field
+        for name in ("epochs", "batch_size", "origin_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if self.origin_stride < 1:
-            raise ValueError("origin_stride must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.scaler_scope not in ("train", "full"):
-            raise ValueError(f"scaler_scope {self.scaler_scope!r} not in (train, full)")
+            raise ValueError(f"scaler_scope must be 'train' or 'full', got {self.scaler_scope!r}")
 
 
 @dataclass

@@ -105,27 +105,6 @@ def load_series(path, symbol: str) -> tuple[TimeSeries, ValidationReport]:
     return ts, report
 
 
-def validate_series(ts: TimeSeries) -> ValidationReport:
-    """Check the TimeSeries invariants; reports issues, never raises."""
-    report = ValidationReport(row_count=len(ts.values))
-    if len(ts.values) < 2:
-        report.issues.append((0, "series shorter than 2 points"))
-    if len(ts.dates) != len(ts.values):
-        report.issues.append((0, "dates/values length mismatch"))
-        return report
-    for i, (d1, d2) in enumerate(zip(ts.dates, ts.dates[1:]), start=1):
-        if d1 == d2:
-            report.issues.append((i, f"duplicate date {d1.isoformat()}"))
-        elif d1 > d2:
-            report.issues.append((i, f"dates out of order at {d2.isoformat()}"))
-    for i, v in enumerate(ts.values):
-        if not math.isfinite(v):
-            report.issues.append((i, "non-finite price"))
-        elif v <= 0.0:
-            report.issues.append((i, "non-positive price"))
-    return report
-
-
 def write_series(ts: TimeSeries, path):
     """Emit the canonical CSV form (loading it back reproduces `ts`)."""
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -30,13 +30,12 @@ RNN_HIDDEN = (256, 128)
 class Model:
     """A differentiable map from a length-w window to h outputs."""
 
-    def __init__(self, kind: str, w: int, h: int, params: ParamSet, forward_fn, meta=None):
+    def __init__(self, kind: str, w: int, h: int, params: ParamSet, forward_fn):
         self.kind = kind
         self.w = w
         self.h = h
         self.params = params
         self._forward = forward_fn
-        self.meta = dict(meta or {})
 
     @property
     def input_arity(self) -> int:
@@ -119,7 +118,7 @@ def build_mlp(w: int, h: int, seed: int = 0, hidden=MLP_HIDDEN) -> Model:
             out = ad.relu(ad.dense(out, params[f"l{i}.W"], params[f"l{i}.b"]))
         return out
 
-    return Model("MLP", w, h, ParamSet(tensors), forward, meta={"hidden": tuple(hidden)})
+    return Model("MLP", w, h, ParamSet(tensors), forward)
 
 
 # --- CNN ----------------------------------------------------------------------
@@ -153,9 +152,8 @@ def build_cnn(w: int, h: int, seed: int = 0, filters=CNN_FILTERS,
     """conv(32) relu, conv(32) relu, maxpool(2), dense(->32) relu, dense(32->h) relu,
     with the kernel of `cnn_kernel(w)`."""
     kernel = cnn_kernel(w)
-    l1, l2, lp = _cnn_lengths(w, kernel)
     f1, f2 = filters
-    flat = f2 * lp
+    flat = f2 * _cnn_lengths(w, kernel)[2]
     rngs = _layer_rngs(seed, 4)
     tensors = {
         "conv0.K": Tensor(_he_uniform(rngs[0], (f1, 1, kernel), 1 * kernel)),
@@ -179,9 +177,7 @@ def build_cnn(w: int, h: int, seed: int = 0, filters=CNN_FILTERS,
         out = ad.relu(ad.dense(out, params["fc0.W"], params["fc0.b"]))
         return ad.relu(ad.dense(out, params["fc1.W"], params["fc1.b"]))
 
-    meta = {"kernel": kernel, "pool": CNN_POOL, "filters": tuple(filters),
-            "flat": flat, "conv_lengths": (l1, l2, lp)}
-    return Model("CNN", w, h, ParamSet(tensors), forward, meta=meta)
+    return Model("CNN", w, h, ParamSet(tensors), forward)
 
 
 # --- recurrent ----------------------------------------------------------------
@@ -204,7 +200,7 @@ def _build_recurrent(kind: str, w: int, h: int, seed: int, hidden) -> Model:
         h2 = seq(ad.relu(h1), params["r1.W"], params["r1.U"], params["r1.b"])
         return ad.dense(h2[:, -1], params["out.W"], params["out.b"])
 
-    return Model(kind, w, h, ParamSet(tensors), forward, meta={"hidden": tuple(hidden)})
+    return Model(kind, w, h, ParamSet(tensors), forward)
 
 
 def build_gru(w: int, h: int, seed: int = 0, hidden=RNN_HIDDEN) -> Model:

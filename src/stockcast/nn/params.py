@@ -16,8 +16,6 @@ class ParamSet:
     """
 
     def __init__(self, tensors: dict[str, Tensor]):
-        if len(set(tensors)) != len(tensors):
-            raise ShapeMismatch("duplicate parameter names")
         for name, t in tensors.items():
             if not t.data.flags.c_contiguous:
                 raise ShapeMismatch(f"parameter {name} is not C-contiguous")

@@ -10,8 +10,6 @@ import numpy as np
 from .errors import DegenerateRange, EmptyPartition
 from .ingest import TimeSeries
 
-DEFAULT_CUTOFF = date(2017, 1, 1)
-
 
 @dataclass(frozen=True)
 class Scaler:

@@ -112,6 +112,14 @@ def test_parse_single_mode_rejects_long_horizon(tmp_path, tiny_dir):
         parse_config(path)
 
 
+@pytest.mark.parametrize("stocks", [[], ["stocks = ,"]])
+def test_parse_requires_stocks(tmp_path, tiny_dir, stocks):
+    # an empty stock list would run an empty grid and exit 0
+    path = write_lines(tmp_path / "c.cfg", [f"data_dir = {tiny_dir}", *stocks])
+    with pytest.raises(ParseError, match="field 'stocks' is required"):
+        parse_config(path)
+
+
 def test_parse_missing_stock_file(tmp_path, tiny_dir):
     path = write_lines(tmp_path / "c.cfg", [f"data_dir = {tiny_dir}", "stocks = BBB"])
     with pytest.raises(MissingDataFile, match="BBB"):
@@ -516,6 +524,8 @@ def test_validate_data_reports_dropped_rows(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "MIX: ok, 3 points" in out
     assert "dropped 2 row(s)" in out
+    assert "  row 2: unparsable date\n" in out
+    assert "  row 4: non-positive or non-numeric close\n" in out
 
 
 def test_cli_import_loads_no_scipy():
@@ -529,3 +539,35 @@ def test_cli_import_loads_no_scipy():
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+BLAS_THREADS = """
+import os
+import stockcast
+import numpy as np
+from concurrent.futures import ProcessPoolExecutor
+
+def threads():
+    a = np.ones((512, 512))
+    a @ a
+    return len(os.listdir("/proc/self/task"))
+
+if __name__ == "__main__":
+    here = threads()
+    with ProcessPoolExecutor(1) as pool:
+        print(here, pool.submit(threads).result())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2 or not os.path.isdir("/proc/self/task"),
+                    reason="needs 2+ CPUs (one CPU gets one BLAS thread anyway) and Linux /proc")
+def test_one_blas_thread_per_process():
+    # in an environment that sets no thread count, the process and a pool worker each run
+    # one thread after a matmul: no BLAS pool to oversubscribe the CPUs with
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "1"]

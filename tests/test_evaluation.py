@@ -11,7 +11,6 @@ from stockcast.evaluation import (
     _two_sided_normal_p,
     _two_sided_t_p,
     dm_test,
-    majority_vote_ranking,
     pairwise_dm_matrix,
 )
 from stockcast.experiment import CellResult, RunResult
@@ -210,33 +209,3 @@ def test_pairwise_matrix_insertion_order_irrelevant():
     fwd = pairwise_dm_matrix(dict(errors), h=1)
     rev = pairwise_dm_matrix(dict(reversed(errors.items())), h=1)
     assert fwd == rev
-
-
-def test_majority_vote_single_stock():
-    reports = {"ONLY": pairwise_dm_matrix(_error_map(T=400), h=1)}
-    ranking = majority_vote_ranking(reports, alpha=0.05)
-    # MLP errors are scaled lowest, so it wins its significant pairs
-    assert ranking[("MLP", "CNN")] == "MLP"
-
-
-def test_majority_vote_split_is_tie():
-    rng = np.random.default_rng(28)
-    per_stock = {}
-    for i in range(10):
-        a = 0.01 * np.abs(rng.standard_normal(200))
-        b = a + 0.5
-        if i < 5:
-            errors = {"MLP": a, "CNN": b, "GRU": b, "LSTM": b}
-        else:
-            errors = {"MLP": b, "CNN": a, "GRU": a, "LSTM": a}
-        per_stock[f"S{i}"] = pairwise_dm_matrix(errors, h=1)
-    ranking = majority_vote_ranking(per_stock, alpha=0.05)
-    assert ranking[("MLP", "CNN")] is None
-
-
-def test_majority_vote_all_degenerate():
-    e = np.abs(np.random.default_rng(29).standard_normal(50))
-    per_stock = {f"S{i}": pairwise_dm_matrix(
-        {m: e.copy() for m in ("MLP", "CNN", "GRU", "LSTM")}, h=1) for i in range(3)}
-    ranking = majority_vote_ranking(per_stock, alpha=0.05)
-    assert all(winner is None for winner in ranking.values())

@@ -4,7 +4,7 @@ from datetime import date
 import pytest
 
 from stockcast.errors import DuplicateDate, EmptySeries, MalformedInput
-from stockcast.ingest import TimeSeries, load_series, validate_series, write_series
+from stockcast.ingest import load_series, write_series
 
 from conftest import write_csv
 
@@ -95,22 +95,3 @@ def test_row_order_never_matters(tmp_path):
         if reference is None:
             reference = ts
         assert ts == reference
-
-
-def test_validate_clean_series():
-    ts = TimeSeries("A", tuple(date(2002, 1, d) for d in range(1, 11)),
-                    tuple(float(d) for d in range(1, 11)))
-    assert validate_series(ts).issues == []
-
-
-def test_validate_duplicate_date():
-    ts = TimeSeries("A", (date(2002, 1, 1), date(2002, 1, 1)), (1.0, 2.0))
-    report = validate_series(ts)
-    assert len(report.issues) == 1
-    assert "duplicate" in report.issues[0][1]
-
-
-def test_validate_zero_price():
-    ts = TimeSeries("A", (date(2002, 1, 1), date(2002, 1, 2)), (1.0, 0.0))
-    report = validate_series(ts)
-    assert any("non-positive price" in reason for _, reason in report.issues)

@@ -40,9 +40,10 @@ def test_mlp_count_grows_with_w():
 
 
 def test_cnn_shape_arithmetic():
+    # kernel 3: conv lengths 13, 11, pooled to 5; flattened 32 filters x 5 = 160
     model = build_cnn(15, 1)
-    assert model.meta["conv_lengths"] == (13, 11, 5)
-    assert model.meta["flat"] == 160
+    assert model.params["conv0.K"].data.shape == (32, 1, 3)
+    assert model.params["fc0.W"].data.shape == (32, 160)
 
 
 def test_cnn_window_too_small():
@@ -52,7 +53,7 @@ def test_cnn_window_too_small():
 
 def test_cnn_kernel_shrinks():
     model = build_cnn(3, 1)
-    assert model.meta["kernel"] == 1
+    assert model.params["conv0.K"].data.shape == (32, 1, 1)
     assert model(np.array([0.1, 0.2, 0.3])).shape == (1,)
 
 
