@@ -5,26 +5,20 @@ reports the loss interval (mean +/- sample std of test MSE), next to
 the persistence baseline that just repeats yesterday's price.
 """
 
-import os
 import sys
-from datetime import date
 
 import numpy as np
 
+from stockcast.config import ExperimentConfig
 from stockcast.experiment import TrainConfig, run_grid
-from stockcast.ingest import load_series
-from stockcast.preprocess import fit_scaler, scale, split_by_date
+from stockcast.runner import prepare_series
 from stockcast.windowing import FunctionModel, rolling_test_forecast
 
 DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
 SYMBOL = "ACC"
 W = 3
 
-ts, _ = load_series(os.path.join(DATA_DIR, f"{SYMBOL}.csv"), SYMBOL)
-split = split_by_date(ts, date(2017, 1, 1))
-scaler = fit_scaler(split.train.values)
-train_n = scale(scaler, split.train.values)
-test_n = scale(scaler, split.test.values)
+train_n, test_n = prepare_series(ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,)))[SYMBOL]
 print(f"{SYMBOL}: {len(train_n)} train / {len(test_n)} test points, window {W}")
 
 [cell] = run_grid({SYMBOL: (train_n, test_n)}, ["MLP"], [W], [1],

@@ -7,23 +7,17 @@ teacher-forced rolling origins: every origin's input window holds true
 observed values.
 """
 
-import os
 import sys
-from datetime import date
 
+from stockcast.config import ExperimentConfig
 from stockcast.experiment import TrainConfig, run_grid
-from stockcast.ingest import load_series
-from stockcast.preprocess import fit_scaler, scale, split_by_date
+from stockcast.runner import prepare_series
 
 DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
 SYMBOL = "HDFC"
 W, H = 30, 7
 
-ts, _ = load_series(os.path.join(DATA_DIR, f"{SYMBOL}.csv"), SYMBOL)
-split = split_by_date(ts, date(2017, 1, 1))
-scaler = fit_scaler(split.train.values)
-train_n = scale(scaler, split.train.values)
-test_n = scale(scaler, split.test.values)
+train_n, test_n = prepare_series(ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,)))[SYMBOL]
 print(f"{SYMBOL}: window {W}, horizon {H}, "
       f"{len(test_n) - W - H + 1} rolling test origins")
 

@@ -6,26 +6,20 @@ adjustment.  A negative statistic favors the first model; a large
 p-value says the difference could be noise.
 """
 
-import os
 import sys
-from datetime import date
 
 import numpy as np
 
+from stockcast.config import ExperimentConfig
 from stockcast.evaluation import dm_test
 from stockcast.experiment import TrainConfig, run_grid
-from stockcast.ingest import load_series
-from stockcast.preprocess import fit_scaler, scale, split_by_date
+from stockcast.runner import prepare_series
 
 DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
 SYMBOL = "ACC"
 W = 5
 
-ts, _ = load_series(os.path.join(DATA_DIR, f"{SYMBOL}.csv"), SYMBOL)
-split = split_by_date(ts, date(2017, 1, 1))
-scaler = fit_scaler(split.train.values)
-train_n = scale(scaler, split.train.values)
-test_n = scale(scaler, split.test.values)
+train_n, test_n = prepare_series(ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,)))[SYMBOL]
 
 errors = {}
 for cell in run_grid({SYMBOL: (train_n, test_n)}, ["MLP", "CNN"], [W], [1],

@@ -11,10 +11,11 @@ argmax flip is a property of the probe point, not a wrong gradient).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .models import build_surrogate
+from .models import KINDS, build_surrogate
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor, mse
 from .nn.gradcheck import grad_check_resampling
@@ -36,128 +37,72 @@ class CheckResult:
         return self.worst_error < self.tol
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
+def _normal(op, target, args, seed, attempt):
+    """An op check at standard-normal arguments.
+
+    `args` maps each keyword of `op` to (shape, scale); they are drawn in
+    order, then a target of shape `target`, and the loss is
+    mse(op(**args), target).  With no target, op's output is the loss.
+    """
+    rng = np.random.default_rng((seed, attempt))
+    params = ParamSet({name: Tensor(scale * rng.standard_normal(shape))
+                       for name, (shape, scale) in args.items()})
+    if target is not None:
+        target = Tensor(rng.standard_normal(target))
+
+    def f(p):
+        out = op(**dict(p.items()))
+        return out if target is None else mse(out, target)
+
+    return f, params
 
 
-def _check_dense(seed):
-    def make(attempt):
-        rng = _rng((seed, attempt))
-        params = ParamSet({
-            "W": Tensor(rng.standard_normal((4, 3))),
-            "b": Tensor(rng.standard_normal(4)),
-            "x": Tensor(rng.standard_normal((2, 3))),
-        })
-        target = Tensor(rng.standard_normal((2, 4)))
-
-        def f(p):
-            return mse(ad.dense(p["x"], p["W"], p["b"]), target)
-
-        return f, params
-
-    return make
+def _recurrent(seq, gates):
+    """A sequence op over batch 2, 3 steps, 2 inputs and 4 hidden units,
+    every hidden state in the loss, input included."""
+    return partial(_normal, seq, (2, 3, 4), {
+        "W": ((gates * 4, 2), 0.5), "U": ((gates * 4, 4), 0.5), "b": ((gates * 4,), 0.5),
+        "x": ((2, 3, 2), 1)})
 
 
-def _check_conv(seed):
-    def make(attempt):
-        rng = _rng((seed, attempt))
-        params = ParamSet({
-            "K": Tensor(rng.standard_normal((3, 2, 4))),
-            "b": Tensor(rng.standard_normal(3)),
-            "x": Tensor(rng.standard_normal((2, 2, 9))),
-        })
-        target = Tensor(rng.standard_normal((2, 3, 6)))
-
-        def f(p):
-            return mse(ad.conv1d_channels(p["x"], p["K"], p["b"]), target)
-
-        return f, params
-
-    return make
+def _maxpool(seed, attempt):
+    rng = np.random.default_rng((seed, attempt))
+    # well-separated entries keep the argmax away from ties
+    x = rng.permutation(np.linspace(-3.0, 3.0, 48)) + 0.01 * rng.standard_normal(48)
+    params = ParamSet({"x": Tensor(x.reshape(2, 2, 12))})
+    target = Tensor(rng.standard_normal((2, 2, 4)))
+    return (lambda p: mse(ad.maxpool1d_op(p["x"], 3), target)), params
 
 
-def _check_maxpool(seed):
-    def make(attempt):
-        rng = _rng((seed, attempt))
-        # well-separated entries keep the argmax away from ties
-        x = rng.permutation(np.linspace(-3.0, 3.0, 48)) + 0.01 * rng.standard_normal(48)
-        params = ParamSet({"x": Tensor(x.reshape(2, 2, 12))})
-        target = Tensor(rng.standard_normal((2, 2, 4)))
-
-        def f(p):
-            return mse(ad.maxpool1d_op(p["x"], 3), target)
-
-        return f, params
-
-    return make
+def _architecture(kind, seed, attempt, w=7, h=2):
+    rng = np.random.default_rng((seed, attempt))
+    model = build_surrogate(kind, w, h, seed=seed + attempt)
+    x = rng.uniform(0.1, 0.9, size=(2, w))
+    y = rng.uniform(0.1, 0.9, size=(2, h))
+    return (lambda p: mse(model.forward(Tensor(x)), Tensor(y))), model.params
 
 
-def _check_recurrent(seq, gates, seed, batch=2, steps=3, n_in=2, n_hid=4):
-    """A 3-step sequence op, every hidden state in the loss, input included."""
-    def make(attempt):
-        rng = _rng((seed, attempt))
-        params = ParamSet({
-            "W": Tensor(0.5 * rng.standard_normal((gates * n_hid, n_in))),
-            "U": Tensor(0.5 * rng.standard_normal((gates * n_hid, n_hid))),
-            "b": Tensor(0.5 * rng.standard_normal(gates * n_hid)),
-            "x": Tensor(rng.standard_normal((batch, steps, n_in))),
-        })
-        target = Tensor(rng.standard_normal((batch, steps, n_hid)))
-
-        def f(p):
-            return mse(seq(p["x"], p["W"], p["U"], p["b"]), target)
-
-        return f, params
-
-    return make
-
-
-def _check_mse(seed):
-    def make(attempt):
-        rng = _rng((seed, attempt))
-        params = ParamSet({"pred": Tensor(rng.standard_normal(6)),
-                           "target": Tensor(rng.standard_normal(6))})
-
-        def f(p):
-            return mse(p["pred"], p["target"])
-
-        return f, params
-
-    return make
-
-
-def _check_architecture(kind, seed, w=7, h=2):
-    def make(attempt):
-        rng = _rng((seed, attempt))
-        model = build_surrogate(kind, w, h, seed=seed + attempt)
-        x = rng.uniform(0.1, 0.9, size=(2, w))
-        y = rng.uniform(0.1, 0.9, size=(2, h))
-
-        def f(p):
-            return mse(model.forward(Tensor(x)), Tensor(y))
-
-        return f, model.params
-
-    return make
+# (name, maker, tolerance); maker(seed, attempt) returns a fresh (f, params)
+CHECKS = (
+    ("dense", partial(_normal, ad.dense, (2, 4), {
+        "W": ((4, 3), 1), "b": ((4,), 1), "x": ((2, 3), 1)}), LINEAR_TOL),
+    ("conv1d", partial(_normal, ad.conv1d_channels, (2, 3, 6), {
+        "kernels": ((3, 2, 4), 1), "bias": ((3,), 1), "x": ((2, 2, 9), 1)}), LINEAR_TOL),
+    ("maxpool", _maxpool, NONLINEAR_TOL),
+    ("gru_cell", _recurrent(ad.gru_seq, 3), NONLINEAR_TOL),
+    ("lstm_cell", _recurrent(ad.lstm_seq, 4), NONLINEAR_TOL),
+    ("mse", partial(_normal, mse, None, {"pred": ((6,), 1), "target": ((6,), 1)}),
+     LINEAR_TOL),
+    *((f"arch_{kind}", partial(_architecture, kind), NONLINEAR_TOL) for kind in KINDS),
+)
 
 
 def run_gradcheck_suite(seed: int = 7, eps: float = 1e-5) -> list[CheckResult]:
     """Worst finite-difference error per layer kind and architecture."""
-    checks = [
-        ("dense", _check_dense(seed), LINEAR_TOL),
-        ("conv1d", _check_conv(seed), LINEAR_TOL),
-        ("maxpool", _check_maxpool(seed), NONLINEAR_TOL),
-        ("gru_cell", _check_recurrent(ad.gru_seq, 3, seed), NONLINEAR_TOL),
-        ("lstm_cell", _check_recurrent(ad.lstm_seq, 4, seed), NONLINEAR_TOL),
-        ("mse", _check_mse(seed), LINEAR_TOL),
-        ("arch_MLP", _check_architecture("MLP", seed), NONLINEAR_TOL),
-        ("arch_CNN", _check_architecture("CNN", seed), NONLINEAR_TOL),
-        ("arch_GRU", _check_architecture("GRU", seed), NONLINEAR_TOL),
-        ("arch_LSTM", _check_architecture("LSTM", seed), NONLINEAR_TOL),
-    ]
     results = []
-    for name, make, tol in checks:
-        err, resamples = grad_check_resampling(make, n_tries=3, eps=eps, tol=tol)
+    for name, make, tol in CHECKS:
+        err, resamples = grad_check_resampling(partial(make, seed), n_tries=3, eps=eps,
+                                               tol=tol)
         results.append(CheckResult(name=name, worst_error=err, tol=tol,
                                    resamples=resamples))
     return results

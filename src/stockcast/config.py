@@ -1,11 +1,11 @@
 """Flat key/value experiment config files.
 
-Format: one ``key = value`` per line, ``#`` comments, unknown keys
-rejected by name.  The keys are the fields of `ExperimentConfig`
-(except `train`) followed by those of `TrainConfig`, in that order;
-their defaults are the field defaults.  Every default is materialized
-at parse time so the echoed config in result headers is
-self-describing.
+Format: UTF-8, with or without a byte-order mark; one ``key = value``
+per line, ``#`` comments, unknown keys rejected by name.  The keys are
+the fields of `ExperimentConfig` (except `train`) followed by those of
+`TrainConfig`, in that order; their defaults are the field defaults.
+Every default is materialized at parse time so the echoed config in
+result headers is self-describing.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from datetime import date
 
 from .errors import MissingDataFile, ParseError
 from .experiment import TrainConfig
+from .models import KINDS
 
 SINGLE_STEP_WINDOWS = (3, 5, 7, 9, 11, 13, 15)
 MULTI_STEP_WINDOWS = (30, 60, 90)
 MULTI_STEP_HORIZONS = (7, 14, 21, 28)
-ALL_MODELS = ("MLP", "CNN", "GRU", "LSTM")
 
 
 @dataclass
@@ -32,7 +32,7 @@ class ExperimentConfig:
     windows: tuple[int, ...] = ()      # unset in a file: the mode's grid
     horizons: tuple[int, ...] = (1,)   # unset in a multi-mode file: MULTI_STEP_HORIZONS
     strategy: str = "direct"
-    models: tuple[str, ...] = ALL_MODELS
+    models: tuple[str, ...] = KINDS
     n_runs: int = 5
     output_dir: str = "./results"
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -93,7 +93,7 @@ def parse_config(path) -> ExperimentConfig:
     """Parse and validate; all defaults materialized."""
     types = {f.name: f.type for _, f in _keys(ExperimentConfig())}
     values = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -140,7 +140,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ParseError(
             f"field 'strategy': must be 'direct' or 'iterative', got {cfg.strategy!r}")
     for m in cfg.models:
-        if m not in ALL_MODELS:
+        if m not in KINDS:
             raise ParseError(f"field 'models': unknown model {m!r}")
     for key in ("stocks", "models", "windows", "horizons"):
         _check_no_repeats(key, getattr(cfg, key))

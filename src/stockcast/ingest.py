@@ -1,11 +1,11 @@
 """Loading and validation of daily closing-price CSV files.
 
-Input contract: UTF-8 CSV with header ``date,close``, one row per
-trading day, ISO-8601 dates.  Extra columns (open/high/low/volume) are
-ignored; only the close column is modeled.  Rows with an unparsable
-date or a non-positive / non-numeric close are dropped and reported
-rather than aborting, so long historical files with sparse corruption
-remain usable.
+Input contract: UTF-8 CSV, with or without a byte-order mark, with
+header ``date,close``, one row per trading day, ISO-8601 dates.  Extra
+columns (open/high/low/volume) are ignored; only the close column is
+modeled.  Rows with an unparsable date or a non-positive / non-numeric
+close are dropped and reported rather than aborting, so long historical
+files with sparse corruption remain usable.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class TimeSeries:
 
 @dataclass
 class ValidationReport:
-    row_count: int = 0
     dropped_rows: int = 0
     issues: list[tuple[int, str]] = field(default_factory=list)
 
@@ -64,7 +63,7 @@ def load_series(path, symbol: str) -> tuple[TimeSeries, ValidationReport]:
     """
     report = ValidationReport()
     rows: list[tuple[date, float]] = []
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -77,7 +76,6 @@ def load_series(path, symbol: str) -> tuple[TimeSeries, ValidationReport]:
         for i, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
-            report.row_count += 1
             try:
                 d = date.fromisoformat(row[0].strip())
             except (ValueError, IndexError):

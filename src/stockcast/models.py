@@ -17,8 +17,6 @@ from .nn import autodiff as ad
 from .nn.autodiff import Tensor
 from .nn.params import ParamSet
 
-KINDS = ("MLP", "CNN", "GRU", "LSTM")
-
 MLP_HIDDEN = (16, 16)
 CNN_FILTERS = (32, 32)
 CNN_POOL = 2
@@ -37,30 +35,15 @@ class Model:
         self.params = params
         self._forward = forward_fn
 
-    @property
-    def input_arity(self) -> int:
-        return self.w
-
-    @property
-    def output_arity(self) -> int:
-        return self.h
-
     def forward(self, x: Tensor) -> Tensor:
         """x: Tensor [batch, w] -> Tensor [batch, h]."""
         if x.data.ndim != 2 or x.data.shape[1] != self.w:
             raise ArityMismatch(f"forward input {x.data.shape}, expected [batch, {self.w}]")
         return self._forward(x, self.params)
 
-    def __call__(self, window) -> np.ndarray:
-        """Numpy-in, numpy-out prediction on a single window."""
-        arr = np.asarray(window, dtype=np.float64)
-        if arr.ndim == 1:
-            if arr.shape[0] != self.w:
-                raise ArityMismatch(f"window length {arr.shape[0]}, expected {self.w}")
-            out = self.forward(Tensor(arr[None, :]))
-            return out.data[0].copy()
-        out = self.forward(Tensor(arr))
-        return out.data.copy()
+    def __call__(self, windows) -> np.ndarray:
+        """Numpy-in, numpy-out prediction: windows [N, w] -> [N, h]."""
+        return self.forward(Tensor(windows)).data
 
     def n_params(self) -> int:
         return self.params.n_scalars()
@@ -213,11 +196,14 @@ def build_lstm(w: int, h: int, seed: int = 0, hidden=RNN_HIDDEN) -> Model:
     return _build_recurrent("LSTM", w, h, seed, hidden)
 
 
+_BUILDERS = {"MLP": build_mlp, "CNN": build_cnn, "GRU": build_gru, "LSTM": build_lstm}
+KINDS = tuple(_BUILDERS)
+
+
 def build_model(kind: str, w: int, h: int, seed: int = 0, **overrides) -> Model:
-    builders = {"MLP": build_mlp, "CNN": build_cnn, "GRU": build_gru, "LSTM": build_lstm}
-    if kind not in builders:
+    if kind not in _BUILDERS:
         raise ValueError(f"unknown architecture {kind!r}")
-    return builders[kind](w, h, seed=seed, **overrides)
+    return _BUILDERS[kind](w, h, seed=seed, **overrides)
 
 
 # small widths for finite-difference checks; layer math is width-independent

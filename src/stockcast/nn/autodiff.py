@@ -32,9 +32,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ShapeMismatch("backward() requires a scalar output")

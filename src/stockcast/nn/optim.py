@@ -69,6 +69,3 @@ class Adam:
                 d += self.eps
                 a /= d
                 pb -= a
-
-    def zero_grad(self):
-        self.params.zero_grad()

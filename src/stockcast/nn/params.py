@@ -24,20 +24,8 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name):
-        return name in self._tensors
-
-    def __len__(self):
-        return len(self._tensors)
-
-    def names(self):
-        return list(self._tensors)
-
     def items(self):
         return self._tensors.items()
-
-    def tensors(self):
-        return list(self._tensors.values())
 
     def zero_grad(self):
         for t in self._tensors.values():

@@ -27,20 +27,24 @@ EVAL_CHUNK = 32
 class FunctionModel:
     """Wrap a plain function over one window as a forecasting model.
 
-    Called on a [N, w] batch, it applies the function row by row and
-    counts one call per batch.
+    Called on a [N, input_arity] batch, it applies the function row by
+    row and counts one call per batch; a batch of any other shape is
+    rejected before the function runs.
     """
 
-    def __init__(self, fn, input_arity: int, output_arity: int = 1):
+    def __init__(self, fn, input_arity: int):
         self._fn = fn
         self.input_arity = input_arity
-        self.output_arity = output_arity
         self.n_calls = 0
 
     def __call__(self, windows) -> np.ndarray:
+        windows = np.asarray(windows, dtype=np.float64)
+        if windows.ndim != 2 or windows.shape[1] != self.input_arity:
+            raise ArityMismatch(
+                f"windows {windows.shape}, expected [batch, {self.input_arity}]")
         self.n_calls += 1
         return np.array([np.atleast_1d(np.asarray(self._fn(row), dtype=np.float64))
-                         for row in np.asarray(windows, dtype=np.float64)])
+                         for row in windows])
 
 
 def make_samples(values, w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,17 +68,14 @@ def forecast(model, windows, h: int, strategy: str) -> np.ndarray:
 
     `direct` makes one model call with an h-output model.  `iterative`
     makes h calls with a single-output model; call j reads the last w
-    columns of [windows | predictions so far].
+    columns of [windows | predictions so far].  The model checks its own
+    input width; only the shape each call returns is checked here.
     """
     if strategy not in ("direct", "iterative"):
         raise ValueError(f"unknown strategy {strategy!r}")
     windows = np.asarray(windows, dtype=np.float64)
     n, w = windows.shape
     width = h if strategy == "direct" else 1
-    if getattr(model, "input_arity", w) != w:
-        raise ArityMismatch(f"model input arity {model.input_arity}, window size {w}")
-    if getattr(model, "output_arity", width) != width:
-        raise ArityMismatch(f"model output arity {model.output_arity}, expected {width}")
 
     def call(x):
         out = np.asarray(model(x), dtype=np.float64)

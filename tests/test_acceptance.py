@@ -6,7 +6,6 @@ than the unit tests: full oracle sweeps, real training runs on the
 reference corpus, and byte-level determinism checks.
 """
 
-import os
 import time
 from datetime import date, timedelta
 
@@ -16,6 +15,7 @@ from test_evaluation import reference_dm
 
 from stockcast.checks import run_gradcheck_suite
 from stockcast.cli import main
+from stockcast.config import ExperimentConfig
 from stockcast.errors import (
     ArityMismatch,
     DegenerateDifferential,
@@ -40,7 +40,8 @@ from stockcast.models import build_cnn, build_surrogate
 from stockcast.nn.autodiff import Tensor, dense, mse
 from stockcast.nn.gradcheck import grad_check
 from stockcast.nn.params import ParamSet
-from stockcast.preprocess import fit_scaler, scale, split_by_date
+from stockcast.preprocess import fit_scaler, split_by_date
+from stockcast.runner import prepare_series
 from stockcast.synthetic import SYMBOLS
 from stockcast.windowing import FunctionModel, forecast, make_samples, rolling_test_forecast
 
@@ -146,17 +147,10 @@ def test_criterion_3_dm_oracle():
 # 4 ---------------------------------------------------------------------------
 
 
-def _normalized_split(data_dir, symbol):
-    ts, _ = load_series(os.path.join(data_dir, f"{symbol}.csv"), symbol)
-    split = split_by_date(ts, date(2017, 1, 1))
-    scaler = fit_scaler(split.train.values)
-    return scale(scaler, split.train.values), scale(scaler, split.test.values)
-
-
 def test_criterion_4_single_step_mlp_band(data_dir):
     t0 = time.time()
-    tr, te = _normalized_split(data_dir, "ACC")
-    [cell] = run_grid({"ACC": (tr, te)}, ["MLP"], [3], [1], TrainConfig(seed=0), n_runs=5,
+    series = prepare_series(ExperimentConfig(data_dir=data_dir, stocks=("ACC",)))
+    [cell] = run_grid(series, ["MLP"], [3], [1], TrainConfig(seed=0), n_runs=5,
                       strategy="direct")
     elapsed = time.time() - t0
     assert cell.failed_runs == 0 and len(cell.runs) == 5
@@ -171,7 +165,7 @@ def test_criterion_4_single_step_mlp_band(data_dir):
 
 def test_criterion_5_horizon_degradation(data_dir):
     cfg = TrainConfig(epochs=40, batch_size=64, seed=0)
-    series = {s: _normalized_split(data_dir, s) for s in SYMBOLS}
+    series = prepare_series(ExperimentConfig(data_dir=data_dir, stocks=tuple(SYMBOLS)))
     cells = run_grid(series, ["MLP"], [30], [7, 28], cfg,
                      n_runs=3, strategy="direct")
     by_stock = {}

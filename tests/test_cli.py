@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from scipy import stats
 from stockcast import checks, experiment
 from stockcast.cli import build_parser, main
 from stockcast.config import (
-    ALL_MODELS,
     MULTI_STEP_HORIZONS,
     MULTI_STEP_WINDOWS,
     SINGLE_STEP_WINDOWS,
     parse_config,
 )
 from stockcast.errors import MissingDataFile, ParseError
+from stockcast.models import KINDS
 from stockcast.nn.autodiff import Tensor, mse
 from stockcast.nn.params import ParamSet
 from stockcast.runner import atomic_write
@@ -72,7 +73,7 @@ def test_parse_defaults_single(tmp_path, tiny_dir):
     assert cfg.mode == "single"
     assert cfg.windows == SINGLE_STEP_WINDOWS
     assert cfg.horizons == (1,)
-    assert cfg.models == ALL_MODELS
+    assert cfg.models == KINDS
     assert cfg.n_runs == 5
     assert (cfg.train.epochs, cfg.train.batch_size) == (100, 32)
     assert cfg.train.lr == 1e-3
@@ -89,6 +90,13 @@ def test_parse_defaults_multi(tmp_path, tiny_dir):
     assert cfg.windows == MULTI_STEP_WINDOWS
     assert cfg.horizons == MULTI_STEP_HORIZONS
     assert cfg.strategy == "direct"
+
+
+def test_parse_byte_order_mark_like_plain_file(tmp_path, tiny_dir):
+    plain = make_config(tmp_path, tiny_dir)
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    assert parse_config(bom) == parse_config(plain)
 
 
 def test_parse_unknown_field_named(tmp_path, tiny_dir):
@@ -316,7 +324,7 @@ def test_atomic_write_removes_tmp_on_failure(tmp_path, monkeypatch):
 def synthetic_run_errors(path, h=1, n_origins=30, seeds=(0, 1)):
     rng = np.random.default_rng(5)
     lines = ["stock,model,w,h,seed,origin,step,abs_error_norm"]
-    for model in ALL_MODELS:
+    for model in KINDS:
         scale = {"MLP": 0.01, "CNN": 0.02, "GRU": 0.015, "LSTM": 0.03}[model]
         for seed in seeds:
             for origin in range(n_origins):
@@ -389,7 +397,7 @@ def test_dm_command_wrong_header(tmp_path, capsys):
 def test_dm_command_misaligned_origins(tmp_path, capsys):
     # MLP forecasts origins 35..94, the other models 30..89
     rows = ["stock,model,w,h,seed,origin,step,abs_error_norm"]
-    for model in ALL_MODELS:
+    for model in KINDS:
         start = 35 if model == "MLP" else 30
         for seed in (0, 1):
             rows += [f"AAA,{model},3,1,{seed},{origin},1,0.0{seed + 1}"
@@ -482,19 +490,17 @@ def test_gradcheck_command_passes(capsys):
 def test_gradcheck_command_detects_wrong_gradient(monkeypatch, capsys):
     # a target that moves with w[0] outside the tape: finite differences
     # see it, the analytic gradient does not
-    def bad_check(seed):
-        def make(attempt):
-            rng = np.random.default_rng((seed, attempt))
-            params = ParamSet({"w": Tensor(rng.standard_normal(3))})
+    def bad_make(seed, attempt):
+        rng = np.random.default_rng((seed, attempt))
+        params = ParamSet({"w": Tensor(rng.standard_normal(3))})
 
-            def f(p):
-                return mse(p["w"], Tensor(np.full(3, p["w"].data[0])))
+        def f(p):
+            return mse(p["w"], Tensor(np.full(3, p["w"].data[0])))
 
-            return f, params
+        return f, params
 
-        return make
-
-    monkeypatch.setattr(checks, "_check_dense", bad_check)
+    monkeypatch.setattr(checks, "CHECKS",
+                        (("dense", bad_make, checks.LINEAR_TOL), *checks.CHECKS[1:]))
     assert main(["gradcheck"]) == 1
     out = capsys.readouterr().out
     assert "dense" in out and "FAIL" in out

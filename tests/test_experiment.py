@@ -55,6 +55,18 @@ def test_same_seed_identical_history():
     assert histories[0] == histories[1]
 
 
+def test_unshuffled_history_independent_of_seed():
+    X, Y = make_samples(list(np.sin(np.linspace(0, 6, 80)) * 0.3 + 0.5), 4, 1)
+
+    def history(seed, shuffle):
+        cfg = TrainConfig(epochs=5, batch_size=16, seed=seed, shuffle=shuffle)
+        return train(build_mlp(4, 1, seed=3), X, Y, cfg)
+
+    # the seed orders the batches and nothing else
+    assert history(0, shuffle=False) == history(1, shuffle=False)
+    assert history(0, shuffle=True) != history(1, shuffle=True)
+
+
 def test_train_divergence_raises():
     X, Y = constant_samples(value=0.5)
     model = build_mlp(4, 1, seed=0)
@@ -68,7 +80,7 @@ def evaluate_fixed(monkeypatch, fn, test_values, w, h):
     """run_model's one direct run, with training skipped and the built
     model replaced by the function fn of one window."""
     monkeypatch.setattr(experiment, "build_model", lambda kind, w, h, seed: FunctionModel(
-        fn, input_arity=w, output_arity=h))
+        fn, input_arity=w))
     monkeypatch.setattr(experiment, "train", lambda *args: [0.0])
     [run] = run_model(np.zeros(w + h), test_values, "MLP", w, TrainConfig(), "direct", (h,))
     assert run.test_mse == np.mean((run.predictions - run.targets) ** 2)

@@ -41,6 +41,14 @@ def test_bad_date_dropped(tmp_path):
     assert report.issues == [(1, "unparsable date")]
 
 
+def test_byte_order_mark_parses_like_plain_file(tmp_path):
+    plain = write_csv(tmp_path / "plain.csv",
+                      [("2002-01-01", 1.0), ("2002-01-02", "NaN"), ("2002-01-03", 3.0)])
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_series(bom, "A") == load_series(plain, "A")
+
+
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         load_series("/nonexistent/nope.csv", "A")

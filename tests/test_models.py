@@ -12,6 +12,7 @@ from stockcast.models import (
 )
 from stockcast.nn.autodiff import Tensor, mse
 from stockcast.nn.gradcheck import grad_check
+from stockcast.windowing import forecast
 
 
 def zero_params(model):
@@ -26,13 +27,13 @@ def test_mlp_param_count():
 
 def test_mlp_output_arity():
     model = build_mlp(30, 7)
-    assert model.output_arity == 7
-    assert model(np.linspace(0, 1, 30)).shape == (7,)
+    assert model.h == 7
+    assert model(np.linspace(0, 1, 30)[None, :]).shape == (1, 7)
 
 
 def test_mlp_zero_init_zero_output():
     model = zero_params(build_mlp(5, 2))
-    assert np.allclose(model(np.zeros(5)), 0.0)
+    assert np.allclose(model(np.zeros((1, 5))), 0.0)
 
 
 def test_mlp_count_grows_with_w():
@@ -54,18 +55,20 @@ def test_cnn_window_too_small():
 def test_cnn_kernel_shrinks():
     model = build_cnn(3, 1)
     assert model.params["conv0.K"].data.shape == (32, 1, 1)
-    assert model(np.array([0.1, 0.2, 0.3])).shape == (1,)
+    assert model(np.array([[0.1, 0.2, 0.3]])).shape == (1, 1)
 
 
 def test_cnn_output_arity():
     for h in (1, 7, 28):
-        assert build_cnn(30, h).output_arity == h
+        model = build_cnn(30, h)
+        assert model.h == h
+        assert model(np.zeros((2, 30))).shape == (2, h)
 
 
 def test_recurrent_zero_init_zero_output():
     for build in (build_gru, build_lstm):
         model = zero_params(build(4, 2, hidden=(6, 5)))
-        assert np.allclose(model(np.array([0.5, -0.5, 1.0, 2.0])), 0.0)
+        assert np.allclose(model(np.array([[0.5, -0.5, 1.0, 2.0]])), 0.0)
 
 
 def test_gru_layer1_param_count():
@@ -86,9 +89,9 @@ def test_same_seed_identical_params():
     for kind in ("MLP", "CNN", "GRU", "LSTM"):
         a = build_surrogate(kind, 7, 2, seed=11)
         b = build_surrogate(kind, 7, 2, seed=11)
-        assert a.params.names() == b.params.names()
-        for name in a.params.names():
-            assert np.array_equal(a.params[name].data, b.params[name].data)
+        assert [name for name, _ in a.params.items()] == [name for name, _ in b.params.items()]
+        for name, p in a.params.items():
+            assert np.array_equal(p.data, b.params[name].data)
 
 
 @pytest.mark.parametrize("kind,gates", [("GRU", 3), ("LSTM", 4)])
@@ -137,6 +140,8 @@ def test_forward_arity_checks():
         model(np.zeros(4))
     with pytest.raises(ArityMismatch):
         model.forward(Tensor(np.zeros((2, 4))))
+    with pytest.raises(ArityMismatch):
+        forecast(model, np.zeros((2, 4)), 1, "direct")
 
 
 def test_build_model_kind_and_validation():
@@ -150,5 +155,4 @@ def test_relu_output_clips_negative():
     # the MLP/CNN heads keep relu, so predictions are never negative
     rng = np.random.default_rng(13)
     model = build_mlp(5, 1, seed=2)
-    for _ in range(20):
-        assert model(rng.uniform(0, 1, 5))[0] >= 0.0
+    assert (model(rng.uniform(0, 1, (20, 5))) >= 0.0).all()

@@ -434,7 +434,7 @@ def test_training_peak_memory_bound(kind):
     tracemalloc.start()
     try:
         model = build_model(kind, 5, 1, seed=2)
-        param_bytes = sum(p.data.nbytes for p in model.params.tensors())
+        param_bytes = sum(p.data.nbytes for _, p in model.params.items())
         tracemalloc.reset_peak()
         train(model, X, Y, TrainConfig(epochs=1, batch_size=32, seed=4))
         peak = tracemalloc.get_traced_memory()[1]
@@ -459,7 +459,7 @@ def test_gradients_own_their_memory(kind):
         if id(node) not in nodes:
             nodes[id(node)] = node
             stack.extend(node._parents)
-    assert all(p.grad is not None for p in model.params.tensors())
+    assert all(p.grad is not None for _, p in model.params.items())
     grads = [node.grad for node in nodes.values() if node.grad is not None]
     assert all(g.flags.c_contiguous for g in grads)
     for i, g in enumerate(grads):

@@ -4,14 +4,32 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from stockcast.config import ExperimentConfig
 from stockcast.errors import DegenerateRange, EmptyPartition
-from stockcast.ingest import TimeSeries
+from stockcast.experiment import TrainConfig
+from stockcast.ingest import TimeSeries, write_series
 from stockcast.preprocess import Scaler, fit_scaler, inverse_scale, scale, split_by_date
+from stockcast.runner import prepare_series
 
 
 def series(values, start=date(2002, 1, 1)):
     dates = tuple(start + timedelta(days=i) for i in range(len(values)))
     return TimeSeries("T", dates, tuple(float(v) for v in values))
+
+
+@pytest.mark.parametrize("scope", ["train", "full"])
+def test_prepare_series_scaler_scope(tmp_path, scope):
+    # a rising series: the test side lies above every training value
+    write_series(series(range(1, 21)), tmp_path / "AAA.csv")
+    cfg = ExperimentConfig(data_dir=str(tmp_path), stocks=("AAA",), cutoff=date(2002, 1, 11),
+                           train=TrainConfig(scaler_scope=scope))
+    train, test = prepare_series(cfg)["AAA"]
+    fitted = train if scope == "train" else np.concatenate([train, test])
+    assert (fitted.min(), fitted.max()) == (0.0, 1.0)
+    if scope == "train":
+        assert test.min() > 1.0
+    else:
+        assert train.max() < 1.0
 
 
 def test_split_middle():

@@ -73,19 +73,18 @@ def test_single_step_forecast_mean_model():
 
 
 def test_single_step_arity_mismatch():
+    model = echo(4)
     with pytest.raises(ArityMismatch):
-        forecast(echo(4), [[1.0, 2.0, 3.0]], 1, "direct")
+        forecast(model, [[1.0, 2.0, 3.0]], 1, "direct")
+    assert model.n_calls == 0  # rejected before the function runs
 
 
 def test_forecast_output_width_mismatch():
-    wide = FunctionModel(lambda x: np.zeros(2), input_arity=3, output_arity=2)
+    wide = FunctionModel(lambda x: np.zeros(2), input_arity=3)
     with pytest.raises(ArityMismatch):
         forecast(wide, [[1.0, 2.0, 3.0]], 3, "direct")
     with pytest.raises(ArityMismatch):
         forecast(wide, [[1.0, 2.0, 3.0]], 3, "iterative")
-    undeclared = FunctionModel(lambda x: np.zeros(2), input_arity=3, output_arity=1)
-    with pytest.raises(ArityMismatch):
-        forecast(undeclared, [[1.0, 2.0, 3.0]], 3, "iterative")
 
 
 def test_iterative_echo_fixed_point():
@@ -130,24 +129,24 @@ def test_iterative_regime_boundary():
 
 
 def test_direct_forecast_broadcast_mean():
-    model = FunctionModel(lambda x: np.full(3, x.mean()), input_arity=2, output_arity=3)
+    model = FunctionModel(lambda x: np.full(3, x.mean()), input_arity=2)
     assert forecast(model, [[0.2, 0.4]], 3, "direct") == pytest.approx(np.array([[0.3, 0.3, 0.3]]))
 
 
 def test_direct_h1_equals_single_step():
-    model = FunctionModel(lambda x: x[-1], input_arity=3, output_arity=1)
+    model = FunctionModel(lambda x: x[-1], input_arity=3)
     windows = [[0.5, 0.6, 0.7], [0.1, 0.3, 0.2]]
     assert forecast(model, windows, 1, "direct").tolist() == [[0.7], [0.2]]
 
 
 def test_direct_forecast_single_model_call():
-    model = FunctionModel(lambda x: np.zeros(28), input_arity=5, output_arity=28)
+    model = FunctionModel(lambda x: np.zeros(28), input_arity=5)
     forecast(model, np.zeros((40, 5)), 28, "direct")
     assert model.n_calls == 1
 
 
 def test_rolling_origins():
-    model = FunctionModel(lambda x: np.zeros(7), input_arity=30, output_arity=7)
+    model = FunctionModel(lambda x: np.zeros(7), input_arity=30)
     origins, predictions, targets = rolling_test_forecast(model, np.arange(40.0), 30, 7)
     assert origins.tolist() == [30, 31, 32, 33]
     assert predictions.shape == targets.shape == (4, 7)
@@ -167,7 +166,7 @@ def test_rolling_origin_stride_and_chunks():
 
 
 def test_rolling_echo_constant_series():
-    model = FunctionModel(lambda x: np.full(4, x[-1]), input_arity=5, output_arity=4)
+    model = FunctionModel(lambda x: np.full(4, x[-1]), input_arity=5)
     _, predictions, targets = rolling_test_forecast(model, np.full(20, 3.5), 5, 4)
     assert (predictions == 3.5).all() and (targets == 3.5).all()
 
@@ -175,7 +174,7 @@ def test_rolling_echo_constant_series():
 def test_rolling_mse_matches_flat_pairs():
     rng = np.random.default_rng(1)
     values = rng.uniform(0, 1, 30)
-    model = FunctionModel(lambda x: np.full(3, x.mean()), input_arity=5, output_arity=3)
+    model = FunctionModel(lambda x: np.full(3, x.mean()), input_arity=5)
     _, predictions, targets = rolling_test_forecast(model, values, 5, 3)
     flat_sq = [(p - t) ** 2 for pr, tr in zip(predictions.tolist(), targets.tolist())
                for p, t in zip(pr, tr)]
