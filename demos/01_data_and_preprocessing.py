@@ -24,20 +24,21 @@ for name in sorted(os.listdir(DATA_DIR)):
     if not name.endswith(".csv"):
         continue
     symbol = os.path.splitext(name)[0]
-    ts, report = load_series(os.path.join(DATA_DIR, name), symbol)
-    status = "ok" if report.ok else f"dropped {report.dropped_rows} row(s)"
+    ts, dropped = load_series(os.path.join(DATA_DIR, name), symbol)
+    status = f"dropped {len(dropped)} row(s)" if dropped else "ok"
     print(f"  {symbol:12s} {len(ts):5d} points "
           f"{ts.dates[0]}..{ts.dates[-1]}  {status}")
 
 symbol = "ACC"
 ts, _ = load_series(os.path.join(DATA_DIR, f"{symbol}.csv"), symbol)
-split = split_by_date(ts, ExperimentConfig().cutoff)
-print(f"\n{symbol}: split at {split.cutoff}")
-print(f"  train {len(split.train)} points, test {len(split.test)} points")
+cutoff = ExperimentConfig().cutoff
+train, test = split_by_date(ts, cutoff)
+print(f"\n{symbol}: split at {cutoff}")
+print(f"  train {len(train)} points, test {len(test)} points")
 
-scaler = fit_scaler(split.train.values)
-train_n = scale(scaler, split.train.values)
-test_n = scale(scaler, split.test.values)
+scaler = fit_scaler(train.values)
+train_n = scale(scaler, train.values)
+test_n = scale(scaler, test.values)
 print(f"  scaler fitted on train: min {scaler.min:.2f}, max {scaler.max:.2f}")
 print(f"  normalized train range [{train_n.min():.4f}, {train_n.max():.4f}]")
 print(f"  normalized test range  [{test_n.min():.4f}, {test_n.max():.4f}] "

@@ -16,9 +16,9 @@ os.environ.update(dict.fromkeys(
 
 from .evaluation import DmReport, dm_test, pairwise_dm_matrix
 from .experiment import LossInterval, RunResult, TrainConfig, run_grid, train
-from .ingest import TimeSeries, ValidationReport, load_series, write_series
+from .ingest import TimeSeries, load_series, write_series
 from .models import Model, build_cnn, build_gru, build_lstm, build_mlp, build_model
-from .preprocess import Scaler, SplitSeries, fit_scaler, inverse_scale, scale, split_by_date
+from .preprocess import Scaler, fit_scaler, inverse_scale, scale, split_by_date
 from .windowing import FunctionModel, forecast, make_samples, rolling_test_forecast
 
 __version__ = "0.1.0"

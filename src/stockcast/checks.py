@@ -18,7 +18,7 @@ import numpy as np
 from .models import KINDS, build_surrogate
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor, mse
-from .nn.gradcheck import grad_check_resampling
+from .nn.gradcheck import grad_check
 from .nn.params import ParamSet
 
 LINEAR_TOL = 1e-6
@@ -101,8 +101,13 @@ def run_gradcheck_suite(seed: int = 7, eps: float = 1e-5) -> list[CheckResult]:
     """Worst finite-difference error per layer kind and architecture."""
     results = []
     for name, make, tol in CHECKS:
-        err, resamples = grad_check_resampling(partial(make, seed), n_tries=3, eps=eps,
-                                               tol=tol)
+        # a failing probe point is resampled, up to 3 points in all; the
+        # best error counts
+        err = np.inf
+        for resamples in range(3):
+            err = min(err, grad_check(*make(seed, resamples), eps))
+            if err < tol:
+                break
         results.append(CheckResult(name=name, worst_error=err, tol=tol,
                                    resamples=resamples))
     return results

@@ -23,8 +23,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_dm(args) -> int:
-    text = dm_csv_text(args.errors, mode=args.mode, alpha=args.alpha,
-                       loss=args.loss, harvey=not args.no_harvey)
+    text = dm_csv_text(args.errors, mode=args.mode, loss=args.loss,
+                       harvey=not args.no_harvey)
     atomic_write(args.output, text)
     print(f"wrote {args.output}")
     return 0
@@ -51,15 +51,15 @@ def cmd_validate_data(args) -> int:
     bad = 0
     for symbol, path in paths:
         try:
-            ts, report = load_series(path, symbol)
-        except (StockcastError, FileNotFoundError) as exc:
+            ts, dropped = load_series(path, symbol)
+        except (StockcastError, OSError) as exc:
             print(f"{symbol}: ERROR {exc}")
             bad += 1
             continue
-        note = f", dropped {report.dropped_rows} row(s)" if report.dropped_rows else ""
+        note = f", dropped {len(dropped)} row(s)" if dropped else ""
         print(f"{symbol}: ok, {len(ts)} points "
               f"{ts.dates[0].isoformat()}..{ts.dates[-1].isoformat()}{note}")
-        for idx, reason in report.issues[:10]:
+        for idx, reason in dropped[:10]:
             print(f"  row {idx}: {reason}")
     return 1 if bad else 0
 
@@ -75,13 +75,6 @@ def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def open_unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:   # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
     return value
 
 
@@ -111,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dm = sub.add_parser("dm", help="pairwise DM tests from a run_errors CSV")
     p_dm.add_argument("--errors", required=True, help="run_errors.csv from `run`")
     p_dm.add_argument("--mode", choices=("single", "multi"), default="single")
-    p_dm.add_argument("--alpha", type=open_unit_float, default=1e-4,
-                      help="significance level, in (0, 1)")
     p_dm.add_argument("--loss", choices=("squared", "absolute"), default="squared")
     p_dm.add_argument("--no-harvey", action="store_true",
                       help="plain DM statistic with a normal reference")
@@ -134,7 +125,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (StockcastError, FileNotFoundError) as exc:
+    except (StockcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -117,7 +117,7 @@ def _read_columns(path) -> tuple[list[str], list[str], list[np.ndarray]]:
     stocks: dict[str, int] = {}
     models: dict[str, int] = {}
     blocks: list[list[np.ndarray]] = [[] for _ in range(7)]
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         lineno = _read_header(f, path)
         while lines := list(islice(f, _CHUNK_ROWS)):
             rows = _parse_block(lines, path, lineno)
@@ -178,7 +178,7 @@ def load_run_errors(path) -> tuple[dict[str, dict[str, np.ndarray]], int]:
     return series, h
 
 
-def dm_csv_text(errors_path, mode: str, alpha: float, loss: str = "squared",
+def dm_csv_text(errors_path, mode: str, loss: str = "squared",
                 harvey: bool = True) -> str:
     """One `stock,pair` row per model pair, in the fixed report order."""
     series, h = load_run_errors(errors_path)
@@ -186,7 +186,6 @@ def dm_csv_text(errors_path, mode: str, alpha: float, loss: str = "squared",
     lines = [
         "# stockcast DM comparison",
         f"# mode = {mode}",
-        f"# alpha = {alpha!r}",
         f"# loss = {loss}",
         f"# variant = {'harvey' if harvey else 'plain'}",
         f"# h = {h}",

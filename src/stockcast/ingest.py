@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 
 from .errors import DuplicateDate, EmptySeries, MalformedInput
@@ -34,16 +34,6 @@ class TimeSeries:
         return len(self.values)
 
 
-@dataclass
-class ValidationReport:
-    dropped_rows: int = 0
-    issues: list[tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
 def _parse_close(raw: str) -> float | None:
     try:
         v = float(raw)
@@ -54,14 +44,14 @@ def _parse_close(raw: str) -> float | None:
     return v
 
 
-def load_series(path, symbol: str) -> tuple[TimeSeries, ValidationReport]:
+def load_series(path, symbol: str) -> tuple[TimeSeries, list[tuple[int, str]]]:
     """Parse a close-price CSV into a canonical, date-sorted TimeSeries.
 
-    Returns the series plus a report of dropped rows.  Raises
+    Returns the series plus the dropped rows as (row, reason).  Raises
     FileNotFoundError, MalformedInput (bad header), EmptySeries (< 2
     valid rows) or DuplicateDate.
     """
-    report = ValidationReport()
+    dropped: list[tuple[int, str]] = []
     rows: list[tuple[date, float]] = []
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
@@ -79,13 +69,11 @@ def load_series(path, symbol: str) -> tuple[TimeSeries, ValidationReport]:
             try:
                 d = date.fromisoformat(row[0].strip())
             except (ValueError, IndexError):
-                report.dropped_rows += 1
-                report.issues.append((i, "unparsable date"))
+                dropped.append((i, "unparsable date"))
                 continue
             v = _parse_close(row[close_col].strip()) if len(row) > close_col else None
             if v is None:
-                report.dropped_rows += 1
-                report.issues.append((i, "non-positive or non-numeric close"))
+                dropped.append((i, "non-positive or non-numeric close"))
                 continue
             rows.append((d, v))
 
@@ -100,7 +88,7 @@ def load_series(path, symbol: str) -> tuple[TimeSeries, ValidationReport]:
         dates=tuple(d for d, _ in rows),
         values=tuple(v for _, v in rows),
     )
-    return ts, report
+    return ts, dropped
 
 
 def write_series(ts: TimeSeries, path):

@@ -106,27 +106,14 @@ def build_mlp(w: int, h: int, seed: int = 0, hidden=MLP_HIDDEN) -> Model:
 
 # --- CNN ----------------------------------------------------------------------
 
-def _cnn_lengths(w: int, kernel: int) -> tuple[int, int, int]:
-    l1 = w - kernel + 1
-    l2 = l1 - kernel + 1
-    lp = l2 // CNN_POOL if l2 > 0 else 0
-    return l1, l2, lp
-
-
 def cnn_kernel(w: int) -> int:
     """The CNN's kernel at window w: CNN_KERNEL, shrunk (for the small
-    single-step windows) until both conv layers and the pool still
-    produce a non-empty output.  Raises WindowTooSmall when even a
-    kernel of 1 does not."""
-    kernel = CNN_KERNEL
-    while kernel > 1 and _cnn_lengths(w, kernel)[2] < 1:
-        kernel -= 1
-    l1, l2, lp = _cnn_lengths(w, kernel)
-    if lp < 1:
-        raise WindowTooSmall(
-            f"window {w} too small for kernel {kernel} + pool {CNN_POOL} "
-            f"(conv lengths {l1}, {l2})"
-        )
+    single-step windows) to the largest kernel whose two conv layers and
+    pool still produce a non-empty output.  Raises WindowTooSmall when
+    even a kernel of 1 does not."""
+    kernel = min(CNN_KERNEL, (w - CNN_POOL) // 2 + 1)
+    if kernel < 1:
+        raise WindowTooSmall(f"window {w} too small for kernel 1 + pool {CNN_POOL}")
     return kernel
 
 
@@ -136,7 +123,7 @@ def build_cnn(w: int, h: int, seed: int = 0, filters=CNN_FILTERS,
     with the kernel of `cnn_kernel(w)`."""
     kernel = cnn_kernel(w)
     f1, f2 = filters
-    flat = f2 * _cnn_lengths(w, kernel)[2]
+    flat = f2 * ((w - 2 * (kernel - 1)) // CNN_POOL)  # two convs, then the pool
     rngs = _layer_rngs(seed, 4)
     tensors = {
         "conv0.K": Tensor(_he_uniform(rngs[0], (f1, 1, kernel), 1 * kernel)),

@@ -11,7 +11,7 @@ from .autodiff import (
     relu,
     reshape,
 )
-from .gradcheck import grad_check, grad_check_resampling
+from .gradcheck import grad_check
 from .optim import Adam
 from .params import ParamSet
 
@@ -22,7 +22,6 @@ __all__ = [
     "conv1d_channels",
     "dense",
     "grad_check",
-    "grad_check_resampling",
     "gru_seq",
     "lstm_seq",
     "maxpool1d_op",

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NonFiniteGradient
-from .autodiff import Tensor
 from .params import ParamSet
 
 _FLOOR = 1e-8
@@ -46,23 +45,3 @@ def grad_check(f, params: ParamSet, eps: float = 1e-5) -> float:
             err = abs(ga[i] - num) / max(abs(ga[i]), abs(num), _FLOOR)
             worst = max(worst, err)
     return worst
-
-
-def grad_check_resampling(make_instance, n_tries: int = 3, eps: float = 1e-5,
-                          tol: float = 1e-4) -> tuple[float, int]:
-    """Gradient check with kink resampling.
-
-    relu/max-pool make the loss piecewise; a finite-difference step that
-    crosses a kink is a property of the probe point, not a wrong gradient.
-    `make_instance(attempt)` returns a fresh (f, params) pair; on failure
-    the point is resampled up to `n_tries` times.  Returns the best error
-    observed and the number of resamples taken.
-    """
-    best = np.inf
-    for attempt in range(n_tries):
-        f, params = make_instance(attempt)
-        err = grad_check(f, params, eps)
-        best = min(best, err)
-        if best < tol:
-            return best, attempt
-    return best, n_tries - 1

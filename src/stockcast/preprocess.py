@@ -23,14 +23,7 @@ class Scaler:
             raise DegenerateRange(f"scaler range [{self.min}, {self.max}] is degenerate")
 
 
-@dataclass(frozen=True)
-class SplitSeries:
-    train: TimeSeries
-    test: TimeSeries
-    cutoff: date
-
-
-def split_by_date(ts: TimeSeries, cutoff: date) -> SplitSeries:
+def split_by_date(ts: TimeSeries, cutoff: date) -> tuple[TimeSeries, TimeSeries]:
     """Train holds all points dated <= cutoff, test holds the rest."""
     n_train = sum(1 for d in ts.dates if d <= cutoff)
     if n_train == 0 or n_train == len(ts.dates):
@@ -38,9 +31,8 @@ def split_by_date(ts: TimeSeries, cutoff: date) -> SplitSeries:
             f"cutoff {cutoff.isoformat()} leaves {n_train} train / "
             f"{len(ts.dates) - n_train} test points"
         )
-    train = TimeSeries(ts.symbol, ts.dates[:n_train], ts.values[:n_train])
-    test = TimeSeries(ts.symbol, ts.dates[n_train:], ts.values[n_train:])
-    return SplitSeries(train=train, test=test, cutoff=cutoff)
+    return (TimeSeries(ts.symbol, ts.dates[:n_train], ts.values[:n_train]),
+            TimeSeries(ts.symbol, ts.dates[n_train:], ts.values[n_train:]))
 
 
 def fit_scaler(train_values) -> Scaler:
@@ -48,10 +40,7 @@ def fit_scaler(train_values) -> Scaler:
     values = np.asarray(train_values, dtype=np.float64)
     if values.size < 2:
         raise DegenerateRange("need at least 2 values to fit a scaler")
-    lo, hi = float(values.min()), float(values.max())
-    if hi == lo:
-        raise DegenerateRange(f"all {values.size} values equal {lo}")
-    return Scaler(min=lo, max=hi)
+    return Scaler(min=float(values.min()), max=float(values.max()))
 
 
 def scale(s: Scaler, x) -> np.ndarray:

@@ -52,11 +52,9 @@ def prepare_series(cfg: ExperimentConfig) -> dict[str, tuple[np.ndarray, np.ndar
     out = {}
     for symbol in cfg.stocks:
         ts, _ = load_series(cfg.stock_path(symbol), symbol)
-        split = split_by_date(ts, cfg.cutoff)
-        fit_values = ts.values if cfg.train.scaler_scope == "full" else split.train.values
-        scaler = fit_scaler(fit_values)
-        out[symbol] = (scale(scaler, split.train.values),
-                       scale(scaler, split.test.values))
+        train, test = split_by_date(ts, cfg.cutoff)
+        scaler = fit_scaler(ts.values if cfg.train.scaler_scope == "full" else train.values)
+        out[symbol] = (scale(scaler, train.values), scale(scaler, test.values))
     return out
 
 
@@ -128,9 +126,10 @@ def execute(cfg: ExperimentConfig, jobs: int = 1, all_traces: bool = False) -> i
     Returns the process exit code: 0 iff every cell completed all runs.
     """
     series = prepare_series(cfg)
+    # an unusable output_dir fails here, not after hours of training
+    os.makedirs(cfg.output_dir, exist_ok=True)
     cells = run_grid(series, list(cfg.models), list(cfg.windows), list(cfg.horizons),
                      cfg.train, cfg.n_runs, cfg.strategy, jobs=jobs)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     atomic_write(os.path.join(cfg.output_dir, RESULTS_CSV),
                  results_csv_text(cfg, cells))
     atomic_write(os.path.join(cfg.output_dir, RUN_ERRORS_CSV),

@@ -27,14 +27,8 @@ END = date(2019, 1, 15)
 
 
 def business_days(start: date = START, end: date = END) -> list[date]:
-    days = []
-    d = start
-    one = timedelta(days=1)
-    while d <= end:
-        if d.weekday() < 5:
-            days.append(d)
-        d += one
-    return days
+    days = np.arange(start, end + timedelta(days=1), dtype="datetime64[D]")
+    return days[np.is_busday(days)].tolist()
 
 
 def make_series(symbol: str, seed: int = 2002) -> TimeSeries:

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -276,6 +278,45 @@ def test_run_missing_file_no_partial_output(tmp_path, tiny_dir, capsys):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("output_dir", ["", "{file}/out"], ids=["empty", "under_a_file"])
+def test_run_rejects_unusable_output_dir_before_training(tmp_path, tiny_dir, capsys,
+                                                         monkeypatch, output_dir):
+    trained = []
+    monkeypatch.setattr(experiment, "train", lambda *args: trained.append(args) or [0.0])
+    (tmp_path / "file").write_text("")
+    cfg_path = make_config(tmp_path, tiny_dir,
+                           output_dir=output_dir.format(file=tmp_path / "file"))
+    assert main(["run", "--config", cfg_path, "--jobs", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert trained == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["dm", "--errors", "{dir}", "--output", "{dir}/dm.csv"],
+    ["run", "--config", "{dir}"],
+    ["validate-data", "--data-dir", "{file}"],
+], ids=["dm", "run", "validate-data"])
+def test_unreadable_input_path_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    assert main([a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_all_traces_keeps_every_seed(tmp_path, tiny_dir):
+    records = {}
+    for flags in ([], ["--all-traces"]):
+        out = f"out{len(flags)}"
+        cfg_path = make_config(tmp_path, tiny_dir, out_name=out, windows="3,5", n_runs="3")
+        assert main(["run", "--config", cfg_path, "--jobs", "1", *flags]) == 0
+        records[bool(flags)] = json.loads((tmp_path / out / "traces.json").read_text())["records"]
+    every, best = records[True], records[False]
+    assert [(r["w"], r["seed"]) for r in every] == [(3, 3), (3, 4), (3, 5),
+                                                    (5, 3), (5, 4), (5, 5)]
+    for w in (3, 5):
+        runs = [r for r in every if r["w"] == w]
+        assert [r for r in best if r["w"] == w] == [min(runs, key=lambda r: r["test_mse"])]
+
+
 def test_run_iterative_strategy(tmp_path, tiny_dir):
     cfg_path = make_config(tmp_path, tiny_dir, mode="multi", windows="5",
                            horizons="3", strategy="iterative", epochs="3")
@@ -339,7 +380,9 @@ def test_dm_command_single(tmp_path, capsys):
     out = tmp_path / "dm.csv"
     assert main(["dm", "--errors", errors, "--output", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert any("alpha = 0.0001" in l for l in lines if l.startswith("#"))
+    assert [l for l in lines if l.startswith("#")] == [
+        "# stockcast DM comparison", "# mode = single", "# loss = squared",
+        "# variant = harvey", "# h = 1"]
     data = [l for l in lines if not l.startswith("#")]
     assert data[0] == "stock,pair,statistic,p_value,h,T,variant"
     pairs = [row.split(",")[1] for row in data[1:]]
@@ -351,15 +394,17 @@ def test_dm_command_single(tmp_path, capsys):
         assert (h, t, variant) == ("1", "30", "harvey")
 
 
-@pytest.mark.parametrize("alpha", ["nan", "-1", "5", "0", "1"])
-def test_dm_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
-    errors = synthetic_run_errors(tmp_path / "run_errors.csv")
-    out = tmp_path / "dm.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["dm", "--errors", errors, "--output", str(out), "--alpha", alpha])
-    assert exc.value.code == 2
-    assert "--alpha" in capsys.readouterr().err
-    assert not out.exists()
+def test_dm_command_byte_order_mark_like_plain_file(tmp_path):
+    # run_errors.csv opens with its "# stockcast results" comment block
+    plain = tmp_path / "plain.csv"
+    synthetic_run_errors(plain)
+    plain.write_text("# stockcast results\n" + plain.read_text())
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for name in ("plain", "bom"):
+        assert main(["dm", "--errors", str(tmp_path / f"{name}.csv"),
+                     "--output", str(tmp_path / f"dm_{name}.csv")]) == 0
+    assert (tmp_path / "dm_bom.csv").read_bytes() == (tmp_path / "dm_plain.csv").read_bytes()
 
 
 def test_dm_command_multi_pairs(tmp_path):
@@ -532,6 +577,26 @@ def test_validate_data_reports_dropped_rows(tmp_path, capsys):
     assert "dropped 2 row(s)" in out
     assert "  row 2: unparsable date\n" in out
     assert "  row 4: non-positive or non-numeric close\n" in out
+
+
+def test_validate_data_lists_a_directory_named_csv_as_an_error(tmp_path, tiny_dir, capsys):
+    (tmp_path / "X.csv").mkdir()
+    shutil.copy(os.path.join(tiny_dir, "AAA.csv"), tmp_path / "Y.csv")
+    assert main(["validate-data", "--data-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("X: ERROR")
+    assert out[1].startswith("Y: ok, 500 points")
+
+
+def test_validate_data_config_lists_the_configured_stocks_in_order(tmp_path, tiny_dir, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("AAA", "BBB", "CCC"):
+        shutil.copy(os.path.join(tiny_dir, "AAA.csv"), data / f"{name}.csv")
+    cfg_path = make_config(tmp_path, str(data), stocks="CCC,AAA")
+    assert main(["validate-data", "--config", cfg_path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["CCC", "AAA"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -11,11 +11,11 @@ from conftest import write_csv
 
 def test_direct_parse(tmp_path):
     path = write_csv(tmp_path / "a.csv", [("2002-01-01", 100.0), ("2002-01-02", 101.5)])
-    ts, report = load_series(path, "A")
+    ts, dropped = load_series(path, "A")
     assert len(ts) == 2
     assert ts.values == (100.0, 101.5)
     assert ts.dates == (date(2002, 1, 1), date(2002, 1, 2))
-    assert report.dropped_rows == 0
+    assert dropped == []
 
 
 def test_out_of_order_rows_sorted(tmp_path):
@@ -27,18 +27,18 @@ def test_out_of_order_rows_sorted(tmp_path):
 def test_nan_close_dropped(tmp_path):
     path = write_csv(tmp_path / "a.csv",
                      [("2002-01-01", 1.0), ("2002-01-02", "NaN"), ("2002-01-03", 3.0)])
-    ts, report = load_series(path, "A")
+    ts, dropped = load_series(path, "A")
     assert len(ts) == 2
-    assert report.dropped_rows == 1
-    assert report.issues[0][1] == "non-positive or non-numeric close"
+    assert len(dropped) == 1
+    assert dropped[0][1] == "non-positive or non-numeric close"
 
 
 def test_bad_date_dropped(tmp_path):
     path = write_csv(tmp_path / "a.csv",
                      [("not-a-date", 1.0), ("2002-01-02", 2.0), ("2002-01-03", 3.0)])
-    ts, report = load_series(path, "A")
+    ts, dropped = load_series(path, "A")
     assert len(ts) == 2
-    assert report.issues == [(1, "unparsable date")]
+    assert dropped == [(1, "unparsable date")]
 
 
 def test_byte_order_mark_parses_like_plain_file(tmp_path):
@@ -86,9 +86,9 @@ def test_load_idempotent_roundtrip(tmp_path):
     ts, _ = load_series(path, "A")
     out = tmp_path / "canonical.csv"
     write_series(ts, out)
-    ts2, report2 = load_series(out, "A")
+    ts2, dropped2 = load_series(out, "A")
     assert ts2 == ts
-    assert report2.dropped_rows == 0
+    assert dropped2 == []
 
 
 def test_row_order_never_matters(tmp_path):

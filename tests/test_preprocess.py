@@ -34,12 +34,13 @@ def test_prepare_series_scaler_scope(tmp_path, scope):
 
 def test_split_middle():
     ts = series(range(1, 11))
-    sp = split_by_date(ts, date(2002, 1, 5))
-    assert len(sp.train) == 5
-    assert len(sp.test) == 5
-    assert sp.train.values + sp.test.values == ts.values
-    assert all(d <= sp.cutoff for d in sp.train.dates)
-    assert all(d > sp.cutoff for d in sp.test.dates)
+    cutoff = date(2002, 1, 5)
+    train, test = split_by_date(ts, cutoff)
+    assert len(train) == 5
+    assert len(test) == 5
+    assert train.values + test.values == ts.values
+    assert all(d <= cutoff for d in train.dates)
+    assert all(d > cutoff for d in test.dates)
 
 
 def test_split_cutoff_before_first():
@@ -57,12 +58,12 @@ def test_split_partitions_losslessly(n, offset):
     ts = series(range(n))
     cutoff = date(2002, 1, 1) + timedelta(days=offset)
     try:
-        sp = split_by_date(ts, cutoff)
+        train, test = split_by_date(ts, cutoff)
     except EmptyPartition:
         assert cutoff < ts.dates[0] or cutoff >= ts.dates[-1]
         return
-    assert len(sp.train) + len(sp.test) == n
-    assert sp.train.values + sp.test.values == ts.values
+    assert len(train) + len(test) == n
+    assert train.values + test.values == ts.values
 
 
 def test_fit_scaler():
