@@ -23,6 +23,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_dm(args) -> int:
+    # an unusable --output fails here, not after the whole errors file is read
+    directory = os.path.dirname(args.output) or "."
+    if not os.path.isdir(directory):
+        raise NotADirectoryError(f"--output {args.output}: {directory} is not a directory")
     text = dm_csv_text(args.errors, mode=args.mode, loss=args.loss,
                        harvey=not args.no_harvey)
     atomic_write(args.output, text)

@@ -9,14 +9,16 @@ The long-run variance lag uses the largest horizon present in the file.
 
 The file is read in blocks of `_CHUNK_ROWS` physical lines.  Each block
 is parsed by `np.loadtxt` and cut down to compact columns at once: stock
-and model become integer codes, w, h, origin and step become int32 when
-they fit, and the seed is dropped.  Only those columns (32 bytes a row)
-outlive their block.  The sort that groups the seeds of each key adds
-about as much again, so a whole load peaks near 50 bytes per row under
-`tracemalloc` (694,400 rows), plus a few MB for the block in hand.  A row
-that does not parse, or whose error is nan or infinite, is rejected with
-its file line number; `dm_csv_text` also rejects a stock whose aligned
-series is too short for the DM test (T <= max(h, 4)).
+and model become integer codes, looked up once per run of equal names,
+w, h, origin and step become int32 when they fit, and the seed is
+dropped.  Only those columns (32 bytes a row) outlive their block.  The
+six key columns are packed into as few uint64 words as their ranges
+allow (one, for a realistic file), and the sort that groups the seeds of
+each key runs on those words.  A whole load peaks near 59 bytes per row
+under `tracemalloc` (694,400 rows), plus a few MB for the block in hand.
+A row that does not parse, or whose error is nan or infinite, is
+rejected with its file line number; `dm_csv_text` also rejects a stock
+whose aligned series is too short for the DM test (T <= max(h, 4)).
 """
 
 from __future__ import annotations
@@ -99,10 +101,11 @@ def _parse_block(lines: list[str], path, first_line: int) -> np.ndarray | None:
 
 def _encode(index: dict[str, int], names: np.ndarray) -> np.ndarray:
     """Each name's code; new names are numbered in order of first appearance."""
-    for name in dict.fromkeys(names):
-        index.setdefault(name, len(index))
+    # a block holds long runs of one name: look up only the first of each run
+    heads = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
+    codes = [index.setdefault(name, len(index)) for name in names[heads]]
     dtype = np.int32 if len(index) <= _INT32.max else np.int64
-    return np.fromiter(map(index.__getitem__, names), dtype, names.size)
+    return np.repeat(np.array(codes, dtype), np.diff(np.r_[heads, names.size]))
 
 
 def _narrow(values: np.ndarray) -> np.ndarray:
@@ -140,19 +143,41 @@ def _read_columns(path) -> tuple[list[str], list[str], list[np.ndarray]]:
     return list(stocks), list(models), columns
 
 
+def _pack(keys: list[np.ndarray]) -> list[np.ndarray]:
+    """The key columns packed into as few uint64 words as their ranges
+    allow, most significant first, so the words sort as the columns do."""
+    words: list[np.ndarray] = []
+    used = 0
+    for column in keys:
+        lo = int(column.min())
+        bits = (int(column.max()) - lo).bit_length()
+        # the offset from the minimum, modulo 2**64 as a column may be negative
+        offset = column.astype(np.uint64)
+        offset -= np.uint64(lo % 2**64)
+        if not words or used + bits > 64:
+            words.append(offset)
+            used = bits
+        elif bits:
+            words[-1] <<= np.uint64(bits)
+            words[-1] |= offset
+            used += bits
+    return words
+
+
 def load_run_errors(path) -> tuple[dict[str, dict[str, np.ndarray]], int]:
     """Parse run_errors.csv into (stock -> model -> aligned error series,
     largest horizon in the file)."""
     stocks, models, columns = _read_columns(path)
     keys, errors = columns[:6], columns[6]
     h = max(1, int(keys[3].max()))
+    words = _pack(keys)
     # stable, so the seeds of a key keep their file order
-    order = np.lexsort(keys[::-1])
+    order = np.lexsort(words[::-1])
     change = np.zeros(order.size - 1, dtype=bool)
-    for column in keys:
-        ranked = column[order]
+    for word in words:
+        ranked = word[order]
         change |= ranked[1:] != ranked[:-1]
-    del ranked
+    del ranked, words
     starts = np.flatnonzero(np.r_[True, change])
     del change
     cells = np.stack([column[order[starts]] for column in keys])

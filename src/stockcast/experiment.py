@@ -154,20 +154,12 @@ def run_model(train_values, test_values, kind: str, w: int, cfg: TrainConfig, st
     return runs
 
 
-def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
-             kinds: list[str], windows: list[int], horizons: list[int],
-             cfg: TrainConfig, n_runs: int, strategy: str,
-             jobs: int = 1) -> list[CellResult]:
-    """One CellResult per (stock, kind, w, h), row order deterministic.
-
-    `series_by_stock` maps symbol -> (normalized train values, normalized
-    test values).  A window too short for a CNN raises WindowTooSmall, and
-    a window and horizon too long for some stock's train or test series
-    raise WindowTooLarge, before any cell trains; divergent runs are
-    counted in their cell and never abort other cells.
-
-    Tasks, one per seeded model, run on at most min(jobs, tasks) workers.
-    """
+def check_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
+               kinds: list[str], windows: list[int], horizons: list[int],
+               strategy: str) -> None:
+    """Raise WindowTooSmall for a window too short for a CNN, and
+    WindowTooLarge for a window and horizon too long for some stock's
+    train or test series."""
     if "CNN" in kinds:
         for w in windows:
             cnn_kernel(w)  # raises WindowTooSmall below the CNN's minimum window
@@ -179,6 +171,21 @@ def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
                     raise WindowTooLarge(
                         f"stock {stock}: window {w}, horizon {h} need {w + n_out} train "
                         f"and {w + h} test points, have {len(tr)} and {len(te)}")
+
+
+def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
+             kinds: list[str], windows: list[int], horizons: list[int],
+             cfg: TrainConfig, n_runs: int, strategy: str,
+             jobs: int = 1) -> list[CellResult]:
+    """One CellResult per (stock, kind, w, h), row order deterministic.
+
+    `series_by_stock` maps symbol -> (normalized train values, normalized
+    test values).  `check_grid` runs before any cell trains; divergent
+    runs are counted in their cell and never abort other cells.
+
+    Tasks, one per seeded model, run on at most min(jobs, tasks) workers.
+    """
+    check_grid(series_by_stock, kinds, windows, horizons, strategy)
     # a group is the cells that share their models: one per cell if direct
     groups = [
         (stock, kind, w, hs)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import StockcastError
-from .experiment import CellResult, run_grid
+from .experiment import CellResult, check_grid, run_grid
 from .ingest import load_series
 from .preprocess import fit_scaler, scale, split_by_date
 
@@ -126,7 +126,9 @@ def execute(cfg: ExperimentConfig, jobs: int = 1, all_traces: bool = False) -> i
     Returns the process exit code: 0 iff every cell completed all runs.
     """
     series = prepare_series(cfg)
-    # an unusable output_dir fails here, not after hours of training
+    # a grid that cannot be built, or an unusable output_dir, fails here:
+    # before output_dir exists, and not after hours of training
+    check_grid(series, list(cfg.models), list(cfg.windows), list(cfg.horizons), cfg.strategy)
     os.makedirs(cfg.output_dir, exist_ok=True)
     cells = run_grid(series, list(cfg.models), list(cfg.windows), list(cfg.horizons),
                      cfg.train, cfg.n_runs, cfg.strategy, jobs=jobs)

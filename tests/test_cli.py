@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from stockcast import checks, experiment
+from stockcast import checks, cli, experiment
 from stockcast.cli import build_parser, main
 from stockcast.config import (
     MULTI_STEP_HORIZONS,
@@ -289,6 +289,37 @@ def test_run_rejects_unusable_output_dir_before_training(tmp_path, tiny_dir, cap
     assert main(["run", "--config", cfg_path, "--jobs", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert trained == []
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"windows": "400"}, "window 400"),
+    ({"models": "CNN", "windows": "1"}, "window 1 too small"),
+], ids=["window_too_large", "cnn_window_too_small"])
+def test_run_rejects_impossible_window_before_creating_output_dir(
+        tmp_path, tiny_dir, capsys, monkeypatch, overrides, message):
+    trained = []
+    monkeypatch.setattr(experiment, "train", lambda *args: trained.append(args) or [0.0])
+    cfg_path = make_config(tmp_path, tiny_dir, **overrides)
+    assert main(["run", "--config", cfg_path, "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert trained == []
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("output", ["{tmp}/missing/dm.csv", "{tmp}/file/dm.csv"],
+                         ids=["missing_dir", "under_a_file"])
+def test_dm_rejects_unusable_output_dir_before_reading(tmp_path, capsys, monkeypatch, output):
+    calls = []
+    monkeypatch.setattr(cli, "dm_csv_text", lambda *args, **kwargs: calls.append(args) or "")
+    (tmp_path / "file").write_text("")
+    errors = synthetic_run_errors(tmp_path / "run_errors.csv")
+    output = output.format(tmp=tmp_path)
+    assert main(["dm", "--errors", errors, "--output", output]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and output in err
+    assert ".tmp" not in err.replace(str(tmp_path), "")
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

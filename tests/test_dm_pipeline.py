@@ -39,14 +39,14 @@ def assert_series_equal(got, want):
 
 
 def test_load_matches_per_key_mean_oracle(tmp_path):
-    assert_matches_per_key_mean_oracle(tmp_path)
+    assert_matches_per_key_mean_oracle(tmp_path, shuffled_rows())
 
 
 def test_load_matches_per_key_mean_oracle_in_small_blocks(tmp_path, small_blocks):
-    assert_matches_per_key_mean_oracle(tmp_path)
+    assert_matches_per_key_mean_oracle(tmp_path, shuffled_rows())
 
 
-def assert_matches_per_key_mean_oracle(tmp_path):
+def shuffled_rows():
     # 9 seeds, so np.mean sums through its unrolled (pairwise) loop; two
     # stocks whose origin ranges differ; rows shuffled
     rng = np.random.default_rng(17)
@@ -59,20 +59,51 @@ def assert_matches_per_key_mean_oracle(tmp_path):
                     for step in (1, 2, 3):
                         err = float(rng.lognormal(-4.0, 1.5))
                         rows.append((stock, model, 5, 3, seed, origin, step, err))
-    shuffled = [rows[i] for i in rng.permutation(len(rows))]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+# key ranges at the edges of the packed sort key
+KEY_RANGES = {
+    # the stock changes on every row, so every row heads a run of names
+    "stock_changes_every_row": {"stocks": ("AAA", "BBB", "CCC")},
+    # an origin range of 2**63 + 2 needs all 64 bits of a word
+    "origin_spans_64_bits": {"origins": (-2**62 - 1, -1, 0, 2**62 + 1)},
+    # 0 + 1 + 41 + 20 + 37 + 25 bits: the key packs into two words
+    "keys_span_several_words": {"ws": (3, 3 + 2**40), "hs": (2, 2**20),
+                                "origins": (-2**35, 0, 2**35), "steps": (1, 2**25)},
+}
+
+
+@pytest.mark.parametrize("blocks", ["default", "small"])
+@pytest.mark.parametrize("case", list(KEY_RANGES))
+def test_load_matches_per_key_mean_oracle_at_key_range_edges(tmp_path, request, case, blocks):
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+    ranges = {"stocks": ("AAA",), "ws": (5,), "hs": (2,), "origins": range(4), "steps": (1, 2),
+              **KEY_RANGES[case]}
+    rng = np.random.default_rng(23)
+    # the stock varies fastest, so with several stocks no two adjacent rows share it
+    rows = [(stock, model, w, h, seed, origin, step, float(rng.lognormal(-4.0, 1.5)))
+            for model in ("MLP", "CNN") for seed in range(3) for w in ranges["ws"]
+            for h in ranges["hs"] for origin in ranges["origins"] for step in ranges["steps"]
+            for stock in ranges["stocks"]]
+    assert_matches_per_key_mean_oracle(tmp_path, rows)
+
+
+def assert_matches_per_key_mean_oracle(tmp_path, rows):
     path = write_lines(tmp_path / "errors.csv",
-                       ["# comment", HEADER] + [",".join(map(str, r)) for r in shuffled])
+                       ["# comment", HEADER] + [",".join(map(str, r)) for r in rows])
 
     series, h = load_run_errors(path)
 
     grouped = {}
-    for stock, model, w, hh, seed, origin, step, err in shuffled:
+    for stock, model, w, hh, seed, origin, step, err in rows:
         grouped.setdefault(stock, {}).setdefault(model, {}).setdefault(
             (w, hh, origin, step), []).append(err)
     expected = {stock: {model: np.array([np.mean(cells[k]) for k in sorted(cells)])
                         for model, cells in per_model.items()}
                 for stock, per_model in grouped.items()}
-    assert h == 3
+    assert h == max(row[3] for row in rows)
     assert list(series) == list(expected)
     for stock, per_model in expected.items():
         assert sorted(series[stock]) == sorted(per_model)
