@@ -24,6 +24,10 @@ def cmd_run(args) -> int:
 
 def cmd_dm(args) -> int:
     # an unusable --output fails here, not after the whole errors file is read
+    if not args.output:
+        raise FileNotFoundError("--output '' names no file")
+    if os.path.isdir(args.output):
+        raise IsADirectoryError(f"--output {args.output} is a directory")
     directory = os.path.dirname(args.output) or "."
     if not os.path.isdir(directory):
         raise NotADirectoryError(f"--output {args.output}: {directory} is not a directory")

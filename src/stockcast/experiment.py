@@ -25,7 +25,7 @@ from .errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
 from .models import build_model, cnn_kernel
 from .nn.autodiff import Tensor, mse
 from .nn.optim import Adam
-from .windowing import make_samples, rolling_test_forecast
+from .windowing import make_samples, rolling_forecasts
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ def run_model(train_values, test_values, kind: str, w: int, cfg: TrainConfig, st
     The direct strategy trains an h-output model, so `horizons` must be
     (h,).  The iterative strategy trains a single-output model and feeds
     its predictions back in; nothing in that depends on h, so one model
-    serves every horizon.  Returns one RunResult per horizon, with the
+    serves every horizon, and `rolling_forecasts` forecasts them together
+    where it can.  Returns one RunResult per horizon, with the
     rolling-origin test MSE in normalized space, or None if training
     diverged.
     """
@@ -144,14 +145,12 @@ def run_model(train_values, test_values, kind: str, w: int, cfg: TrainConfig, st
         history = train(model, X, Y, cfg)
     except NonFiniteLoss:
         return None
-    runs = []
-    for h in horizons:
-        origins, predictions, targets = rolling_test_forecast(
-            model, test_values, w, h, strategy=strategy, origin_stride=cfg.origin_stride)
-        runs.append(RunResult(seed=cfg.seed, test_mse=float(np.mean((predictions - targets) ** 2)),
-                              loss_history=history, origins=origins,
-                              predictions=predictions, targets=targets))
-    return runs
+    forecasts = rolling_forecasts(model, test_values, w, horizons, strategy=strategy,
+                                  origin_stride=cfg.origin_stride)
+    return [RunResult(seed=cfg.seed, test_mse=float(np.mean((predictions - targets) ** 2)),
+                      loss_history=history, origins=origins,
+                      predictions=predictions, targets=targets)
+            for origins, predictions, targets in forecasts]
 
 
 def check_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],

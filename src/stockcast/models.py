@@ -26,24 +26,53 @@ RNN_HIDDEN = (256, 128)
 
 
 class Model:
-    """A differentiable map from a length-w window to h outputs."""
+    """A differentiable map from a length-w window to h outputs.
 
-    def __init__(self, kind: str, w: int, h: int, params: ParamSet, forward_fn):
+    A recurrent model also has a graph-free `predict`, which `__call__`
+    uses and which can start from given per-layer states.
+    """
+
+    def __init__(self, kind: str, w: int, h: int, params: ParamSet, forward_fn,
+                 predict_fn=None):
         self.kind = kind
         self.w = w
         self.h = h
         self.params = params
         self._forward = forward_fn
+        self._predict = predict_fn
+
+    @property
+    def resumable(self) -> bool:
+        """True when `predict` exists (GRU, LSTM)."""
+        return self._predict is not None
+
+    def _check_window(self, shape):
+        if len(shape) != 2 or shape[1] != self.w:
+            raise ArityMismatch(f"forward input {shape}, expected [batch, {self.w}]")
 
     def forward(self, x: Tensor) -> Tensor:
         """x: Tensor [batch, w] -> Tensor [batch, h]."""
-        if x.data.ndim != 2 or x.data.shape[1] != self.w:
-            raise ArityMismatch(f"forward input {x.data.shape}, expected [batch, {self.w}]")
+        self._check_window(x.data.shape)
         return self._forward(x, self.params)
+
+    def predict(self, x, init=None):
+        """Graph-free forward of a recurrent model over x [batch, T], any
+        T >= 0, from the per-layer initial states `init` (None: zero).
+
+        A layer's state is (h,) for a GRU and (h, c) for an LSTM, each
+        [batch, n].  Returns (y [batch, h], states): states holds each
+        layer's per-step states, (H,) or (H, C), each [T, batch, n].  With
+        T = 0 the output head reads the initial state of the last layer.
+        """
+        return self._predict(x, self.params, init)
 
     def __call__(self, windows) -> np.ndarray:
         """Numpy-in, numpy-out prediction: windows [N, w] -> [N, h]."""
-        return self.forward(Tensor(windows)).data
+        if not self.resumable:
+            return self.forward(Tensor(windows)).data
+        windows = np.asarray(windows, dtype=np.float64)
+        self._check_window(windows.shape)
+        return self.predict(windows)[0]
 
     def n_params(self) -> int:
         return self.params.n_scalars()
@@ -153,7 +182,10 @@ def build_cnn(w: int, h: int, seed: int = 0, filters=CNN_FILTERS,
 # --- recurrent ----------------------------------------------------------------
 
 def _build_recurrent(kind: str, w: int, h: int, seed: int, hidden) -> Model:
-    seq, gates = (ad.gru_seq, 3) if kind == "GRU" else (ad.lstm_seq, 4)
+    # the graph op, its array forward, the gate count, and the state arrays
+    # a layer carries (h; h and c)
+    seq, run, gates, n_state = ((ad.gru_seq, ad.gru_forward, 3, 1) if kind == "GRU"
+                                else (ad.lstm_seq, ad.lstm_forward, 4, 2))
     n1, n2 = hidden
     rngs = _layer_rngs(seed, 3)
     tensors = {}
@@ -170,7 +202,21 @@ def _build_recurrent(kind: str, w: int, h: int, seed: int, hidden) -> Model:
         h2 = seq(ad.relu(h1), params["r1.W"], params["r1.U"], params["r1.b"])
         return ad.dense(h2[:, -1], params["out.W"], params["out.b"])
 
-    return Model(kind, w, h, ParamSet(tensors), forward)
+    def predict(x, params, init):
+        # the operations of `forward`, on arrays and time-major
+        init = init or ((), ())
+
+        def layer(i, inputs):
+            W, U, b = (params[f"r{i}.{k}"].data for k in "WUb")
+            return run(inputs, W, U, b, *init[i])[:n_state]
+
+        s1 = layer(0, np.asarray(x, dtype=np.float64).T[:, :, None])
+        H1 = s1[0]
+        s2 = layer(1, H1 * (H1 > 0.0))
+        last = s2[0][-1] if len(s2[0]) else init[1][0]
+        return last @ params["out.W"].data.T + params["out.b"].data, (s1, s2)
+
+    return Model(kind, w, h, ParamSet(tensors), forward, predict)
 
 
 def build_gru(w: int, h: int, seed: int = 0, hidden=RNN_HIDDEN) -> Model:

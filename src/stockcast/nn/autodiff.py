@@ -206,26 +206,43 @@ def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
 # gradients so dW, db and each block of dU are one matmul or sum over the
 # B*T rows.
 # Work is time-major ([T, B, .]) so every step reads contiguous rows.  The
-# initial state is a constant zero: step 0 skips the recurrent matmul, and
-# no gradient flows into it.
+# forward loops are plain array functions, `gru_forward` and
+# `lstm_forward`, which graph-free prediction calls too.  They start from
+# a given state or, given none, from a zero state, where step 0 skips the
+# recurrent matmul.  The graph ops always start from zero, and no gradient
+# flows into the initial state.  Their backward writes each step's gate
+# gradients over that step's gate values, which it has read by then, so
+# it needs no second [T, B, gates*n] array; a graph's backward runs once.
 
 
-def _seq_setup(x: Tensor, W: Tensor, U: Tensor, b: Tensor, gates: int):
-    """Time-major input [T, B, n_in] and its projection x W^T + b [T, B, gates*n];
-    the ops add the recurrent term to the projection and overwrite it with
-    the gate values step by step."""
-    if x.data.ndim != 3 or U.data.ndim != 2:
-        raise ShapeMismatch(f"sequence layer on x {x.data.shape}, U {U.data.shape}")
-    B, T, n_in = x.data.shape
-    n = U.data.shape[1]
-    if (W.data.shape != (gates * n, n_in) or U.data.shape != (gates * n, n)
-            or b.data.shape != (gates * n,)):
-        raise ShapeMismatch(f"sequence layer W {W.data.shape}, U {U.data.shape}, "
-                            f"b {b.data.shape} for input {x.data.shape}, {gates} gates")
-    xt = x.data.transpose(1, 0, 2).reshape(T * B, n_in)
-    xp = xt @ W.data.T
-    xp += b.data
+def _project(x, W, U, b, gates: int):
+    """The flat time-major input [T*B, n_in] of x [T, B, n_in] and its
+    projection x W^T + b [T, B, gates*n]; the forward loops add the
+    recurrent term to the projection and overwrite it with the gate values
+    step by step."""
+    if x.ndim != 3 or U.ndim != 2:
+        raise ShapeMismatch(f"sequence layer on time-major x {x.shape}, U {U.shape}")
+    T, B, n_in = x.shape
+    n = U.shape[1]
+    if W.shape != (gates * n, n_in) or U.shape != (gates * n, n) or b.shape != (gates * n,):
+        raise ShapeMismatch(f"sequence layer W {W.shape}, U {U.shape}, b {b.shape} "
+                            f"for time-major input {x.shape}, {gates} gates")
+    xt = x.reshape(T * B, n_in)
+    xp = xt @ W.T
+    xp += b
     return xt, xp.reshape(T, B, gates * n), n
+
+
+def _check_state(name: str, state, B: int, n: int):
+    shape = getattr(state, "shape", None)
+    if shape != (B, n):
+        raise ShapeMismatch(f"initial {name} of shape {shape}, expected {(B, n)}")
+
+
+def _time_major(x: Tensor):
+    if x.data.ndim != 3:
+        raise ShapeMismatch(f"sequence layer on x {x.data.shape}, expected [B, T, n_in]")
+    return x.data.transpose(1, 0, 2)
 
 
 def _seq_grads(x: Tensor, W: Tensor, b: Tensor, xt, dA):
@@ -243,6 +260,38 @@ def _outer_sum(dA, inputs, out=None):
                      out=out)
 
 
+def gru_forward(x, W, U, b, h=None):
+    """The GRU layer of `gru_seq` over time-major arrays x [T, B, n_in],
+    from the state h [B, n] (None: zero).
+
+    Returns (H, xt, G, RH): every hidden state H [T, B, n], the flat input
+    xt [T*B, n_in], the gate values G [T, B, 3n] (z, r, h~) and the
+    inputs r * h_prev of U_h, RH [T, B, n] (from step 1 when h is None).
+    """
+    xt, G, n = _project(x, W, U, b, 3)
+    T, B = G.shape[:2]
+    U_zr, U_h = U[:2 * n], U[2 * n:]
+    H = np.empty((T, B, n))
+    RH = np.empty((T, B, n))
+    resume = h is not None
+    if resume:
+        _check_state("h", h, B, n)
+    else:
+        h = np.zeros((B, n))
+    for t in range(T):
+        a = G[t]
+        if t or resume:
+            a[:, :2 * n] = _sigmoid(a[:, :2 * n] + h @ U_zr.T)
+            np.multiply(a[:, n:2 * n], h, out=RH[t])
+            a[:, 2 * n:] = np.tanh(a[:, 2 * n:] + RH[t] @ U_h.T)
+        else:
+            a[:, :2 * n] = _sigmoid(a[:, :2 * n])
+            a[:, 2 * n:] = np.tanh(a[:, 2 * n:])
+        z, h_tilde = a[:, :n], a[:, 2 * n:]
+        h = H[t] = h + z * (h_tilde - h)
+    return H, xt, G, RH
+
+
 def gru_seq(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
     """A GRU layer over whole sequences, from a zero initial state.
 
@@ -256,40 +305,29 @@ def gru_seq(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
         h~ = tanh(W_h x + U_h (r * h) + b_h)
         h' = h + z * (h~ - h)
     """
-    xt, G, n = _seq_setup(x, W, U, b, 3)   # G[t]: z, r, h~
-    T, B = G.shape[:2]
+    H, xt, G, RH = gru_forward(_time_major(x), W.data, U.data, b.data)
+    T, B, n = H.shape
     U_zr, U_h = U.data[:2 * n], U.data[2 * n:]
-    H = np.empty((T, B, n))
-    RH = np.empty((T, B, n))      # r * h_prev, the input of U_h (from step 1)
-    h = np.zeros((B, n))
-    for t in range(T):
-        a = G[t]
-        if t:
-            a[:, :2 * n] = _sigmoid(a[:, :2 * n] + h @ U_zr.T)
-            np.multiply(a[:, n:2 * n], h, out=RH[t])
-            a[:, 2 * n:] = np.tanh(a[:, 2 * n:] + RH[t] @ U_h.T)
-        else:
-            a[:, :2 * n] = _sigmoid(a[:, :2 * n])
-            a[:, 2 * n:] = np.tanh(a[:, 2 * n:])
-        z, h_tilde = a[:, :n], a[:, 2 * n:]
-        h = H[t] = h + z * (h_tilde - h)
 
     def backward(g):
         dH = g.transpose(1, 0, 2)
-        dA = np.empty((T, B, 3 * n))
         dh = np.zeros((B, n))
+        a = np.empty((B, 3 * n))  # step t's pre-activation gradients, kept in G[t]
         for t in range(T - 1, -1, -1):
             dh += dH[t]
             z, r, h_tilde = G[t, :, :n], G[t, :, n:2 * n], G[t, :, 2 * n:]
             h_prev = H[t - 1] if t else 0.0
-            dA[t, :, :n] = dh * (h_tilde - h_prev) * z * (1.0 - z)
-            dA[t, :, 2 * n:] = dh * z * (1.0 - h_tilde * h_tilde)
+            a[:, :n] = dh * (h_tilde - h_prev) * z * (1.0 - z)
+            a[:, 2 * n:] = dh * z * (1.0 - h_tilde * h_tilde)
             if not t:
-                dA[t, :, n:2 * n] = 0.0
+                a[:, n:2 * n] = 0.0
+                G[t] = a
                 break
-            drh = dA[t, :, 2 * n:] @ U_h
-            dA[t, :, n:2 * n] = drh * h_prev * r * (1.0 - r)
-            dh = dh * (1.0 - z) + drh * r + dA[t, :, :2 * n] @ U_zr
+            drh = a[:, 2 * n:] @ U_h
+            a[:, n:2 * n] = drh * h_prev * r * (1.0 - r)
+            dh = dh * (1.0 - z) + drh * r + a[:, :2 * n] @ U_zr
+            G[t] = a
+        dA = G
         _seq_grads(x, W, b, xt, dA)
         dU = np.empty_like(U.data)
         _outer_sum(dA[1:, :, :2 * n], H[:-1], out=dU[:2 * n])
@@ -297,6 +335,38 @@ def gru_seq(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
         _accum(U, dU)
 
     return Tensor(H.transpose(1, 0, 2), (x, W, U, b), backward)
+
+
+def lstm_forward(x, W, U, b, h=None, c=None):
+    """The LSTM layer of `lstm_seq` over time-major arrays x [T, B, n_in],
+    from the state h, c [B, n] (None: zero; both or neither).
+
+    Returns (H, C, xt, G, TC): every hidden state H and cell state C
+    [T, B, n], the flat input xt [T*B, n_in], the gate values G
+    [T, B, 4n] (i, f, o, g) and tanh(C).
+    """
+    xt, G, n = _project(x, W, U, b, 4)
+    T, B = G.shape[:2]
+    C = np.empty((T, B, n))
+    TC = np.empty((T, B, n))
+    H = np.empty((T, B, n))
+    resume = h is not None or c is not None
+    if resume:
+        _check_state("h", h, B, n)
+        _check_state("c", c, B, n)
+    else:
+        h = c = np.zeros((B, n))
+    for t in range(T):
+        a = G[t]
+        if t or resume:
+            a += h @ U.T
+        a[:, :3 * n] = _sigmoid(a[:, :3 * n])
+        a[:, 3 * n:] = np.tanh(a[:, 3 * n:])
+        i, f, o, g = (a[:, k * n:(k + 1) * n] for k in range(4))
+        c = C[t] = f * c + i * g
+        np.tanh(c, out=TC[t])
+        h = H[t] = o * TC[t]
+    return H, C, xt, G, TC
 
 
 def lstm_seq(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
@@ -308,41 +378,29 @@ def lstm_seq(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
         i, f, o = sigmoid(W_. x + U_. h + b_.);  g = tanh(W_g x + U_g h + b_g)
         c' = f * c + i * g;  h' = o * tanh(c')
     """
-    xt, G, n = _seq_setup(x, W, U, b, 4)   # G[t]: i, f, o, g
-    T, B = G.shape[:2]
-    C = np.empty((T, B, n))
-    TC = np.empty((T, B, n))      # tanh(c)
-    H = np.empty((T, B, n))
-    h = c = np.zeros((B, n))
-    for t in range(T):
-        a = G[t]
-        if t:
-            a += h @ U.data.T
-        a[:, :3 * n] = _sigmoid(a[:, :3 * n])
-        a[:, 3 * n:] = np.tanh(a[:, 3 * n:])
-        i, f, o, g = (a[:, k * n:(k + 1) * n] for k in range(4))
-        c = C[t] = f * c + i * g
-        np.tanh(c, out=TC[t])
-        h = H[t] = o * TC[t]
+    H, C, xt, G, TC = lstm_forward(_time_major(x), W.data, U.data, b.data)
+    T, B, n = H.shape
 
     def backward(grad):
         dH = grad.transpose(1, 0, 2)
-        dA = np.empty((T, B, 4 * n))
         dh = np.zeros((B, n))
         dc = np.zeros((B, n))
+        a = np.empty((B, 4 * n))  # step t's pre-activation gradients, kept in G[t]
         for t in range(T - 1, -1, -1):
             dh += dH[t]
             i, f, o, g = (G[t, :, k * n:(k + 1) * n] for k in range(4))
             dc = dc + dh * o * (1.0 - TC[t] * TC[t])
-            dA[t, :, :n] = dc * g
-            dA[t, :, n:2 * n] = dc * C[t - 1] if t else 0.0
-            dA[t, :, 2 * n:3 * n] = dh * TC[t]
+            a[:, :n] = dc * g
+            a[:, n:2 * n] = dc * C[t - 1] if t else 0.0
+            a[:, 2 * n:3 * n] = dh * TC[t]
             s = G[t, :, :3 * n]
-            dA[t, :, :3 * n] *= s * (1.0 - s)
-            dA[t, :, 3 * n:] = dc * i * (1.0 - g * g)
+            a[:, :3 * n] *= s * (1.0 - s)
+            a[:, 3 * n:] = dc * i * (1.0 - g * g)
             if t:
-                dh = dA[t] @ U.data
+                dh = a @ U.data
                 dc = dc * f
+            G[t] = a
+        dA = G
         _seq_grads(x, W, b, xt, dA)
         _accum(U, _outer_sum(dA[1:], H[:-1]))
 

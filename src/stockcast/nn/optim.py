@@ -32,8 +32,19 @@ class Adam:
         self.m = {k: np.zeros(p.data.size) for k, p in params.items()}
         self.v = {k: np.zeros(p.data.size) for k, p in params.items()}
         # two block-sized scratch arrays, shared by every parameter and step
-        self._a = np.empty(_BLOCK)
-        self._d = np.empty(_BLOCK)
+        a, d = np.empty(_BLOCK), np.empty(_BLOCK)
+        # each parameter's blocks, sliced once: (offset, then views of its
+        # flat data, m, v and the scratch arrays over the block).  p.data
+        # is C-contiguous (ParamSet checks it), so its flat reshape is a
+        # view the update writes through
+        self._blocks = {}
+        for k, p in params.items():
+            flat_p, m, v = p.data.reshape(-1), self.m[k], self.v[k]
+            self._blocks[k] = blocks = []
+            for lo in range(0, flat_p.size, _BLOCK):
+                pb = flat_p[lo:lo + _BLOCK]
+                blocks.append((lo, pb, m[lo:lo + _BLOCK], v[lo:lo + _BLOCK],
+                               a[:pb.size], d[:pb.size]))
 
     def step(self):
         """One update in place: the class formula's operations in its
@@ -49,14 +60,11 @@ class Adam:
                 g = np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ShapeMismatch(f"gradient shape for {name}: {g.shape} vs {p.data.shape}")
-            # p.data is C-contiguous (ParamSet checks it), so its flat
-            # reshape is a view the update writes through
-            flat_p, flat_g = p.data.reshape(-1), g.reshape(-1)
-            flat_m, flat_v = self.m[name], self.v[name]
-            for lo in range(0, flat_p.size, _BLOCK):
-                hi = lo + _BLOCK
-                pb, gb, m, v = flat_p[lo:hi], flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
-                a, d = self._a[:pb.size], self._d[:pb.size]
+            flat_g = g.reshape(-1)
+            blocks = self._blocks[name]
+            for lo, pb, m, v, a, d in blocks:
+                # a parameter of one block reads its whole gradient
+                gb = flat_g[lo:lo + _BLOCK] if len(blocks) > 1 else flat_g
                 m *= self.beta1
                 m += np.multiply(1.0 - self.beta1, gb, out=a)
                 v *= self.beta2

@@ -4,7 +4,9 @@ Windows are rows of a [N, w] array.  Single-step forecasting is h = 1.
 Direct multi-step: one model call maps every window to all h future
 values.  Iterative multi-step: a single-output model is applied
 recursively, feeding its own predictions back in; once more than w steps
-have been predicted the input consists of predictions only.
+have been predicted the input consists of predictions only.  A recurrent
+model resumes each of those calls from the state its true values already
+reached in another window, and runs only the predictions.
 """
 
 from __future__ import annotations
@@ -14,14 +16,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArityMismatch, WindowTooLarge
 
-# Origins per batched model call in rolling_test_forecast.  Evaluation
-# still builds the autodiff graph, so its memory grows with the batch: at
-# w=30 h=7, one batch of all 496 origins of a 532-point test series peaks
-# at 402 MB RSS (GRU) and 488 MB (LSTM), chunks of 32 at 126 MB and
-# 133 MB, of which about 104 MB is the interpreter and its imports.  A
-# chunk of 32 keeps the evaluation graph no larger than a default
-# training step's graph.
+# Origins per batched model call in rolling_test_forecast.  Memory grows
+# with the batch: at w=30 h=7, iterative evaluation of all 496 origins of
+# a 532-point test series in one batch peaks at 197 MB RSS (GRU) and
+# 257 MB (LSTM) on the graph-free path (314 MB and 404 MB through the
+# graph), chunks of 32 at 54 MB and 60 MB, of which about 39 MB is the
+# interpreter and its imports.  A chunk of 32 keeps an evaluation batch
+# no larger than a default training batch.
 EVAL_CHUNK = 32
+
+# The fewest origins a chunk needs to be forecast by `_resumed_iterative`;
+# a smaller chunk (only the last of a series can be) runs the plain loop.
+# The resumed path multiplies a row in a batch of other rows than the
+# plain loop does, which gives the same bits only where OpenBLAS uses the
+# same kernel for both batches.  For every recurrent matmul at the
+# production widths it does from 10 rows up; below that it switches to
+# kernels for small batches (for the 128-unit GRU layer's U_h [128, 128]
+# at 9 rows and fewer; OpenBLAS 0.3.31, Haswell kernels).
+RESUME_MIN_ORIGINS = 10
 
 
 class FunctionModel:
@@ -63,6 +75,13 @@ def make_samples(values, w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     return blocks[:, :w], blocks[:, w:]
 
 
+def _checked(out, shape) -> np.ndarray:
+    out = np.asarray(out, dtype=np.float64)
+    if out.shape != shape:
+        raise ArityMismatch(f"model returned shape {out.shape}, expected {shape}")
+    return out
+
+
 def forecast(model, windows, h: int, strategy: str) -> np.ndarray:
     """Forecast h steps from every row of `windows` [N, w]; returns [N, h].
 
@@ -75,21 +94,51 @@ def forecast(model, windows, h: int, strategy: str) -> np.ndarray:
         raise ValueError(f"unknown strategy {strategy!r}")
     windows = np.asarray(windows, dtype=np.float64)
     n, w = windows.shape
-    width = h if strategy == "direct" else 1
-
-    def call(x):
-        out = np.asarray(model(x), dtype=np.float64)
-        if out.shape != (n, width):
-            raise ArityMismatch(f"model returned shape {out.shape}, expected {(n, width)}")
-        return out
-
     if strategy == "direct":
-        return call(windows)
+        return _checked(model(windows), (n, h))
     history = np.empty((n, w + h))
     history[:, :w] = windows
     for j in range(h):
-        history[:, w + j] = call(history[:, j:j + w])[:, 0]
+        history[:, w + j] = _checked(model(history[:, j:j + w]), (n, 1))[:, 0]
     return history[:, w:]
+
+
+def _resumed_iterative(model, values, starts, w: int, h: int) -> np.ndarray:
+    """What `forecast(model, windows, h, "iterative")` returns for the
+    windows values[k:k+w], k in `starts` [N], for a model with `predict`.
+
+    Call j < w of the window at k reads the w - j true values from k + j
+    on, then j predictions.  Every start k + j runs once over its true
+    values, and call j resumes from that start's states after w - j
+    steps.  Then, in round r, every call j > r not yet done runs one step
+    over prediction r, all in one batch, and call r + 1 is done.  So call
+    j runs its j predictions only.  A call j >= w reads predictions only
+    and runs all w of them from a zero state.
+    """
+    if model.w != w:
+        raise ArityMismatch(f"model window {model.w}, forecast window {w}")
+    n, m = len(starts), min(h, w)
+    needed = sorted({k + j for k in starts.tolist() for j in range(m)})
+    _, prefix = model.predict(sliding_window_view(values, w)[needed])
+    # row j*n + i is call j of window i: start starts[i] + j after w - j
+    # steps (index lists in plain Python: a chunk has at most 32 * w)
+    row = {k: i for i, k in enumerate(needed)}
+    rows = [row[k + j] for j in range(m) for k in starts.tolist()]
+    steps = np.repeat(w - 1 - np.arange(m), n)
+    state = [tuple(s[steps, rows] for s in layer) for layer in prefix]
+    del prefix
+    P = np.empty((n, h))
+    for r in range(m):
+        # call r is done: the output head reads its state
+        y = model.predict(P[:, :0], [tuple(s[:n] for s in layer) for layer in state])[0]
+        P[:, r] = _checked(y, (n, 1))[:, 0]
+        if r + 1 < m:
+            _, out = model.predict(np.tile(P[:, r:r + 1], (m - r - 1, 1)),
+                                   [tuple(s[n:] for s in layer) for layer in state])
+            state = [tuple(s[-1] for s in layer) for layer in out]
+    for j in range(w, h):
+        P[:, j] = _checked(model.predict(P[:, j - w:j])[0], (n, 1))[:, 0]
+    return P
 
 
 def rolling_test_forecast(model, test_values, w: int, h: int,
@@ -100,11 +149,53 @@ def rolling_test_forecast(model, test_values, w: int, h: int,
     Every origin's input window holds true observed values; predictions
     are never reused across origins.  Returns (origins [N], predictions
     [N, h], targets [N, h]), where an origin counts the observed points
-    preceding its forecast (the 0-based index of its first predicted point).
+    preceding its forecast (the 0-based index of its first predicted
+    point).  A model with `predict` forecasts iteratively by
+    `_resumed_iterative`, any other model and strategy by `forecast`.
     """
     X, Y = make_samples(test_values, w, h)
     X, Y = X[::origin_stride], Y[::origin_stride]
     origins = w + origin_stride * np.arange(len(X))
-    predictions = np.concatenate([forecast(model, X[k:k + EVAL_CHUNK], h, strategy)
-                                  for k in range(0, len(X), EVAL_CHUNK)])
+    resume = strategy == "iterative" and getattr(model, "resumable", False)
+    values = np.asarray(test_values, dtype=np.float64)
+
+    def chunk(k):
+        starts = origins[k:k + EVAL_CHUNK] - w
+        if resume and len(starts) >= RESUME_MIN_ORIGINS:
+            return _resumed_iterative(model, values, starts, w, h)
+        return forecast(model, X[k:k + EVAL_CHUNK], h, strategy)
+
+    predictions = np.concatenate([chunk(k) for k in range(0, len(X), EVAL_CHUNK)])
     return origins, predictions, np.array(Y)
+
+
+def rolling_forecasts(model, test_values, w: int, horizons, strategy: str = "direct",
+                      origin_stride: int = 1) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`rolling_test_forecast` at each of `horizons` (a direct model has
+    one), forecasting once where the horizons can share it.
+
+    The chunks of origins that every horizon has in full are forecast
+    once, at the longest horizon; call j of an origin reads no later
+    call, so each horizon takes the first h columns.  The origins after
+    them are forecast per horizon.  Every row is thus forecast in the
+    batch `rolling_test_forecast` puts it in, so a model whose matmuls
+    round a row by its batch (a dense layer with few outputs does) gives
+    the same bits.
+    """
+    values = np.asarray(test_values, dtype=np.float64)
+    h_max = max(horizons)
+    n_max = -(-(len(values) - w - h_max + 1) // origin_stride)  # origins at h_max
+    shared = max(0, n_max - n_max % EVAL_CHUNK)
+    first = origin_stride * shared  # the start of the first origin after them
+    if shared:
+        head = rolling_test_forecast(model, values[:first - origin_stride + w + h_max], w,
+                                     h_max, strategy, origin_stride)[1]
+    out = []
+    for h in horizons:
+        Y = make_samples(values, w, h)[1][::origin_stride]
+        parts = [head[:, :h]] if shared else []
+        if len(Y) > shared:
+            parts.append(rolling_test_forecast(model, values[first:], w, h, strategy,
+                                               origin_stride)[1])
+        out.append((w + origin_stride * np.arange(len(Y)), np.concatenate(parts), np.array(Y)))
+    return out

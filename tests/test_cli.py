@@ -322,6 +322,21 @@ def test_dm_rejects_unusable_output_dir_before_reading(tmp_path, capsys, monkeyp
     assert calls == []
 
 
+@pytest.mark.parametrize("output,named", [("{tmp}", "{tmp}"), ("", "''")],
+                         ids=["a_directory", "empty"])
+def test_dm_rejects_output_naming_no_file_before_reading(tmp_path, capsys, monkeypatch,
+                                                        output, named):
+    calls = []
+    monkeypatch.setattr(cli, "dm_csv_text", lambda *args, **kwargs: calls.append(args) or "")
+    errors = synthetic_run_errors(tmp_path / "run_errors.csv")
+    output, named = output.format(tmp=tmp_path), named.format(tmp=tmp_path)
+    assert main(["dm", "--errors", errors, "--output", output]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --output {named} ")
+    assert ".tmp" not in err.replace(str(tmp_path), "")
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["dm", "--errors", "{dir}", "--output", "{dir}/dm.csv"],
     ["run", "--config", "{dir}"],

@@ -253,6 +253,45 @@ def test_seq_op_rejects_wrong_shapes(kind):
         seq(Tensor(x.data[:, :, :1]), W, U, b)
 
 
+# array forward and the number of state arrays a layer carries (h; h and c)
+SEQ_FORWARDS = {"GRU": (ad.gru_forward, 1), "LSTM": (ad.lstm_forward, 2)}
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+def test_seq_forward_without_state_is_the_graph_op(kind):
+    rng = np.random.default_rng(23)
+    x, W, U, b = seq_tensors(rng, kind, 4, 6, 3, 5)
+    H = SEQ_OPS[kind][0](x, W, U, b).data
+    got = SEQ_FORWARDS[kind][0](x.data.transpose(1, 0, 2), W.data, U.data, b.data)[0]
+    assert np.array_equal(got.transpose(1, 0, 2), H)
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+@pytest.mark.parametrize("split", [1, 3, 5])
+def test_seq_forward_resumed_from_a_state_is_the_whole_run(kind, split):
+    rng = np.random.default_rng(24)
+    x, W, U, b = (t.data for t in seq_tensors(rng, kind, 4, 6, 3, 5))
+    xt = x.transpose(1, 0, 2)
+    fwd, n_state = SEQ_FORWARDS[kind]
+    whole = fwd(xt, W, U, b)[:n_state]
+    first = fwd(xt[:split], W, U, b)[:n_state]
+    second = fwd(xt[split:], W, U, b, *(s[-1] for s in first))[:n_state]
+    for w_, f_, s_ in zip(whole, first, second):
+        assert np.array_equal(np.concatenate([f_, s_]), w_)
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+def test_seq_forward_rejects_wrong_state(kind):
+    rng = np.random.default_rng(25)
+    x, W, U, b = (t.data for t in seq_tensors(rng, kind, 4, 6, 3, 5))
+    fwd, n_state = SEQ_FORWARDS[kind]
+    with pytest.raises(ShapeMismatch):
+        fwd(x.transpose(1, 0, 2), W, U, b, *[np.zeros((3, 5))] * n_state)
+    if n_state == 2:
+        with pytest.raises(ShapeMismatch):  # h without c
+            fwd(x.transpose(1, 0, 2), W, U, b, np.zeros((4, 5)))
+
+
 def zero_seq_params(kind, n_in=2, n=3):
     gates = SEQ_OPS[kind][1]
     return (Tensor(np.zeros((gates * n, n_in))), Tensor(np.zeros((gates * n, n))),

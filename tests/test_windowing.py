@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,16 @@ import pytest
 from stockcast.config import ExperimentConfig
 from stockcast.errors import ArityMismatch, WindowTooLarge
 from stockcast.experiment import CellResult, RunResult
+from stockcast.models import build_model, build_surrogate
+from stockcast.nn import autodiff as ad
+from stockcast.nn.autodiff import Tensor
 from stockcast.runner import traces_json_text
 from stockcast.windowing import (
+    RESUME_MIN_ORIGINS,
     FunctionModel,
     forecast,
     make_samples,
+    rolling_forecasts,
     rolling_test_forecast,
 )
 
@@ -197,6 +203,96 @@ def test_trace_json_shape():
     assert record["traces"] == [
         {"origin": 2, "predictions": [2.0, 2.0], "targets": [1.5, 2.5]},
         {"origin": 3, "predictions": [1.5, 1.5], "targets": [2.5, 3.0]}]
+
+
+# --- resumed iterative forecasts of the recurrent models ------------------------
+
+def through_graph(model):
+    """The plain iterative loop's model: every call runs Model.forward."""
+    return lambda windows: model.forward(Tensor(windows)).data
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+@pytest.mark.parametrize("w,h", [(5, 1), (5, 3), (10, 14), (30, 7)])
+# 45 origins: chunks of 32 and 13, both resumed; 36: the chunk of 4 runs the plain loop
+@pytest.mark.parametrize("stride,n_origins", [(1, 45), (3, 36)])
+def test_resumed_iterative_equals_plain_loop(kind, w, h, stride, n_origins):
+    values = np.random.default_rng((w, h, stride)).uniform(0, 1, w + h + stride * (n_origins - 1))
+    model = build_model(kind, w, 1, seed=w + h)
+    got = rolling_test_forecast(model, values, w, h, "iterative", stride)
+    want = rolling_test_forecast(through_graph(model), values, w, h, "iterative", stride)
+    assert len(got[0]) == n_origins
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+def test_resumed_call_runs_only_its_predictions(kind, monkeypatch):
+    # layer-1 calls of the array forward, in order: T steps over B rows
+    name = "gru_forward" if kind == "GRU" else "lstm_forward"
+    original, runs = getattr(ad, name), []
+
+    def counting(x, *args):
+        if x.shape[2] == 1:
+            runs.append(x.shape[:2])
+        return original(x, *args)
+
+    monkeypatch.setattr(ad, name, counting)
+    w, h, n = 4, 7, RESUME_MIN_ORIGINS
+    model = build_surrogate(kind, w, 1, seed=1)
+    rolling_test_forecast(model, np.linspace(0.0, 1.0, w + h + n - 1), w, h, "iterative")
+    # one run of every start over its w true values (the n origins and the
+    # next w - 1 starts); then round r reads call r's state (0 steps) and
+    # steps the w - 1 - r calls after it over prediction r in one batch,
+    # so call j < w runs j steps; a call j >= w runs w
+    rounds = [[(0, n)] + ([(1, (w - 1 - r) * n)] if r < w - 1 else []) for r in range(w)]
+    assert runs == [(w, n + w - 1)] + sum(rounds, []) + [(w, n)] * (h - w)
+    resumed = sum(t * b for t, b in runs[1:len(runs) - (h - w)])
+    assert resumed == n * sum(range(w))
+
+
+def test_resumed_iterative_peaks_no_higher_than_the_graph():
+    w, h = 30, 7
+    values = np.random.default_rng(9).uniform(0, 1, w + h + 99)  # 100 origins
+    model = build_model("GRU", w, 1, seed=3)
+    peaks = []
+    for m in (through_graph(model), model):
+        tracemalloc.start()
+        try:
+            rolling_test_forecast(m, values, w, h, "iterative")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0], peaks
+
+
+def test_resumed_iterative_rejects_another_window():
+    model = build_surrogate("GRU", 4, 1)
+    with pytest.raises(ArityMismatch):
+        rolling_test_forecast(model, np.zeros(40), 5, 3, "iterative")
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_rolling_forecasts_equal_one_forecast_per_horizon(stride):
+    # 150 values, w=8: at stride 1 the horizons have 140, 136 and 131
+    # origins, so the last chunks hold 12, 8 and 3 of them past the 128
+    # forecast once
+    values = np.random.default_rng(stride).uniform(0, 1, 150)
+    w, horizons = 8, (3, 7, 12)
+    gru = build_model("GRU", w, 1, seed=1)
+    got = rolling_forecasts(gru, values, w, horizons, "iterative", stride)
+    for h, forecast_h in zip(horizons, got):
+        want = rolling_test_forecast(through_graph(gru), values, w, h, "iterative", stride)
+        for a, b in zip(forecast_h, want):
+            assert np.array_equal(a, b)
+    shared, per_horizon = (FunctionModel(lambda x: 0.9 * x[-1] + 0.1 * x.mean(), w)
+                           for _ in range(2))
+    got = rolling_forecasts(shared, values, w, horizons, "iterative", stride)
+    for h, forecast_h in zip(horizons, got):
+        want = rolling_test_forecast(per_horizon, values, w, h, "iterative", stride)
+        for a, b in zip(forecast_h, want):
+            assert np.array_equal(a, b)
+    assert shared.n_calls < per_horizon.n_calls
 
 
 # brute-force index-enumeration oracles, kept deliberately naive
