@@ -133,8 +133,8 @@ def run_model(train_values, test_values, kind: str, w: int, cfg: TrainConfig, st
     The direct strategy trains an h-output model, so `horizons` must be
     (h,).  The iterative strategy trains a single-output model and feeds
     its predictions back in; nothing in that depends on h, so one model
-    serves every horizon, and `rolling_forecasts` forecasts them together
-    where it can.  Returns one RunResult per horizon, with the
+    serves every horizon, and `rolling_forecasts` forecasts them all at
+    once.  Returns one RunResult per horizon, with the
     rolling-origin test MSE in normalized space, or None if training
     diverged.
     """

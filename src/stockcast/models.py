@@ -24,12 +24,26 @@ CNN_DENSE = 32
 CNN_KERNEL = 3
 RNN_HIDDEN = (256, 128)
 
+# Evaluation batches are padded with zero rows to a multiple of this.  BLAS
+# rounds a matmul row by the kernel its batch's row count selects; padded,
+# a row of any of the four models gives the same bits in any batch of up to
+# 32 rows (the recurrent ones in larger batches too) under OpenBLAS 0.3.31's
+# SkylakeX, Haswell and Sandybridge kernels.
+PAD_ROWS = 16
+
+
+def _pad_rows(a: np.ndarray) -> np.ndarray:
+    """a [n, ...] with zero rows appended up to a multiple of PAD_ROWS."""
+    pad = -len(a) % PAD_ROWS
+    return np.concatenate([a, np.zeros((pad, *a.shape[1:]))]) if pad else a
+
 
 class Model:
     """A differentiable map from a length-w window to h outputs.
 
     A recurrent model also has a graph-free `predict`, which `__call__`
-    uses and which can start from given per-layer states.
+    uses and which can start from given per-layer states.  `__call__` and
+    `predict` pad their batch to a multiple of PAD_ROWS rows.
     """
 
     def __init__(self, kind: str, w: int, h: int, params: ParamSet, forward_fn,
@@ -40,11 +54,7 @@ class Model:
         self.params = params
         self._forward = forward_fn
         self._predict = predict_fn
-
-    @property
-    def resumable(self) -> bool:
-        """True when `predict` exists (GRU, LSTM)."""
-        return self._predict is not None
+        self.resumable = predict_fn is not None  # GRU, LSTM: `predict` exists
 
     def _check_window(self, shape):
         if len(shape) != 2 or shape[1] != self.w:
@@ -64,15 +74,18 @@ class Model:
         layer's per-step states, (H,) or (H, C), each [T, batch, n].  With
         T = 0 the output head reads the initial state of the last layer.
         """
-        return self._predict(x, self.params, init)
+        x = np.asarray(x, dtype=np.float64)
+        init = init and [tuple(_pad_rows(s) for s in layer) for layer in init]
+        y, states = self._predict(_pad_rows(x), self.params, init)
+        return y[:len(x)], [tuple(s[:, :len(x)] for s in layer) for layer in states]
 
     def __call__(self, windows) -> np.ndarray:
         """Numpy-in, numpy-out prediction: windows [N, w] -> [N, h]."""
-        if not self.resumable:
-            return self.forward(Tensor(windows)).data
         windows = np.asarray(windows, dtype=np.float64)
         self._check_window(windows.shape)
-        return self.predict(windows)[0]
+        if self.resumable:
+            return self.predict(windows)[0]
+        return self.forward(Tensor(_pad_rows(windows))).data[:len(windows)]
 
     def n_params(self) -> int:
         return self.params.n_scalars()
@@ -210,7 +223,7 @@ def _build_recurrent(kind: str, w: int, h: int, seed: int, hidden) -> Model:
             W, U, b = (params[f"r{i}.{k}"].data for k in "WUb")
             return run(inputs, W, U, b, *init[i])[:n_state]
 
-        s1 = layer(0, np.asarray(x, dtype=np.float64).T[:, :, None])
+        s1 = layer(0, x.T[:, :, None])
         H1 = s1[0]
         s2 = layer(1, H1 * (H1 > 0.0))
         last = s2[0][-1] if len(s2[0]) else init[1][0]

@@ -17,23 +17,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ArityMismatch, WindowTooLarge
 
 # Origins per batched model call in rolling_test_forecast.  Memory grows
-# with the batch: at w=30 h=7, iterative evaluation of all 496 origins of
-# a 532-point test series in one batch peaks at 197 MB RSS (GRU) and
-# 257 MB (LSTM) on the graph-free path (314 MB and 404 MB through the
-# graph), chunks of 32 at 54 MB and 60 MB, of which about 39 MB is the
-# interpreter and its imports.  A chunk of 32 keeps an evaluation batch
-# no larger than a default training batch.
+# with the batch: at w=30 h=7, iterative evaluation of all 496 origins of a
+# 532-point test series in one batch peaks at 197 MB RSS (GRU) and 257 MB
+# (LSTM), in chunks of 32 at 54 and 60 MB, about 39 MB of it the
+# interpreter and its imports.  It must be a multiple of `models.PAD_ROWS`
+# and at most 32: even padded, CNN rows are not batch-invariant above 32
+# rows (in batches of 48 to 96, 5 to 8 of the first 16 rows differ at
+# w = 5, 8 and 30; OpenBLAS 0.3.31, SkylakeX kernels).
 EVAL_CHUNK = 32
-
-# The fewest origins a chunk needs to be forecast by `_resumed_iterative`;
-# a smaller chunk (only the last of a series can be) runs the plain loop.
-# The resumed path multiplies a row in a batch of other rows than the
-# plain loop does, which gives the same bits only where OpenBLAS uses the
-# same kernel for both batches.  For every recurrent matmul at the
-# production widths it does from 10 rows up; below that it switches to
-# kernels for small batches (for the 128-unit GRU layer's U_h [128, 128]
-# at 9 rows and fewer; OpenBLAS 0.3.31, Haswell kernels).
-RESUME_MIN_ORIGINS = 10
 
 
 class FunctionModel:
@@ -119,12 +110,19 @@ def _resumed_iterative(model, values, starts, w: int, h: int) -> np.ndarray:
         raise ArityMismatch(f"model window {model.w}, forecast window {w}")
     n, m = len(starts), min(h, w)
     needed = sorted({k + j for k in starts.tolist() for j in range(m)})
-    _, prefix = model.predict(sliding_window_view(values, w)[needed])
+    windows = sliding_window_view(values, w)[needed]
+    # only the states of the last m steps are read: the first w - m steps
+    # run apart and keep only their final states, to hold fewer at once
+    init = None
+    if w > m:
+        init = [tuple(s[-1].copy() for s in layer)
+                for layer in model.predict(windows[:, :w - m])[1]]
+    _, prefix = model.predict(windows[:, w - m:], init)
     # row j*n + i is call j of window i: start starts[i] + j after w - j
     # steps (index lists in plain Python: a chunk has at most 32 * w)
     row = {k: i for i, k in enumerate(needed)}
     rows = [row[k + j] for j in range(m) for k in starts.tolist()]
-    steps = np.repeat(w - 1 - np.arange(m), n)
+    steps = np.repeat(m - 1 - np.arange(m), n)
     state = [tuple(s[steps, rows] for s in layer) for layer in prefix]
     del prefix
     P = np.empty((n, h))
@@ -156,46 +154,32 @@ def rolling_test_forecast(model, test_values, w: int, h: int,
     X, Y = make_samples(test_values, w, h)
     X, Y = X[::origin_stride], Y[::origin_stride]
     origins = w + origin_stride * np.arange(len(X))
-    resume = strategy == "iterative" and getattr(model, "resumable", False)
-    values = np.asarray(test_values, dtype=np.float64)
-
-    def chunk(k):
-        starts = origins[k:k + EVAL_CHUNK] - w
-        if resume and len(starts) >= RESUME_MIN_ORIGINS:
-            return _resumed_iterative(model, values, starts, w, h)
-        return forecast(model, X[k:k + EVAL_CHUNK], h, strategy)
-
-    predictions = np.concatenate([chunk(k) for k in range(0, len(X), EVAL_CHUNK)])
-    return origins, predictions, np.array(Y)
+    if strategy == "iterative" and getattr(model, "resumable", False):
+        values = np.asarray(test_values, dtype=np.float64)
+        parts = [_resumed_iterative(model, values, origins[k:k + EVAL_CHUNK] - w, w, h)
+                 for k in range(0, len(X), EVAL_CHUNK)]
+    else:
+        parts = [forecast(model, X[k:k + EVAL_CHUNK], h, strategy)
+                 for k in range(0, len(X), EVAL_CHUNK)]
+    return origins, np.concatenate(parts), np.array(Y)
 
 
 def rolling_forecasts(model, test_values, w: int, horizons, strategy: str = "direct",
                       origin_stride: int = 1) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """`rolling_test_forecast` at each of `horizons` (a direct model has
-    one), forecasting once where the horizons can share it.
+    one), from one forecast at the longest horizon.
 
-    The chunks of origins that every horizon has in full are forecast
-    once, at the longest horizon; call j of an origin reads no later
-    call, so each horizon takes the first h columns.  The origins after
-    them are forecast per horizon.  Every row is thus forecast in the
-    batch `rolling_test_forecast` puts it in, so a model whose matmuls
-    round a row by its batch (a dense layer with few outputs does) gives
-    the same bits.
+    That forecast covers the origins of the shortest horizon.  Call j of
+    an origin reads no later call, and a model's row does not depend on
+    its batch (it pads every batch), so each horizon takes the first rows
+    and the first h columns of it, and its targets from the series.
     """
     values = np.asarray(test_values, dtype=np.float64)
-    h_max = max(horizons)
-    n_max = -(-(len(values) - w - h_max + 1) // origin_stride)  # origins at h_max
-    shared = max(0, n_max - n_max % EVAL_CHUNK)
-    first = origin_stride * shared  # the start of the first origin after them
-    if shared:
-        head = rolling_test_forecast(model, values[:first - origin_stride + w + h_max], w,
-                                     h_max, strategy, origin_stride)[1]
-    out = []
-    for h in horizons:
-        Y = make_samples(values, w, h)[1][::origin_stride]
-        parts = [head[:, :h]] if shared else []
-        if len(Y) > shared:
-            parts.append(rolling_test_forecast(model, values[first:], w, h, strategy,
-                                               origin_stride)[1])
-        out.append((w + origin_stride * np.arange(len(Y)), np.concatenate(parts), np.array(Y)))
-    return out
+    h_min, h_max = min(horizons), max(horizons)
+    # a forecast at h_max from the last origins of h_min reads no value past
+    # the series, but the resumed prefix runs its windows over the zeros
+    # appended here and then uses none of their states
+    padded = np.concatenate([values, np.zeros(h_max - h_min)])
+    origins, P, _ = rolling_test_forecast(model, padded, w, h_max, strategy, origin_stride)
+    targets = [np.array(make_samples(values, w, h)[1][::origin_stride]) for h in horizons]
+    return [(origins[:len(Y)], P[:len(Y), :h], Y) for h, Y in zip(horizons, targets)]

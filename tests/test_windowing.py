@@ -7,12 +7,11 @@ import pytest
 from stockcast.config import ExperimentConfig
 from stockcast.errors import ArityMismatch, WindowTooLarge
 from stockcast.experiment import CellResult, RunResult
-from stockcast.models import build_model, build_surrogate
+from stockcast.models import PAD_ROWS, build_model, build_surrogate
 from stockcast.nn import autodiff as ad
 from stockcast.nn.autodiff import Tensor
 from stockcast.runner import traces_json_text
 from stockcast.windowing import (
-    RESUME_MIN_ORIGINS,
     FunctionModel,
     forecast,
     make_samples,
@@ -205,22 +204,45 @@ def test_trace_json_shape():
         {"origin": 3, "predictions": [1.5, 1.5], "targets": [2.5, 3.0]}]
 
 
-# --- resumed iterative forecasts of the recurrent models ------------------------
+# --- padded evaluation batches and resumed iterative forecasts ------------------
 
 def through_graph(model):
-    """The plain iterative loop's model: every call runs Model.forward."""
+    """The plain iterative loop's model, unpadded: every call runs Model.forward."""
     return lambda windows: model.forward(Tensor(windows)).data
+
+
+def plain(model):
+    """The plain iterative loop's model: every call runs the padded Model.__call__."""
+    return lambda windows: model(windows)
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+@pytest.mark.parametrize("rows", [16, 32])
+def test_padded_call_is_the_graph_forward_on_whole_pads(kind, rows):
+    model = build_model(kind, 10, 1, seed=2)
+    windows = np.random.default_rng(rows).uniform(0, 1, (rows, 10))
+    assert np.array_equal(model(windows), model.forward(Tensor(windows)).data)
+
+
+@pytest.mark.parametrize("kind", ["MLP", "CNN", "GRU", "LSTM"])
+def test_evaluation_rows_do_not_depend_on_their_batch(kind):
+    w = 8
+    model = build_model(kind, w, 3 if kind in ("MLP", "CNN") else 1, seed=4)
+    windows = np.random.default_rng(4).uniform(0, 1, (32, w))
+    full = model(windows)
+    for n in range(1, 33):
+        assert np.array_equal(model(windows[:n]), full[:n]), n
 
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
 @pytest.mark.parametrize("w,h", [(5, 1), (5, 3), (10, 14), (30, 7)])
-# 45 origins: chunks of 32 and 13, both resumed; 36: the chunk of 4 runs the plain loop
+# 45 origins: chunks of 32 and 13; 36: chunks of 32 and 4
 @pytest.mark.parametrize("stride,n_origins", [(1, 45), (3, 36)])
 def test_resumed_iterative_equals_plain_loop(kind, w, h, stride, n_origins):
     values = np.random.default_rng((w, h, stride)).uniform(0, 1, w + h + stride * (n_origins - 1))
     model = build_model(kind, w, 1, seed=w + h)
     got = rolling_test_forecast(model, values, w, h, "iterative", stride)
-    want = rolling_test_forecast(through_graph(model), values, w, h, "iterative", stride)
+    want = rolling_test_forecast(plain(model), values, w, h, "iterative", stride)
     assert len(got[0]) == n_origins
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -238,23 +260,28 @@ def test_resumed_call_runs_only_its_predictions(kind, monkeypatch):
         return original(x, *args)
 
     monkeypatch.setattr(ad, name, counting)
-    w, h, n = 4, 7, RESUME_MIN_ORIGINS
+    w, h, n = 4, 7, 10
     model = build_surrogate(kind, w, 1, seed=1)
     rolling_test_forecast(model, np.linspace(0.0, 1.0, w + h + n - 1), w, h, "iterative")
     # one run of every start over its w true values (the n origins and the
     # next w - 1 starts); then round r reads call r's state (0 steps) and
     # steps the w - 1 - r calls after it over prediction r in one batch,
-    # so call j < w runs j steps; a call j >= w runs w
-    rounds = [[(0, n)] + ([(1, (w - 1 - r) * n)] if r < w - 1 else []) for r in range(w)]
-    assert runs == [(w, n + w - 1)] + sum(rounds, []) + [(w, n)] * (h - w)
-    resumed = sum(t * b for t, b in runs[1:len(runs) - (h - w)])
-    assert resumed == n * sum(range(w))
+    # so call j < w runs j steps; a call j >= w runs w.  Every batch is
+    # padded to a multiple of PAD_ROWS rows.
+    def pad(b):
+        return -(-b // PAD_ROWS) * PAD_ROWS
+
+    rounds = [[(0, pad(n))] + ([(1, pad((w - 1 - r) * n))] if r < w - 1 else [])
+              for r in range(w)]
+    assert runs == [(w, pad(n + w - 1))] + sum(rounds, []) + [(w, pad(n))] * (h - w)
 
 
-def test_resumed_iterative_peaks_no_higher_than_the_graph():
-    w, h = 30, 7
-    values = np.random.default_rng(9).uniform(0, 1, w + h + 99)  # 100 origins
-    model = build_model("GRU", w, 1, seed=3)
+# (90, 28) over one chunk: the default grid's longest window and horizon
+@pytest.mark.parametrize("kind,w,h,n_origins", [("GRU", 30, 7, 100), ("GRU", 90, 28, 32),
+                                                ("LSTM", 90, 28, 32)])
+def test_resumed_iterative_peaks_no_higher_than_the_graph(kind, w, h, n_origins):
+    values = np.random.default_rng(9).uniform(0, 1, w + h + n_origins - 1)
+    model = build_model(kind, w, 1, seed=3)
     peaks = []
     for m in (through_graph(model), model):
         tracemalloc.start()
@@ -275,16 +302,17 @@ def test_resumed_iterative_rejects_another_window():
 @pytest.mark.parametrize("stride", [1, 3])
 def test_rolling_forecasts_equal_one_forecast_per_horizon(stride):
     # 150 values, w=8: at stride 1 the horizons have 140, 136 and 131
-    # origins, so the last chunks hold 12, 8 and 3 of them past the 128
-    # forecast once
+    # origins; one forecast at h=12 over the 140 serves all three, so its
+    # last chunk holds 12 origins where h=12 alone has 3
     values = np.random.default_rng(stride).uniform(0, 1, 150)
     w, horizons = 8, (3, 7, 12)
-    gru = build_model("GRU", w, 1, seed=1)
-    got = rolling_forecasts(gru, values, w, horizons, "iterative", stride)
-    for h, forecast_h in zip(horizons, got):
-        want = rolling_test_forecast(through_graph(gru), values, w, h, "iterative", stride)
-        for a, b in zip(forecast_h, want):
-            assert np.array_equal(a, b)
+    for kind in ("MLP", "CNN", "GRU", "LSTM"):
+        model = build_model(kind, w, 1, seed=1)
+        got = rolling_forecasts(model, values, w, horizons, "iterative", stride)
+        for h, forecast_h in zip(horizons, got):
+            want = rolling_test_forecast(plain(model), values, w, h, "iterative", stride)
+            for a, b in zip(forecast_h, want):
+                assert np.array_equal(a, b), (kind, h)
     shared, per_horizon = (FunctionModel(lambda x: 0.9 * x[-1] + 0.1 * x.mean(), w)
                            for _ in range(2))
     got = rolling_forecasts(shared, values, w, horizons, "iterative", stride)
