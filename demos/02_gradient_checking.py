@@ -1,4 +1,4 @@
-"""Reverse-mode gradients versus central finite differences.
+"""Analytic gradients versus central finite differences.
 
 First a tiny worked example on a dense layer, then the full check
 suite over every layer kind and all four architectures.
@@ -7,22 +7,26 @@ suite over every layer kind and all four architectures.
 import numpy as np
 
 from stockcast.checks import run_gradcheck_suite
-from stockcast.nn import autodiff as ad
-from stockcast.nn.autodiff import Tensor
 from stockcast.nn.gradcheck import grad_check
+from stockcast.nn.layers import dense, mse
 from stockcast.nn.params import ParamSet
 
 rng = np.random.default_rng(0)
 params = ParamSet({
-    "W": Tensor(rng.standard_normal((4, 3))),
-    "b": Tensor(rng.standard_normal(4)),
-    "x": Tensor(rng.standard_normal((2, 3))),
+    "W": rng.standard_normal((4, 3)),
+    "b": rng.standard_normal(4),
+    "x": rng.standard_normal((2, 3)),
 })
-target = Tensor(rng.standard_normal((2, 4)))
+target = rng.standard_normal((2, 4))
 
 
 def f(p):
-    return ad.mse(ad.dense(p["x"], p["W"], p["b"]), target)
+    """The loss and its gradients: each layer's forward keeps a cache, and
+    its backward turns dloss/dy into the input's and parameters' gradients."""
+    y, cache = dense.forward(p["x"], p["W"], p["b"])
+    loss, diff = mse.forward(y, target)
+    dx, (dW, db) = dense.backward(cache, mse.backward(diff, 1.0, target)[0], p["W"], p["b"])
+    return loss, {"x": dx, "W": dW, "b": db}
 
 
 err = grad_check(f, params)

@@ -1,8 +1,8 @@
 """The gradient-check suite behind the `gradcheck` command and tests.
 
-Every differentiable kernel plus all four architectures at surrogate
-widths is compared against central finite differences; a kernel's
-output enters the loss as mse against a random target.  Purely linear
+Every layer kind plus all four architectures at surrogate widths is
+compared against central finite differences; a layer's output enters
+the loss as mse against a random target.  Purely linear
 paths must agree to 1e-6; relu/pool/gated paths to 1e-4, with kink
 resampling (a finite-difference step that crosses a relu kink or a pool
 argmax flip is a property of the probe point, not a wrong gradient).
@@ -16,9 +16,8 @@ from functools import partial
 import numpy as np
 
 from .models import KINDS, build_surrogate
-from .nn import autodiff as ad
-from .nn.autodiff import Tensor, mse
 from .nn.gradcheck import grad_check
+from .nn.layers import Layer, backprop, conv1d, dense, gru, lstm, maxpool, mse, run
 from .nn.params import ParamSet
 
 LINEAR_TOL = 1e-6
@@ -37,30 +36,43 @@ class CheckResult:
         return self.worst_error < self.tol
 
 
-def _normal(op, target, args, seed, attempt):
-    """An op check at standard-normal arguments.
+def _loss(chain, params, x, target):
+    """(loss, grads) of mse(chain(x), target), or with no target of the
+    chain's output, with the gradient of x as grads["x"]."""
+    y, caches = run(chain, params, x, keep=True)
+    if target is None:
+        loss, g = y, 1.0
+    else:
+        loss, diff = mse.forward(y, target)
+        g = mse.backward(diff, 1.0, target)[0]
+    dx, grads = backprop(chain, params, caches, g)
+    return loss, {"x": dx, **grads}
 
-    `args` maps each keyword of `op` to (shape, scale); they are drawn in
-    order, then a target of shape `target`, and the loss is
-    mse(op(**args), target).  With no target, op's output is the loss.
+
+def _normal(chain, target, args, seed, attempt):
+    """A layer check at standard-normal arguments.
+
+    `args` maps the input "x" and each parameter of `chain` to (shape,
+    scale); they are drawn in order, then a target of shape `target`, and
+    the loss is mse(chain(x), target).  With no target, the chain's output
+    is the loss.
     """
     rng = np.random.default_rng((seed, attempt))
-    params = ParamSet({name: Tensor(scale * rng.standard_normal(shape))
+    params = ParamSet({name: scale * rng.standard_normal(shape)
                        for name, (shape, scale) in args.items()})
     if target is not None:
-        target = Tensor(rng.standard_normal(target))
+        target = rng.standard_normal(target)
+    return (lambda p: _loss(chain, p, p["x"], target)), params
 
-    def f(p):
-        out = op(**dict(p.items()))
-        return out if target is None else mse(out, target)
 
-    return f, params
+# batch-major [B, T, .] <-> time-major [T, B, .]
+_SWAP = Layer(lambda x: (x.transpose(1, 0, 2), None), lambda _, g: (g.transpose(1, 0, 2), ()))
 
 
 def _recurrent(seq, gates):
-    """A sequence op over batch 2, 3 steps, 2 inputs and 4 hidden units,
+    """A sequence layer over batch 2, 3 steps, 2 inputs and 4 hidden units,
     every hidden state in the loss, input included."""
-    return partial(_normal, seq, (2, 3, 4), {
+    return partial(_normal, [(_SWAP, ()), (seq, ("W", "U", "b")), (_SWAP, ())], (2, 3, 4), {
         "W": ((gates * 4, 2), 0.5), "U": ((gates * 4, 4), 0.5), "b": ((gates * 4,), 0.5),
         "x": ((2, 3, 2), 1)})
 
@@ -69,9 +81,9 @@ def _maxpool(seed, attempt):
     rng = np.random.default_rng((seed, attempt))
     # well-separated entries keep the argmax away from ties
     x = rng.permutation(np.linspace(-3.0, 3.0, 48)) + 0.01 * rng.standard_normal(48)
-    params = ParamSet({"x": Tensor(x.reshape(2, 2, 12))})
-    target = Tensor(rng.standard_normal((2, 2, 4)))
-    return (lambda p: mse(ad.maxpool1d_op(p["x"], 3), target)), params
+    params = ParamSet({"x": x.reshape(2, 2, 12)})
+    target = rng.standard_normal((2, 2, 4))
+    return (lambda p: _loss([(maxpool(3), ())], p, p["x"], target)), params
 
 
 def _architecture(kind, seed, attempt, w=7, h=2):
@@ -79,19 +91,19 @@ def _architecture(kind, seed, attempt, w=7, h=2):
     model = build_surrogate(kind, w, h, seed=seed + attempt)
     x = rng.uniform(0.1, 0.9, size=(2, w))
     y = rng.uniform(0.1, 0.9, size=(2, h))
-    return (lambda p: mse(model.forward(Tensor(x)), Tensor(y))), model.params
+    return (lambda p: _loss(model.chain, p, x, y)), model.params
 
 
 # (name, maker, tolerance); maker(seed, attempt) returns a fresh (f, params)
 CHECKS = (
-    ("dense", partial(_normal, ad.dense, (2, 4), {
+    ("dense", partial(_normal, [(dense, ("W", "b"))], (2, 4), {
         "W": ((4, 3), 1), "b": ((4,), 1), "x": ((2, 3), 1)}), LINEAR_TOL),
-    ("conv1d", partial(_normal, ad.conv1d_channels, (2, 3, 6), {
+    ("conv1d", partial(_normal, [(conv1d, ("kernels", "bias"))], (2, 3, 6), {
         "kernels": ((3, 2, 4), 1), "bias": ((3,), 1), "x": ((2, 2, 9), 1)}), LINEAR_TOL),
     ("maxpool", _maxpool, NONLINEAR_TOL),
-    ("gru_cell", _recurrent(ad.gru_seq, 3), NONLINEAR_TOL),
-    ("lstm_cell", _recurrent(ad.lstm_seq, 4), NONLINEAR_TOL),
-    ("mse", partial(_normal, mse, None, {"pred": ((6,), 1), "target": ((6,), 1)}),
+    ("gru_cell", _recurrent(gru, 3), NONLINEAR_TOL),
+    ("lstm_cell", _recurrent(lstm, 4), NONLINEAR_TOL),
+    ("mse", partial(_normal, [(mse, ("target",))], None, {"x": ((6,), 1), "target": ((6,), 1)}),
      LINEAR_TOL),
     *((f"arch_{kind}", partial(_architecture, kind), NONLINEAR_TOL) for kind in KINDS),
 )

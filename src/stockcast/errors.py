@@ -40,7 +40,7 @@ class ArityMismatch(StockcastError):
 
 
 class ShapeMismatch(StockcastError):
-    """Tensor shapes disagree in a layer or optimizer call."""
+    """Array shapes disagree in a layer or optimizer call, or a gradient is missing."""
 
 
 # --- training and statistics ------------------------------------------------

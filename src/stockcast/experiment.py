@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
 from .models import build_model, cnn_kernel
-from .nn.autodiff import Tensor, mse
+from .nn.layers import mse
 from .nn.optim import Adam
 from .windowing import make_samples, rolling_forecasts
 
@@ -109,17 +109,16 @@ def train(model, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> list[float]:
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            model.params.zero_grad()
-            pred = model.forward(Tensor(X[idx]))
-            loss = mse(pred, Tensor(Y[idx]))
-            value = float(loss.data)
+            pred, caches = model.forward(X[idx])
+            target = Y[idx]
+            loss, diff = mse.forward(pred, target)
+            value = float(loss)
             if not math.isfinite(value):
                 raise NonFiniteLoss(
                     f"{model.kind} diverged at epoch {len(history)}, batch {n_batches} "
                     f"(lr={cfg.lr}, seed={cfg.seed})"
                 )
-            loss.backward()
-            opt.step()
+            opt.step(model.backward(caches, mse.backward(diff, 1.0, target)[0]))
             epoch_loss += value
             n_batches += 1
         history.append(epoch_loss / n_batches)

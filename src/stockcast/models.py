@@ -12,9 +12,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArityMismatch, WindowTooSmall
-from .nn import autodiff as ad
-from .nn.autodiff import Tensor
+from .errors import ArityMismatch, ShapeMismatch, WindowTooSmall
+from .nn.layers import (
+    backprop,
+    channels,
+    check_state,
+    conv1d,
+    dense,
+    gru,
+    last,
+    lstm,
+    maxpool,
+    relu,
+    run,
+    time_major,
+)
 from .nn.params import ParamSet
 
 MLP_HIDDEN = (16, 16)
@@ -39,35 +51,40 @@ def _pad_rows(a: np.ndarray) -> np.ndarray:
 
 
 class Model:
-    """A differentiable map from a length-w window to h outputs.
+    """A map from a length-w window to h outputs: a fixed chain of
+    `(layer, parameter names)` steps over the parameters.
 
-    A recurrent model also has a graph-free `predict`, which `__call__`
-    uses and which can start from given per-layer states.  `__call__` and
-    `predict` pad their batch to a multiple of PAD_ROWS rows.
+    `forward` and `backward` train it on a batch as given.  `__call__`
+    and, for a recurrent model, `predict` evaluate it: they pad their
+    batch to a multiple of PAD_ROWS rows and keep no caches.
     """
 
-    def __init__(self, kind: str, w: int, h: int, params: ParamSet, forward_fn,
-                 predict_fn=None):
+    def __init__(self, kind: str, w: int, h: int, params: ParamSet, chain):
         self.kind = kind
         self.w = w
         self.h = h
         self.params = params
-        self._forward = forward_fn
-        self._predict = predict_fn
-        self.resumable = predict_fn is not None  # GRU, LSTM: `predict` exists
+        self.chain = chain
+        # GRU, LSTM: `predict` runs any number of steps from given states
+        self.resumable = any(layer.state for layer, _ in chain)
 
     def _check_window(self, shape):
         if len(shape) != 2 or shape[1] != self.w:
             raise ArityMismatch(f"forward input {shape}, expected [batch, {self.w}]")
 
-    def forward(self, x: Tensor) -> Tensor:
-        """x: Tensor [batch, w] -> Tensor [batch, h]."""
-        self._check_window(x.data.shape)
-        return self._forward(x, self.params)
+    def forward(self, x: np.ndarray):
+        """x [batch, w] -> (y [batch, h], the caches `backward` reads)."""
+        self._check_window(x.shape)
+        return run(self.chain, self.params, x, keep=True)
+
+    def backward(self, caches, g: np.ndarray) -> dict[str, np.ndarray]:
+        """The gradient of every parameter, by name, from the caches of
+        `forward` and g = dloss/dy [batch, h]; consumes the caches."""
+        return backprop(self.chain, self.params, caches, g)[1]
 
     def predict(self, x, init=None):
-        """Graph-free forward of a recurrent model over x [batch, T], any
-        T >= 0, from the per-layer initial states `init` (None: zero).
+        """Forward of a recurrent model over x [batch, T], any T >= 0, from
+        the per-layer initial states `init` (None: zero).
 
         A layer's state is (h,) for a GRU and (h, c) for an LSTM, each
         [batch, n].  Returns (y [batch, h], states): states holds each
@@ -75,17 +92,23 @@ class Model:
         T = 0 the output head reads the initial state of the last layer.
         """
         x = np.asarray(x, dtype=np.float64)
-        init = init and [tuple(_pad_rows(s) for s in layer) for layer in init]
-        y, states = self._predict(_pad_rows(x), self.params, init)
+        init = init or ()
+        recurrent = [(layer, names) for layer, names in self.chain if layer.state]
+        for (layer, names), state in zip(recurrent, init):
+            if len(state) > len(layer.state):
+                raise ShapeMismatch(f"initial state of {len(state)} arrays, expected {layer.state}")
+            n = self.params[names[1]].shape[1]  # a recurrent layer's U is [gates*n, n]
+            for name, s in zip(layer.state, (*state, None)):
+                check_state(name, s, len(x), n)
+        init = [tuple(_pad_rows(s) for s in layer) for layer in init]
+        y, states = run(self.chain, self.params, _pad_rows(x), init)
         return y[:len(x)], [tuple(s[:, :len(x)] for s in layer) for layer in states]
 
     def __call__(self, windows) -> np.ndarray:
         """Numpy-in, numpy-out prediction: windows [N, w] -> [N, h]."""
         windows = np.asarray(windows, dtype=np.float64)
         self._check_window(windows.shape)
-        if self.resumable:
-            return self.predict(windows)[0]
-        return self.forward(Tensor(_pad_rows(windows))).data[:len(windows)]
+        return run(self.chain, self.params, _pad_rows(windows))[0][:len(windows)]
 
     def n_params(self) -> int:
         return self.params.n_scalars()
@@ -107,7 +130,7 @@ def _xavier_uniform(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _init_gated(rng, gates: int, n_in: int, n_hid: int) -> tuple[Tensor, Tensor, Tensor]:
+def _init_gated(rng, gates: int, n_in: int, n_hid: int):
     """Fused W [gates*n, n_in], U [gates*n, n] and zero b [gates*n].
 
     Each gate's W block, then its U block, is drawn in gate order, so the
@@ -117,7 +140,7 @@ def _init_gated(rng, gates: int, n_in: int, n_hid: int) -> tuple[Tensor, Tensor,
     for _ in range(gates):
         W.append(_xavier_uniform(rng, (n_hid, n_in), n_in, n_hid))
         U.append(_xavier_uniform(rng, (n_hid, n_hid), n_hid, n_hid))
-    return Tensor(np.concatenate(W)), Tensor(np.concatenate(U)), Tensor(np.zeros(gates * n_hid))
+    return np.concatenate(W), np.concatenate(U), np.zeros(gates * n_hid)
 
 
 # --- MLP ----------------------------------------------------------------------
@@ -127,23 +150,17 @@ def build_mlp(w: int, h: int, seed: int = 0, hidden=MLP_HIDDEN) -> Model:
     sizes = [w, *hidden, h]
     n_layers = len(sizes) - 1
     rngs = _layer_rngs(seed, n_layers)
-    tensors = {}
+    arrays, chain = {}, []
     for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
         # the relu head starts near mid-range (small weights, bias 0.5):
         # a head that is negative for every sample gets no gradient and
         # never recovers
         head = i == n_layers - 1
         w_scale = 0.1 if head else 1.0
-        tensors[f"l{i}.W"] = Tensor(w_scale * _he_uniform(rngs[i], (n_out, n_in), n_in))
-        tensors[f"l{i}.b"] = Tensor(np.full(n_out, 0.5 if head else 0.0))
-
-    def forward(x, params):
-        out = x
-        for i in range(n_layers):
-            out = ad.relu(ad.dense(out, params[f"l{i}.W"], params[f"l{i}.b"]))
-        return out
-
-    return Model("MLP", w, h, ParamSet(tensors), forward)
+        arrays[f"l{i}.W"] = w_scale * _he_uniform(rngs[i], (n_out, n_in), n_in)
+        arrays[f"l{i}.b"] = np.full(n_out, 0.5 if head else 0.0)
+        chain += [(dense, (f"l{i}.W", f"l{i}.b")), (relu, ())]
+    return Model("MLP", w, h, ParamSet(arrays), chain)
 
 
 # --- CNN ----------------------------------------------------------------------
@@ -167,69 +184,44 @@ def build_cnn(w: int, h: int, seed: int = 0, filters=CNN_FILTERS,
     f1, f2 = filters
     flat = f2 * ((w - 2 * (kernel - 1)) // CNN_POOL)  # two convs, then the pool
     rngs = _layer_rngs(seed, 4)
-    tensors = {
-        "conv0.K": Tensor(_he_uniform(rngs[0], (f1, 1, kernel), 1 * kernel)),
-        "conv0.b": Tensor(np.zeros(f1)),
-        "conv1.K": Tensor(_he_uniform(rngs[1], (f2, f1, kernel), f1 * kernel)),
-        "conv1.b": Tensor(np.zeros(f2)),
-        "fc0.W": Tensor(_he_uniform(rngs[2], (dense_size, flat), flat)),
-        "fc0.b": Tensor(np.zeros(dense_size)),
+    arrays = {
+        "conv0.K": _he_uniform(rngs[0], (f1, 1, kernel), 1 * kernel),
+        "conv0.b": np.zeros(f1),
+        "conv1.K": _he_uniform(rngs[1], (f2, f1, kernel), f1 * kernel),
+        "conv1.b": np.zeros(f2),
+        "fc0.W": _he_uniform(rngs[2], (dense_size, flat), flat),
+        "fc0.b": np.zeros(dense_size),
         # relu output head starts near mid-range, same rationale as the MLP
-        "fc1.W": Tensor(0.1 * _he_uniform(rngs[3], (h, dense_size), dense_size)),
-        "fc1.b": Tensor(np.full(h, 0.5)),
+        "fc1.W": 0.1 * _he_uniform(rngs[3], (h, dense_size), dense_size),
+        "fc1.b": np.full(h, 0.5),
     }
-
-    def forward(x, params):
-        b = x.data.shape[0]
-        out = ad.reshape(x, (b, 1, x.data.shape[1]))
-        out = ad.relu(ad.conv1d_channels(out, params["conv0.K"], params["conv0.b"]))
-        out = ad.relu(ad.conv1d_channels(out, params["conv1.K"], params["conv1.b"]))
-        out = ad.maxpool1d_op(out, CNN_POOL)
-        out = ad.reshape(out, (b, flat))
-        out = ad.relu(ad.dense(out, params["fc0.W"], params["fc0.b"]))
-        return ad.relu(ad.dense(out, params["fc1.W"], params["fc1.b"]))
-
-    return Model("CNN", w, h, ParamSet(tensors), forward)
+    chain = [(channels, ()),
+             (conv1d, ("conv0.K", "conv0.b")), (relu, ()),
+             (conv1d, ("conv1.K", "conv1.b")), (relu, ()),
+             (maxpool(CNN_POOL), ()),
+             (dense, ("fc0.W", "fc0.b")), (relu, ()),
+             (dense, ("fc1.W", "fc1.b")), (relu, ())]
+    return Model("CNN", w, h, ParamSet(arrays), chain)
 
 
 # --- recurrent ----------------------------------------------------------------
 
 def _build_recurrent(kind: str, w: int, h: int, seed: int, hidden) -> Model:
-    # the graph op, its array forward, the gate count, and the state arrays
-    # a layer carries (h; h and c)
-    seq, run, gates, n_state = ((ad.gru_seq, ad.gru_forward, 3, 1) if kind == "GRU"
-                                else (ad.lstm_seq, ad.lstm_forward, 4, 2))
+    seq, gates = (gru, 3) if kind == "GRU" else (lstm, 4)
     n1, n2 = hidden
     rngs = _layer_rngs(seed, 3)
-    tensors = {}
+    arrays = {}
     for layer, (n_in, n_hid) in enumerate(((1, n1), (n1, n2))):
         W, U, b = _init_gated(rngs[layer], gates, n_in, n_hid)
-        tensors.update({f"r{layer}.W": W, f"r{layer}.U": U, f"r{layer}.b": b})
+        arrays.update({f"r{layer}.W": W, f"r{layer}.U": U, f"r{layer}.b": b})
     # linear output head
-    tensors["out.W"] = Tensor(_xavier_uniform(rngs[2], (h, n2), n2, h))
-    tensors["out.b"] = Tensor(np.zeros(h))
-
-    def forward(x, params):
-        b, steps = x.data.shape
-        h1 = seq(ad.reshape(x, (b, steps, 1)), params["r0.W"], params["r0.U"], params["r0.b"])
-        h2 = seq(ad.relu(h1), params["r1.W"], params["r1.U"], params["r1.b"])
-        return ad.dense(h2[:, -1], params["out.W"], params["out.b"])
-
-    def predict(x, params, init):
-        # the operations of `forward`, on arrays and time-major
-        init = init or ((), ())
-
-        def layer(i, inputs):
-            W, U, b = (params[f"r{i}.{k}"].data for k in "WUb")
-            return run(inputs, W, U, b, *init[i])[:n_state]
-
-        s1 = layer(0, x.T[:, :, None])
-        H1 = s1[0]
-        s2 = layer(1, H1 * (H1 > 0.0))
-        last = s2[0][-1] if len(s2[0]) else init[1][0]
-        return last @ params["out.W"].data.T + params["out.b"].data, (s1, s2)
-
-    return Model(kind, w, h, ParamSet(tensors), forward, predict)
+    arrays["out.W"] = _xavier_uniform(rngs[2], (h, n2), n2, h)
+    arrays["out.b"] = np.zeros(h)
+    chain = [(time_major, ()),
+             (seq, ("r0.W", "r0.U", "r0.b")), (relu, ()),
+             (last(seq), ("r1.W", "r1.U", "r1.b")),
+             (dense, ("out.W", "out.b"))]
+    return Model(kind, w, h, ParamSet(arrays), chain)
 
 
 def build_gru(w: int, h: int, seed: int = 0, hidden=RNN_HIDDEN) -> Model:

@@ -1,31 +1,4 @@
-"""Reverse-mode differentiable kernels for the forecasting models."""
-
-from .autodiff import (
-    Tensor,
-    conv1d_channels,
-    dense,
-    gru_seq,
-    lstm_seq,
-    maxpool1d_op,
-    mse,
-    relu,
-    reshape,
-)
-from .gradcheck import grad_check
-from .optim import Adam
-from .params import ParamSet
-
-__all__ = [
-    "Adam",
-    "ParamSet",
-    "Tensor",
-    "conv1d_channels",
-    "dense",
-    "grad_check",
-    "gru_seq",
-    "lstm_seq",
-    "maxpool1d_op",
-    "mse",
-    "relu",
-    "reshape",
-]
+"""The layers of the forecasting models (`layers`), each a forward and a
+backward over numpy arrays, with the chain runner that trains and
+evaluates them; parameters (`params`), Adam (`optim`) and the
+finite-difference gradient check (`gradcheck`)."""

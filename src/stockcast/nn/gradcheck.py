@@ -1,4 +1,4 @@
-"""Finite-difference verification of the reverse-mode gradients."""
+"""Finite-difference verification of the analytic gradients."""
 
 from __future__ import annotations
 
@@ -11,33 +11,27 @@ _FLOOR = 1e-8
 
 
 def grad_check(f, params: ParamSet, eps: float = 1e-5) -> float:
-    """Worst relative error between reverse-mode and central differences.
+    """Worst relative error between analytic gradients and central differences.
 
-    `f` maps the ParamSet to a scalar Tensor.  Relative error uses the
-    denominator max(|analytic|, |numeric|, 1e-8) per coordinate.
+    `f` maps the ParamSet to (loss, grads): a scalar and a gradient per
+    parameter name.  Relative error uses the denominator
+    max(|analytic|, |numeric|, 1e-8) per coordinate.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
-    params.zero_grad()
-    out = f(params)
-    out.backward()
-    analytic = {}
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient in {name}")
-        analytic[name] = g.copy()
-
+    _, grads = f(params)
     worst = 0.0
     for name, p in params.items():
-        flat = p.data.reshape(-1)
-        ga = analytic[name].reshape(-1)
+        if not np.all(np.isfinite(grads[name])):
+            raise NonFiniteGradient(f"non-finite gradient in {name}")
+        ga = grads[name].reshape(-1)
+        flat = p.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            hi = float(f(params).data)
+            hi = float(f(params)[0])
             flat[i] = orig - eps
-            lo = float(f(params).data)
+            lo = float(f(params)[0])
             flat[i] = orig
             num = (hi - lo) / (2.0 * eps)
             if not np.isfinite(num):

@@ -29,37 +29,38 @@ class Adam:
         self.eps = eps
         self.t = 0
         # m and v over each parameter's flat (C-order) elements
-        self.m = {k: np.zeros(p.data.size) for k, p in params.items()}
-        self.v = {k: np.zeros(p.data.size) for k, p in params.items()}
+        self.m = {k: np.zeros(p.size) for k, p in params.items()}
+        self.v = {k: np.zeros(p.size) for k, p in params.items()}
         # two block-sized scratch arrays, shared by every parameter and step
         a, d = np.empty(_BLOCK), np.empty(_BLOCK)
         # each parameter's blocks, sliced once: (offset, then views of its
-        # flat data, m, v and the scratch arrays over the block).  p.data
-        # is C-contiguous (ParamSet checks it), so its flat reshape is a
-        # view the update writes through
+        # flat data, m, v and the scratch arrays over the block).  p is
+        # C-contiguous (ParamSet checks it), so its flat reshape is a view
+        # the update writes through
         self._blocks = {}
         for k, p in params.items():
-            flat_p, m, v = p.data.reshape(-1), self.m[k], self.v[k]
+            flat_p, m, v = p.reshape(-1), self.m[k], self.v[k]
             self._blocks[k] = blocks = []
             for lo in range(0, flat_p.size, _BLOCK):
                 pb = flat_p[lo:lo + _BLOCK]
                 blocks.append((lo, pb, m[lo:lo + _BLOCK], v[lo:lo + _BLOCK],
                                a[:pb.size], d[:pb.size]))
 
-    def step(self):
-        """One update in place: the class formula's operations in its
-        order, block by block over each parameter's flat view and written
-        into the scratch arrays, so the result is bit-identical to
-        evaluating the formula with temporaries."""
+    def step(self, grads: dict[str, np.ndarray]):
+        """One update in place from `grads`, one gradient per parameter
+        name: the class formula's operations in its order, block by block
+        over each parameter's flat view and written into the scratch
+        arrays, so the result is bit-identical to evaluating the formula
+        with temporaries."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
-            g = p.grad
+            g = grads.get(name)
             if g is None:
-                g = np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ShapeMismatch(f"gradient shape for {name}: {g.shape} vs {p.data.shape}")
+                raise ShapeMismatch(f"no gradient for parameter {name}")
+            if g.shape != p.shape:
+                raise ShapeMismatch(f"gradient shape for {name}: {g.shape} vs {p.shape}")
             flat_g = g.reshape(-1)
             blocks = self._blocks[name]
             for lo, pb, m, v, a, d in blocks:

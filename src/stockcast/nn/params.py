@@ -2,34 +2,31 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ShapeMismatch
-from .autodiff import Tensor
 
 
 class ParamSet:
-    """An ordered, named map of parameter tensors.
+    """An ordered, named map of parameter arrays.
 
     Names are unique and shapes are fixed after construction; training
-    mutates `.data` in place but never reshapes.  Every `.data` is
-    C-contiguous: Adam and grad_check write through `data.reshape(-1)`,
-    which for any other layout is a copy, and the write would be lost.
+    mutates the arrays in place but never reshapes them.  Every array is
+    C-contiguous: Adam and grad_check write through `reshape(-1)`, which
+    for any other layout is a copy, and the write would be lost.
     """
 
-    def __init__(self, tensors: dict[str, Tensor]):
-        for name, t in tensors.items():
-            if not t.data.flags.c_contiguous:
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        for name, a in arrays.items():
+            if not a.flags.c_contiguous:
                 raise ShapeMismatch(f"parameter {name} is not C-contiguous")
-        self._tensors = dict(tensors)
+        self._arrays = dict(arrays)
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._arrays[name]
 
     def items(self):
-        return self._tensors.items()
-
-    def zero_grad(self):
-        for t in self._tensors.values():
-            t.grad = None
+        return self._arrays.items()
 
     def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
+        return sum(a.size for a in self._arrays.values())

@@ -21,7 +21,7 @@ from stockcast.config import (
 )
 from stockcast.errors import MissingDataFile, ParseError
 from stockcast.models import KINDS
-from stockcast.nn.autodiff import Tensor, mse
+from stockcast.nn.layers import mse
 from stockcast.nn.params import ParamSet
 from stockcast.runner import atomic_write
 
@@ -579,14 +579,16 @@ def test_gradcheck_command_passes(capsys):
 
 
 def test_gradcheck_command_detects_wrong_gradient(monkeypatch, capsys):
-    # a target that moves with w[0] outside the tape: finite differences
-    # see it, the analytic gradient does not
+    # a target that moves with w[0] unseen by the backward: finite
+    # differences see it, the analytic gradient does not
     def bad_make(seed, attempt):
         rng = np.random.default_rng((seed, attempt))
-        params = ParamSet({"w": Tensor(rng.standard_normal(3))})
+        params = ParamSet({"w": rng.standard_normal(3)})
 
         def f(p):
-            return mse(p["w"], Tensor(np.full(3, p["w"].data[0])))
+            target = np.full(3, p["w"][0])
+            loss, diff = mse.forward(p["w"], target)
+            return loss, {"w": mse.backward(diff, 1.0, target)[0]}
 
         return f, params
 

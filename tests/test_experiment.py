@@ -70,7 +70,7 @@ def test_unshuffled_history_independent_of_seed():
 def test_train_divergence_raises():
     X, Y = constant_samples(value=0.5)
     model = build_mlp(4, 1, seed=0)
-    model.params["l2.b"].data[:] = 1e200  # squared in the loss -> overflow
+    model.params["l2.b"][:] = 1e200  # squared in the loss -> overflow
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteLoss):
             train(model, X, Y, TrainConfig(epochs=1, seed=0))

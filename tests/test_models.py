@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stockcast.errors import ArityMismatch, WindowTooSmall
+from stockcast.errors import ArityMismatch, ShapeMismatch, WindowTooSmall
 from stockcast.models import (
     build_cnn,
     build_gru,
@@ -10,14 +10,14 @@ from stockcast.models import (
     build_model,
     build_surrogate,
 )
-from stockcast.nn.autodiff import Tensor, mse
 from stockcast.nn.gradcheck import grad_check
+from stockcast.nn.layers import mse
 from stockcast.windowing import forecast
 
 
 def zero_params(model):
     for _, p in model.params.items():
-        p.data[:] = 0.0
+        p[:] = 0.0
     return model
 
 
@@ -43,8 +43,8 @@ def test_mlp_count_grows_with_w():
 def test_cnn_shape_arithmetic():
     # kernel 3: conv lengths 13, 11, pooled to 5; flattened 32 filters x 5 = 160
     model = build_cnn(15, 1)
-    assert model.params["conv0.K"].data.shape == (32, 1, 3)
-    assert model.params["fc0.W"].data.shape == (32, 160)
+    assert model.params["conv0.K"].shape == (32, 1, 3)
+    assert model.params["fc0.W"].shape == (32, 160)
 
 
 def test_cnn_window_too_small():
@@ -54,7 +54,7 @@ def test_cnn_window_too_small():
 
 def test_cnn_kernel_shrinks():
     model = build_cnn(3, 1)
-    assert model.params["conv0.K"].data.shape == (32, 1, 1)
+    assert model.params["conv0.K"].shape == (32, 1, 1)
     assert model(np.array([[0.1, 0.2, 0.3]])).shape == (1, 1)
 
 
@@ -73,7 +73,7 @@ def test_recurrent_zero_init_zero_output():
 
 def test_gru_layer1_param_count():
     model = build_gru(3, 1)
-    layer1 = sum(p.data.size for name, p in model.params.items()
+    layer1 = sum(p.size for name, p in model.params.items()
                  if name.startswith("r0."))
     assert layer1 == 3 * (256 * 1 + 256 * 256 + 256) == 198144
 
@@ -91,7 +91,7 @@ def test_same_seed_identical_params():
         b = build_surrogate(kind, 7, 2, seed=11)
         assert [name for name, _ in a.params.items()] == [name for name, _ in b.params.items()]
         for name, p in a.params.items():
-            assert np.array_equal(p.data, b.params[name].data)
+            assert np.array_equal(p, b.params[name])
 
 
 @pytest.mark.parametrize("kind,gates", [("GRU", 3), ("LSTM", 4)])
@@ -108,20 +108,20 @@ def test_fused_gates_equal_per_gate_draws(kind, gates):
     for layer, (n_in, n) in enumerate(((1, n1), (n1, n2))):
         blocks = [(xavier(rngs[layer], (n, n_in)), xavier(rngs[layer], (n, n)))
                   for _ in range(gates)]
-        assert np.array_equal(model.params[f"r{layer}.W"].data,
+        assert np.array_equal(model.params[f"r{layer}.W"],
                               np.concatenate([W for W, _ in blocks]))
-        assert np.array_equal(model.params[f"r{layer}.U"].data,
+        assert np.array_equal(model.params[f"r{layer}.U"],
                               np.concatenate([U for _, U in blocks]))
-        assert np.array_equal(model.params[f"r{layer}.b"].data, np.zeros(gates * n))
+        assert np.array_equal(model.params[f"r{layer}.b"], np.zeros(gates * n))
     limit = np.sqrt(6.0 / (n2 + 2))
-    assert np.array_equal(model.params["out.W"].data,
+    assert np.array_equal(model.params["out.W"],
                           rngs[2].uniform(-limit, limit, size=(2, n2)))
 
 
 def test_different_seed_different_params():
     a = build_mlp(5, 1, seed=0)
     b = build_mlp(5, 1, seed=1)
-    assert not np.array_equal(a.params["l0.W"].data, b.params["l0.W"].data)
+    assert not np.array_equal(a.params["l0.W"], b.params["l0.W"])
 
 
 @pytest.mark.parametrize("kind", ["MLP", "CNN", "GRU", "LSTM"])
@@ -130,8 +130,13 @@ def test_every_architecture_gradchecks(kind):
     model = build_surrogate(kind, 7, 2, seed=3)
     x = rng.uniform(0.1, 0.9, size=(2, 7))
     y = rng.uniform(0.1, 0.9, size=(2, 2))
-    err = grad_check(lambda p: mse(model.forward(Tensor(x)), Tensor(y)), model.params)
-    assert err < 1e-4
+
+    def f(p):
+        pred, caches = model.forward(x)
+        loss, diff = mse.forward(pred, y)
+        return loss, model.backward(caches, mse.backward(diff, 1.0, y)[0])
+
+    assert grad_check(f, model.params) < 1e-4
 
 
 def test_forward_arity_checks():
@@ -139,7 +144,7 @@ def test_forward_arity_checks():
     with pytest.raises(ArityMismatch):
         model(np.zeros(4))
     with pytest.raises(ArityMismatch):
-        model.forward(Tensor(np.zeros((2, 4))))
+        model.forward(np.zeros((2, 4)))
     with pytest.raises(ArityMismatch):
         forecast(model, np.zeros((2, 4)), 1, "direct")
 
@@ -156,3 +161,28 @@ def test_relu_output_clips_negative():
     rng = np.random.default_rng(13)
     model = build_mlp(5, 1, seed=2)
     assert (model(rng.uniform(0, 1, (20, 5))) >= 0.0).all()
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+def test_predict_over_no_steps_reads_the_zero_state(kind):
+    # no steps and no state: the head reads the zero state of the last layer
+    model = build_surrogate(kind, 4, 1)
+    y, states = model.predict(np.zeros((3, 0)))
+    assert np.array_equal(y, np.zeros((3, 5)) @ model.params["out.W"].T + model.params["out.b"])
+    assert [[s.shape for s in layer] for layer in states] == [
+        [(0, 3, n)] * len(layer) for layer, n in zip(states, (6, 5))]
+
+
+@pytest.mark.parametrize("kind,rows,arrays,message", [
+    # a GRU-shaped state lacks an LSTM's c
+    ("LSTM", 3, 1, r"initial c of shape None, expected \(3, 6\)"),
+    # padded to 16 rows, a 4-row state would pass for a 3-row batch
+    ("GRU", 4, 1, r"initial h of shape \(4, 6\), expected \(3, 6\)"),
+    # an LSTM-shaped state has one array too many for a GRU
+    ("GRU", 3, 2, r"initial state of 2 arrays, expected \('h',\)"),
+])
+def test_predict_names_the_callers_rows_for_a_wrong_state(kind, rows, arrays, message):
+    model = build_surrogate(kind, 4, 1)
+    init = [(np.zeros((rows, n)),) * arrays for n in (6, 5)]
+    with pytest.raises(ShapeMismatch, match=message):
+        model.predict(np.zeros((3, 4)), init)

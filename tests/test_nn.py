@@ -3,149 +3,147 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stockcast.checks import run_gradcheck_suite
+from stockcast.checks import _SWAP, _loss, run_gradcheck_suite
 from stockcast.errors import NonFiniteGradient, ShapeMismatch
 from stockcast.experiment import TrainConfig, train
-from stockcast.models import build_model
-from stockcast.nn import autodiff as ad
-from stockcast.nn.autodiff import Tensor, dense, mse
+from stockcast.models import KINDS, build_model
 from stockcast.nn.gradcheck import grad_check
+from stockcast.nn.layers import (
+    conv1d,
+    dense,
+    gru,
+    gru_forward,
+    lstm,
+    lstm_forward,
+    maxpool,
+    mse,
+    relu,
+    run,
+)
 from stockcast.nn.optim import _BLOCK, Adam
 from stockcast.nn.params import ParamSet
+
+
+def through_mse(chain, target):
+    """grad_check's f for mse(chain(x), target), the input x a parameter."""
+    return lambda p: _loss(chain, p, p["x"], target)
 
 
 # --- dense -------------------------------------------------------------------
 
 def test_dense_identity():
-    y = dense(Tensor([[3.0, 4.0]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
-    assert np.allclose(y.data, [[3, 4]])
+    y, _ = dense.forward(np.array([[3.0, 4.0]]), np.eye(2), np.zeros(2))
+    assert np.allclose(y, [[3, 4]])
 
 
 def test_dense_affine():
-    y = dense(Tensor([[3.0, 4.0]]), Tensor([[1.0, 2.0]]), Tensor([1.0]))
-    assert np.allclose(y.data, [[12.0]])
+    y, _ = dense.forward(np.array([[3.0, 4.0]]), np.array([[1.0, 2.0]]), np.array([1.0]))
+    assert np.allclose(y, [[12.0]])
 
 
 def test_dense_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        dense(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
-    with pytest.raises(ShapeMismatch):  # input must be [batch, in]
-        dense(Tensor([1.0, 2.0]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        dense.forward(np.array([[1.0, 2.0, 3.0]]), np.eye(2), np.zeros(2))
+    with pytest.raises(ShapeMismatch):  # input must be [batch, ...]
+        dense.forward(np.array([1.0, 2.0]), np.eye(2), np.zeros(2))
     with pytest.raises(ShapeMismatch):
-        dense(Tensor([[1.0, 2.0]]), Tensor(np.eye(2)), Tensor(np.zeros(3)))
+        dense.forward(np.array([[1.0, 2.0]]), np.eye(2), np.zeros(3))
 
 
 def test_dense_gradcheck_random_4x3():
     rng = np.random.default_rng(0)
     for _ in range(3):
         params = ParamSet({
-            "W": Tensor(rng.standard_normal((4, 3))),
-            "b": Tensor(rng.standard_normal(4)),
-            "x": Tensor(rng.standard_normal((2, 3))),
+            "W": rng.standard_normal((4, 3)),
+            "b": rng.standard_normal(4),
+            "x": rng.standard_normal((2, 3)),
         })
-        target = Tensor(rng.standard_normal((2, 4)))
-        err = grad_check(lambda p: mse(dense(p["x"], p["W"], p["b"]), target), params)
-        assert err < 1e-6
+        target = rng.standard_normal((2, 4))
+        assert grad_check(through_mse([(dense, ("W", "b"))], target), params) < 1e-6
 
 
 def test_dense_backward_is_one_node():
+    # one layer: the input flattened to [batch, in], then affine; the
+    # input's gradient comes back in the input's shape
     rng = np.random.default_rng(15)
-    x, W, b = (Tensor(rng.standard_normal(s)) for s in ((5, 3), (4, 3), (4,)))
-    y = dense(x, W, b)
-    assert y._parents == (x, W, b)
-    np.testing.assert_array_equal(y.data, x.data @ W.data.T + b.data)
+    x, W, b = (rng.standard_normal(s) for s in ((5, 2, 3), (4, 6), (4,)))
+    y, cache = dense.forward(x, W, b)
+    flat = x.reshape(5, 6)
+    np.testing.assert_array_equal(y, flat @ W.T + b)
     g = rng.standard_normal((5, 4))
-    y._backward(g)
-    np.testing.assert_array_equal(x.grad, g @ W.data)
-    np.testing.assert_array_equal(W.grad, g.T @ x.data)
-    np.testing.assert_array_equal(b.grad, g.sum(axis=0))
+    dx, (dW, db) = dense.backward(cache, g, W, b)
+    np.testing.assert_array_equal(dx, (g @ W).reshape(5, 2, 3))
+    np.testing.assert_array_equal(dW, g.T @ flat)
+    np.testing.assert_array_equal(db, g.sum(axis=0))
 
 
 # --- conv / pool -------------------------------------------------------------
 
 def test_conv1d_identity_kernel():
     x = np.array([[[1.0, 3.0, 6.0, 2.0]]])
-    y = ad.conv1d_channels(Tensor(x), Tensor([[[1.0]]]), Tensor([0.0]))
-    assert np.allclose(y.data, x)
+    y, _ = conv1d.forward(x, np.array([[[1.0]]]), np.array([0.0]))
+    assert np.allclose(y, x)
 
 
 def test_conv1d_first_difference():
-    y = ad.conv1d_channels(Tensor([[[1.0, 3.0, 6.0]]]), Tensor([[[1.0, -1.0]]]),
-                           Tensor([0.0]))
-    assert np.allclose(y.data, [[[-2.0, -3.0]]])
+    y, _ = conv1d.forward(np.array([[[1.0, 3.0, 6.0]]]), np.array([[[1.0, -1.0]]]),
+                          np.array([0.0]))
+    assert np.allclose(y, [[[-2.0, -3.0]]])
 
 
 def test_conv1d_gradcheck():
     rng = np.random.default_rng(1)
     params = ParamSet({
-        "K": Tensor(rng.standard_normal((3, 2, 3))),
-        "b": Tensor(rng.standard_normal(3)),
-        "x": Tensor(rng.standard_normal((2, 2, 8))),
+        "K": rng.standard_normal((3, 2, 3)),
+        "b": rng.standard_normal(3),
+        "x": rng.standard_normal((2, 2, 8)),
     })
-    target = Tensor(rng.standard_normal((2, 3, 6)))
-    err = grad_check(lambda p: mse(ad.conv1d_channels(p["x"], p["K"], p["b"]), target),
-                     params)
-    assert err < 1e-6
+    target = rng.standard_normal((2, 3, 6))
+    assert grad_check(through_mse([(conv1d, ("K", "b"))], target), params) < 1e-6
 
 
 def test_maxpool_basic():
-    y = ad.maxpool1d_op(Tensor([[[1.0, 5.0, 2.0, 3.0]]]), 2)
-    assert np.allclose(y.data, [[[5.0, 3.0]]])
+    y, _ = maxpool(2).forward(np.array([[[1.0, 5.0, 2.0, 3.0]]]))
+    assert np.allclose(y, [[[5.0, 3.0]]])
 
 
 def test_maxpool_pool1_identity():
     x = np.array([[[4.0, 1.0, 2.0]]])
-    assert np.allclose(ad.maxpool1d_op(Tensor(x), 1).data, x)
+    assert np.allclose(maxpool(1).forward(x)[0], x)
 
 
 def test_maxpool_drops_remainder():
-    assert np.allclose(ad.maxpool1d_op(Tensor([[[1.0, 2.0, 9.0]]]), 2).data, [[[2.0]]])
+    assert np.allclose(maxpool(2).forward(np.array([[[1.0, 2.0, 9.0]]]))[0], [[[2.0]]])
 
 
 def test_maxpool_tie_breaks_first():
-    x = Tensor([[[2.0, 2.0]]])
-    ad.maxpool1d_op(x, 2)._backward(np.ones((1, 1, 1)))
-    assert np.allclose(x.grad, [[[1.0, 0.0]]])
+    pool = maxpool(2)
+    _, cache = pool.forward(np.array([[[2.0, 2.0]]]))
+    dx, _ = pool.backward(cache, np.ones((1, 1, 1)))
+    assert np.allclose(dx, [[[1.0, 0.0]]])
 
 
 def test_maxpool_gradcheck_non_tied():
     x = np.array([0.3, -1.2, 2.0, 0.7, -0.5, 1.1, 1.6, -0.9]).reshape(1, 2, 4)
-    params = ParamSet({"x": Tensor(x)})
-    target = Tensor(np.random.default_rng(16).standard_normal((1, 2, 2)))
-    err = grad_check(lambda p: mse(ad.maxpool1d_op(p["x"], 2), target), params)
-    assert err < 1e-6
-
-
-# --- gradient accumulation ----------------------------------------------------
-
-def test_shared_operand_gradients_accumulate():
-    # `a` reaches the loss twice, as the dense input through reshape and as
-    # the weight through relu: y = sum_i a_i relu(a_i), loss = y^2
-    a = Tensor([[1.0, -2.0, 3.0]])
-    x = ad.reshape(a, (1, 3))
-    mse(dense(x, ad.relu(a), Tensor([0.0])), Tensor([[0.0]])).backward()
-    # dloss/da_i = 2y (relu(a_i) + a_i [a_i > 0]) with y = 10
-    assert np.array_equal(a.grad, [[40.0, 0.0, 120.0]])
-    # reshape hands on a view of x.grad: adding the relu path into a.grad
-    # must not write through it
-    assert np.array_equal(x.grad, [[20.0, 0.0, 60.0]])
+    target = np.random.default_rng(16).standard_normal((1, 2, 2))
+    assert grad_check(through_mse([(maxpool(2), ())], target), ParamSet({"x": x})) < 1e-6
 
 
 # --- activations -------------------------------------------------------------
 
 def test_relu():
-    assert np.allclose(ad.relu(Tensor([-1.0, 0.0, 2.0])).data, [0, 0, 2])
+    assert np.allclose(relu.forward(np.array([-1.0, 0.0, 2.0]))[0], [0, 0, 2])
 
 
 def test_relu_subgradient_zero_at_zero():
-    x = Tensor([0.0])
-    ad.relu(x)._backward(np.ones(1))
-    assert x.grad[0] == 0.0
+    _, mask = relu.forward(np.array([0.0]))
+    dx, _ = relu.backward(mask, np.ones(1))
+    assert dx[0] == 0.0
 
 
-# --- recurrent sequence ops ---------------------------------------------------
+# --- recurrent sequence layers -------------------------------------------------
 #
-# The per-step cells below are the reference the fused sequence ops are
+# The per-step cells below are the reference the fused sequence layers are
 # checked against: one GRU or LSTM step in plain numpy, reading gate
 # blocks out of the fused W [gates*n, n_in], U [gates*n, n] and
 # b [gates*n].  Every function in them is analytic, so they run on
@@ -214,15 +212,26 @@ def complex_step_grads(kind, arrays, target):
     return grads
 
 
-SEQ_OPS = {"GRU": (ad.gru_seq, 3), "LSTM": (ad.lstm_seq, 4)}
+SEQ_LAYERS = {"GRU": (gru, 3), "LSTM": (lstm, 4)}
 
 
-def seq_tensors(rng, kind, B, T, n_in, n, scale=0.5):
-    gates = SEQ_OPS[kind][1]
-    return (Tensor(rng.standard_normal((B, T, n_in))),
-            Tensor(scale * rng.standard_normal((gates * n, n_in))),
-            Tensor(scale * rng.standard_normal((gates * n, n))),
-            Tensor(scale * rng.standard_normal(gates * n)))
+def seq_chain(kind):
+    """The sequence layer of `kind` over batch-major x [B, T, n_in], every
+    hidden state out, [B, T, n]."""
+    return [(_SWAP, ()), (SEQ_LAYERS[kind][0], ("W", "U", "b")), (_SWAP, ())]
+
+
+def seq_H(kind, x, W, U, b):
+    return run(seq_chain(kind), {"W": W, "U": U, "b": b}, x)[0]
+
+
+def seq_arrays(rng, kind, B, T, n_in, n, scale=0.5):
+    """x [B, T, n_in] and the layer's W, U and b."""
+    gates = SEQ_LAYERS[kind][1]
+    return (rng.standard_normal((B, T, n_in)),
+            scale * rng.standard_normal((gates * n, n_in)),
+            scale * rng.standard_normal((gates * n, n)),
+            scale * rng.standard_normal(gates * n))
 
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
@@ -230,52 +239,57 @@ def seq_tensors(rng, kind, B, T, n_in, n, scale=0.5):
 def test_seq_op_matches_per_step_cells(kind, B, T, n_in, n):
     rng = np.random.default_rng((B, T, n_in, n))
     target = rng.standard_normal((B, T, n))
-    inputs = seq_tensors(rng, kind, B, T, n_in, n)
-    H = SEQ_OPS[kind][0](*inputs)
-    mse(H, Tensor(target)).backward()
-    arrays = [t.data for t in inputs]
+    arrays = seq_arrays(rng, kind, B, T, n_in, n)
+    x, W, U, b = arrays
+    H = seq_H(kind, *arrays)
+    _, grads = _loss(seq_chain(kind), {"W": W, "U": U, "b": b}, x, target)
     assert H.shape == (B, T, n)
-    np.testing.assert_allclose(H.data, reference_seq(kind, *arrays), rtol=1e-12, atol=1e-12)
-    for name, t, g_ref in zip("xWUb", inputs, complex_step_grads(kind, arrays, target)):
-        np.testing.assert_allclose(t.grad, g_ref, rtol=1e-12, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(H, reference_seq(kind, *arrays), rtol=1e-12, atol=1e-12)
+    for name, g_ref in zip("xWUb", complex_step_grads(kind, arrays, target)):
+        np.testing.assert_allclose(grads[name], g_ref, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
 def test_seq_op_rejects_wrong_shapes(kind):
     rng = np.random.default_rng(0)
-    x, W, U, b = seq_tensors(rng, kind, 2, 3, 2, 4)
-    seq = SEQ_OPS[kind][0]
+    x, W, U, b = seq_arrays(rng, kind, 2, 3, 2, 4)
+    xt = x.transpose(1, 0, 2)
+    forward = SEQ_LAYERS[kind][0].forward
     with pytest.raises(ShapeMismatch):
-        seq(Tensor(x.data[0]), W, U, b)
+        forward(xt[0], W, U, b)
     with pytest.raises(ShapeMismatch):
-        seq(x, W, U, Tensor(b.data[1:]))
+        forward(xt, W, U, b[1:])
     with pytest.raises(ShapeMismatch):
-        seq(Tensor(x.data[:, :, :1]), W, U, b)
+        forward(xt[:, :, :1], W, U, b)
 
 
 # array forward and the number of state arrays a layer carries (h; h and c)
-SEQ_FORWARDS = {"GRU": (ad.gru_forward, 1), "LSTM": (ad.lstm_forward, 2)}
+SEQ_FORWARDS = {"GRU": (gru_forward, 1), "LSTM": (lstm_forward, 2)}
 
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
-def test_seq_forward_without_state_is_the_graph_op(kind):
+def test_seq_forward_without_state_is_the_zero_state(kind):
+    # with no state, step 0 skips the recurrent matmul
     rng = np.random.default_rng(23)
-    x, W, U, b = seq_tensors(rng, kind, 4, 6, 3, 5)
-    H = SEQ_OPS[kind][0](x, W, U, b).data
-    got = SEQ_FORWARDS[kind][0](x.data.transpose(1, 0, 2), W.data, U.data, b.data)[0]
-    assert np.array_equal(got.transpose(1, 0, 2), H)
+    x, W, U, b = seq_arrays(rng, kind, 4, 6, 3, 5)
+    xt = x.transpose(1, 0, 2)
+    fwd, n_state = SEQ_FORWARDS[kind]
+    got = fwd(xt, W, U, b)[1][:n_state]
+    want = fwd(xt, W, U, b, *[np.zeros((4, 5))] * n_state)[1][:n_state]
+    for g_, w_ in zip(got, want):
+        assert np.array_equal(g_, w_)
 
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
 @pytest.mark.parametrize("split", [1, 3, 5])
 def test_seq_forward_resumed_from_a_state_is_the_whole_run(kind, split):
     rng = np.random.default_rng(24)
-    x, W, U, b = (t.data for t in seq_tensors(rng, kind, 4, 6, 3, 5))
+    x, W, U, b = seq_arrays(rng, kind, 4, 6, 3, 5)
     xt = x.transpose(1, 0, 2)
     fwd, n_state = SEQ_FORWARDS[kind]
-    whole = fwd(xt, W, U, b)[:n_state]
-    first = fwd(xt[:split], W, U, b)[:n_state]
-    second = fwd(xt[split:], W, U, b, *(s[-1] for s in first))[:n_state]
+    whole = fwd(xt, W, U, b)[1][:n_state]
+    first = fwd(xt[:split], W, U, b)[1][:n_state]
+    second = fwd(xt[split:], W, U, b, *(s[-1] for s in first))[1][:n_state]
     for w_, f_, s_ in zip(whole, first, second):
         assert np.array_equal(np.concatenate([f_, s_]), w_)
 
@@ -283,7 +297,7 @@ def test_seq_forward_resumed_from_a_state_is_the_whole_run(kind, split):
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
 def test_seq_forward_rejects_wrong_state(kind):
     rng = np.random.default_rng(25)
-    x, W, U, b = (t.data for t in seq_tensors(rng, kind, 4, 6, 3, 5))
+    x, W, U, b = seq_arrays(rng, kind, 4, 6, 3, 5)
     fwd, n_state = SEQ_FORWARDS[kind]
     with pytest.raises(ShapeMismatch):
         fwd(x.transpose(1, 0, 2), W, U, b, *[np.zeros((3, 5))] * n_state)
@@ -293,61 +307,57 @@ def test_seq_forward_rejects_wrong_state(kind):
 
 
 def zero_seq_params(kind, n_in=2, n=3):
-    gates = SEQ_OPS[kind][1]
-    return (Tensor(np.zeros((gates * n, n_in))), Tensor(np.zeros((gates * n, n))),
-            Tensor(np.zeros(gates * n)))
+    gates = SEQ_LAYERS[kind][1]
+    return np.zeros((gates * n, n_in)), np.zeros((gates * n, n)), np.zeros(gates * n)
 
 
 def test_gru_zero_params_zero_state():
-    H = ad.gru_seq(Tensor([[[1.0, -2.0], [0.5, 3.0]]]), *zero_seq_params("GRU"))
-    assert np.allclose(H.data, 0.0)
+    H = seq_H("GRU", np.array([[[1.0, -2.0], [0.5, 3.0]]]), *zero_seq_params("GRU"))
+    assert np.allclose(H, 0.0)
 
 
 def test_gru_update_gate_saturation():
     rng = np.random.default_rng(2)
-    x, W, U, b = seq_tensors(rng, "GRU", 2, 4, 2, 3)
-    b.data[:3] = 30.0
-    H = ad.gru_seq(x, W, U, b).data
+    x, W, U, b = seq_arrays(rng, "GRU", 2, 4, 2, 3)
+    b[:3] = 30.0
+    H = seq_H("GRU", x, W, U, b)
     # z ~= 1, so each state is the candidate alone: h_t = h~_t
     for t in range(4):
         h_prev = H[:, t - 1] if t else np.zeros((2, 3))
-        r = 1.0 / (1.0 + np.exp(-(x.data[:, t] @ W.data[3:6].T + h_prev @ U.data[3:6].T
-                                  + b.data[3:6])))
-        h_tilde = np.tanh(x.data[:, t] @ W.data[6:].T + (r * h_prev) @ U.data[6:].T
-                          + b.data[6:])
+        r = 1.0 / (1.0 + np.exp(-(x[:, t] @ W[3:6].T + h_prev @ U[3:6].T + b[3:6])))
+        h_tilde = np.tanh(x[:, t] @ W[6:].T + (r * h_prev) @ U[6:].T + b[6:])
         assert np.max(np.abs(H[:, t] - h_tilde)) < 1e-9
 
 
 def test_gru_unrolled_gradcheck():
     rng = np.random.default_rng(3)
-    x, W, U, b = seq_tensors(rng, "GRU", 2, 3, 2, 4)
+    x, W, U, b = seq_arrays(rng, "GRU", 2, 3, 2, 4)
     params = ParamSet({"x": x, "W": W, "U": U, "b": b})
-    target = Tensor(rng.standard_normal((2, 3, 4)))
-    f = lambda p: mse(ad.gru_seq(p["x"], p["W"], p["U"], p["b"]), target)  # noqa: E731
-    assert grad_check(f, params) < 1e-5
+    target = rng.standard_normal((2, 3, 4))
+    assert grad_check(through_mse(seq_chain("GRU"), target), params) < 1e-5
 
 
 def test_gru_hidden_state_bounded():
     rng = np.random.default_rng(4)
-    _, W, U, b = seq_tensors(rng, "GRU", 1, 1, 1, 5, scale=2.0)
-    x = Tensor(np.sin(np.arange(50.0))[None, :, None])
-    assert np.max(np.abs(ad.gru_seq(x, W, U, b).data)) <= 1.0 + 1e-12
+    _, W, U, b = seq_arrays(rng, "GRU", 1, 1, 1, 5, scale=2.0)
+    x = np.sin(np.arange(50.0))[None, :, None]
+    assert np.max(np.abs(seq_H("GRU", x, W, U, b))) <= 1.0 + 1e-12
 
 
 def test_lstm_zero_params():
-    H = ad.lstm_seq(Tensor([[[1.0, 2.0], [-1.0, 0.5]]]), *zero_seq_params("LSTM"))
-    assert np.allclose(H.data, 0.0)
+    H = seq_H("LSTM", np.array([[[1.0, 2.0], [-1.0, 0.5]]]), *zero_seq_params("LSTM"))
+    assert np.allclose(H, 0.0)
 
 
 def test_lstm_pure_memory_saturation():
     # f ~= 1 and i ~= 1 with U = 0: the cell sums the candidates,
     # c_t = g_1 + ... + g_t, and h_t = o_t * tanh(c_t)
     rng = np.random.default_rng(5)
-    x, W, U, b = seq_tensors(rng, "LSTM", 2, 5, 2, 3)
-    U.data[:] = 0.0
-    b.data[:6] = 30.0
-    H = ad.lstm_seq(x, W, U, b).data
-    pre = x.data @ W.data.T + b.data
+    x, W, U, b = seq_arrays(rng, "LSTM", 2, 5, 2, 3)
+    U[:] = 0.0
+    b[:6] = 30.0
+    H = seq_H("LSTM", x, W, U, b)
+    pre = x @ W.T + b
     o = 1.0 / (1.0 + np.exp(-pre[..., 6:9]))
     c = np.cumsum(np.tanh(pre[..., 9:]), axis=1)
     assert np.max(np.abs(H - o * np.tanh(c))) < 1e-9
@@ -355,87 +365,91 @@ def test_lstm_pure_memory_saturation():
 
 def test_lstm_unrolled_gradcheck():
     rng = np.random.default_rng(6)
-    x, W, U, b = seq_tensors(rng, "LSTM", 2, 3, 2, 4)
+    x, W, U, b = seq_arrays(rng, "LSTM", 2, 3, 2, 4)
     params = ParamSet({"x": x, "W": W, "U": U, "b": b})
-    target = Tensor(rng.standard_normal((2, 3, 4)))
-    f = lambda p: mse(ad.lstm_seq(p["x"], p["W"], p["U"], p["b"]), target)  # noqa: E731
-    assert grad_check(f, params) < 1e-5
+    target = rng.standard_normal((2, 3, 4))
+    assert grad_check(through_mse(seq_chain("LSTM"), target), params) < 1e-5
 
 
 def test_lstm_hidden_state_bounded():
     rng = np.random.default_rng(7)
-    _, W, U, b = seq_tensors(rng, "LSTM", 1, 1, 1, 5, scale=2.0)
-    x = Tensor(np.cos(np.arange(50.0))[None, :, None])
-    assert np.max(np.abs(ad.lstm_seq(x, W, U, b).data)) <= 1.0 + 1e-12
+    _, W, U, b = seq_arrays(rng, "LSTM", 1, 1, 1, 5, scale=2.0)
+    x = np.cos(np.arange(50.0))[None, :, None]
+    assert np.max(np.abs(seq_H("LSTM", x, W, U, b))) <= 1.0 + 1e-12
 
 
 # --- loss --------------------------------------------------------------------
 
 def test_mse_zero_on_equal():
-    x = Tensor([0.3, 0.7])
-    assert float(mse(x, Tensor([0.3, 0.7])).data) == 0.0
+    assert mse.forward(np.array([0.3, 0.7]), np.array([0.3, 0.7]))[0] == 0.0
 
 
 def test_mse_value():
-    assert float(mse(Tensor([0.0, 0.0]), Tensor([1.0, 1.0])).data) == pytest.approx(1.0)
+    assert mse.forward(np.zeros(2), np.ones(2))[0] == pytest.approx(1.0)
 
 
 def test_mse_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        mse(Tensor([1.0]), Tensor([1.0, 2.0]))
+        mse.forward(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 def test_mse_gradient():
     rng = np.random.default_rng(8)
-    pred, target = Tensor(rng.standard_normal(5)), Tensor(rng.standard_normal(5))
-    mse(pred, target).backward()
-    expected = 2.0 * (pred.data - target.data) / 5
-    np.testing.assert_allclose(pred.grad, expected, rtol=1e-15, atol=0)
-    np.testing.assert_array_equal(target.grad, -pred.grad)
-    params = ParamSet({"pred": Tensor(pred.data.copy()), "target": Tensor(target.data.copy())})
-    assert grad_check(lambda p: mse(p["pred"], p["target"]), params) < 1e-8
+    pred, target = rng.standard_normal(5), rng.standard_normal(5)
+    _, diff = mse.forward(pred, target)
+    d_pred, (d_target,) = mse.backward(diff, 1.0, target)
+    expected = 2.0 * (pred - target) / 5
+    np.testing.assert_allclose(d_pred, expected, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(d_target, -d_pred)
+    params = ParamSet({"x": pred.copy(), "target": target.copy()})
+    assert grad_check(through_mse([(mse, ("target",))], None), params) < 1e-8
 
 
 # --- Adam --------------------------------------------------------------------
 
 def test_adam_zero_gradient_is_identity():
-    params = ParamSet({"w": Tensor([1.0, -2.0])})
+    params = ParamSet({"w": np.array([1.0, -2.0])})
     opt = Adam(params)
-    before = params["w"].data.copy()
+    before = params["w"].copy()
     for _ in range(10):
-        params.zero_grad()
-        opt.step()
-    assert np.array_equal(params["w"].data, before)
+        opt.step({"w": np.zeros(2)})
+    assert np.array_equal(params["w"], before)
 
 
 def test_adam_first_step_hand_value():
-    params = ParamSet({"w": Tensor([0.0])})
+    params = ParamSet({"w": np.array([0.0])})
     opt = Adam(params, lr=1e-3)
-    params["w"].grad = np.array([1.0])
-    opt.step()
+    opt.step({"w": np.array([1.0])})
     # bias-corrected first step: -lr / (1 + eps)
-    assert params["w"].data[0] == pytest.approx(-9.9999999e-4, rel=1e-7)
+    assert params["w"][0] == pytest.approx(-9.9999999e-4, rel=1e-7)
 
 
 def test_adam_constant_gradient_limit():
-    params = ParamSet({"w": Tensor([0.0])})
+    params = ParamSet({"w": np.array([0.0])})
     opt = Adam(params, lr=1e-3)
     steps = []
     for _ in range(500):
-        prev = params["w"].data[0]
-        params["w"].grad = np.array([2.5])
-        opt.step()
-        steps.append(prev - params["w"].data[0])
+        prev = params["w"][0]
+        opt.step({"w": np.array([2.5])})
+        steps.append(prev - params["w"][0])
     # update magnitude converges to lr, direction opposes the gradient
     assert steps[-1] == pytest.approx(1e-3, rel=1e-3)
 
 
 def test_adam_shape_mismatch():
-    params = ParamSet({"w": Tensor([1.0, 2.0])})
-    opt = Adam(params)
-    params["w"].grad = np.zeros(3)
+    opt = Adam(ParamSet({"w": np.array([1.0, 2.0])}))
     with pytest.raises(ShapeMismatch):
-        opt.step()
+        opt.step({"w": np.zeros(3)})
+
+
+def test_adam_rejects_a_missing_gradient():
+    # every parameter gets one gradient per step: a missing one is a bug,
+    # not a zero gradient that would still decay m and v and move it
+    params = ParamSet({"w": np.array([1.0, 2.0]), "b": np.array([0.5])})
+    opt = Adam(params)
+    with pytest.raises(ShapeMismatch, match="no gradient for parameter b"):
+        opt.step({"w": np.ones(2)})
+    assert params["b"][0] == 0.5 and opt.m["b"][0] == 0.0
 
 
 def test_adam_step_equals_written_out_formula():
@@ -443,24 +457,22 @@ def test_adam_step_equals_written_out_formula():
     # several blocks, end in a partial one, or fit in one
     rng = np.random.default_rng(14)
     shapes = {"W": (3, _BLOCK // 2 + 1), "u": (2 * _BLOCK + 5,), "b": (4,)}
-    params = ParamSet({k: Tensor(rng.standard_normal(v)) for k, v in shapes.items()})
+    params = ParamSet({k: rng.standard_normal(v) for k, v in shapes.items()})
     opt = Adam(params, lr=3e-3)
-    p_ref = {k: t.data.copy() for k, t in params.items()}
+    p_ref = {k: p.copy() for k, p in params.items()}
     m = {k: np.zeros(v) for k, v in shapes.items()}
     v_ = {k: np.zeros(v) for k, v in shapes.items()}
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
     for t in range(1, 9):
         grads = {k: rng.standard_normal(v) for k, v in shapes.items()}
-        for k, t_ in params.items():
-            t_.grad = grads[k].copy()
-        opt.step()
+        opt.step({k: g.copy() for k, g in grads.items()})
         for k, g in grads.items():
             m[k] = b1 * m[k] + (1.0 - b1) * g
             v_[k] = b2 * v_[k] + (1.0 - b2) * g * g
             m_hat = m[k] / (1.0 - b1 ** t)
             v_hat = v_[k] / (1.0 - b2 ** t)
             p_ref[k] = p_ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-            assert np.array_equal(params[k].data, p_ref[k]), (k, t)
+            assert np.array_equal(params[k], p_ref[k]), (k, t)
 
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
@@ -473,7 +485,7 @@ def test_training_peak_memory_bound(kind):
     tracemalloc.start()
     try:
         model = build_model(kind, 5, 1, seed=2)
-        param_bytes = sum(p.data.nbytes for _, p in model.params.items())
+        param_bytes = sum(p.nbytes for _, p in model.params.items())
         tracemalloc.reset_peak()
         train(model, X, Y, TrainConfig(epochs=1, batch_size=32, seed=4))
         peak = tracemalloc.get_traced_memory()[1]
@@ -482,58 +494,46 @@ def test_training_peak_memory_bound(kind):
     assert peak <= 6.5 * param_bytes, peak / param_bytes
 
 
-@pytest.mark.parametrize("kind", ["MLP", "CNN", "GRU", "LSTM"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_gradients_own_their_memory(kind):
-    # _accum keeps a first gradient without copying it.  Every node's
-    # gradient must still be its own C-order array: a shared one would be
-    # added into through another node, and other layouts change how the
-    # backward reductions round
+    # Model.backward gives every parameter exactly one gradient, shaped
+    # like it, in memory that no other gradient and no parameter shares
     model = build_model(kind, 5, 1, seed=2)
-    x = Tensor(np.random.default_rng(22).standard_normal((4, 5)))
-    loss = mse(model.forward(x), Tensor(np.zeros((4, 1))))
-    loss.backward()
-    nodes, stack = {}, [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node._parents)
-    assert all(p.grad is not None for _, p in model.params.items())
-    grads = [node.grad for node in nodes.values() if node.grad is not None]
-    assert all(g.flags.c_contiguous for g in grads)
-    for i, g in enumerate(grads):
-        for other in grads[i + 1:]:
-            assert not np.shares_memory(g, other)
+    pred, caches = model.forward(np.random.default_rng(22).standard_normal((4, 5)))
+    grads = model.backward(caches, np.ones_like(pred))
+    assert sorted(grads) == sorted(name for name, _ in model.params.items())
+    for name, p in model.params.items():
+        assert grads[name].shape == p.shape, name
+    arrays = [*grads.values(), *(p for _, p in model.params.items())]
+    for i, a in enumerate(arrays):
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(a, other)
 
 
 def test_paramset_rejects_non_contiguous_data():
     with pytest.raises(ShapeMismatch, match="C-contiguous"):
-        ParamSet({"W": Tensor(np.ones((3, 4)).T)})
+        ParamSet({"W": np.ones((3, 4)).T})
 
 
 # --- grad_check behavior ------------------------------------------------------
 
 def test_grad_check_exact_quadratic():
-    params = ParamSet({"w": Tensor([1.0, -2.0, 3.0])})
-    assert grad_check(lambda p: mse(p["w"], Tensor(np.zeros(3))), params) < 1e-9
+    params = ParamSet({"x": np.array([1.0, -2.0, 3.0])})
+    assert grad_check(through_mse([], np.zeros(3)), params) < 1e-9
 
 
 def test_grad_check_eps_range():
-    params = ParamSet({"w": Tensor([1.0])})
+    params = ParamSet({"x": np.array([1.0])})
     with pytest.raises(ValueError):
-        grad_check(lambda p: mse(p["w"], Tensor([0.0])), params, eps=1e-2)
+        grad_check(through_mse([], np.array([0.0])), params, eps=1e-2)
 
 
 def test_grad_check_non_finite():
-    # w - target overflows to inf, and so does its gradient
-    params = ParamSet({"w": Tensor([0.0, 1e308])})
-
-    def f(p):
-        return mse(p["w"], Tensor([0.0, -1e308]))
-
+    # x - target overflows to inf, and so does its gradient
+    params = ParamSet({"x": np.array([0.0, 1e308])})
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteGradient):
-            grad_check(f, params)
+            grad_check(through_mse([], np.array([0.0, -1e308])), params)
 
 
 def test_full_suite_green():
@@ -546,6 +546,4 @@ def test_full_suite_green():
 def test_forward_deterministic():
     rng = np.random.default_rng(9)
     W, b, x = rng.standard_normal((4, 4)), rng.standard_normal(4), rng.standard_normal((2, 4))
-    a = dense(Tensor(x), Tensor(W), Tensor(b)).data
-    b2 = dense(Tensor(x), Tensor(W), Tensor(b)).data
-    assert np.array_equal(a, b2)
+    assert np.array_equal(dense.forward(x, W, b)[0], dense.forward(x, W, b)[0])

@@ -8,8 +8,7 @@ from stockcast.config import ExperimentConfig
 from stockcast.errors import ArityMismatch, WindowTooLarge
 from stockcast.experiment import CellResult, RunResult
 from stockcast.models import PAD_ROWS, build_model, build_surrogate
-from stockcast.nn import autodiff as ad
-from stockcast.nn.autodiff import Tensor
+from stockcast.nn import layers
 from stockcast.runner import traces_json_text
 from stockcast.windowing import (
     FunctionModel,
@@ -206,9 +205,10 @@ def test_trace_json_shape():
 
 # --- padded evaluation batches and resumed iterative forecasts ------------------
 
-def through_graph(model):
-    """The plain iterative loop's model, unpadded: every call runs Model.forward."""
-    return lambda windows: model.forward(Tensor(windows)).data
+def training_forward(model):
+    """The plain iterative loop's model, unpadded: every call runs the
+    training forward, Model.forward, which keeps every layer's cache."""
+    return lambda windows: model.forward(windows)[0]
 
 
 def plain(model):
@@ -219,9 +219,10 @@ def plain(model):
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
 @pytest.mark.parametrize("rows", [16, 32])
 def test_padded_call_is_the_graph_forward_on_whole_pads(kind, rows):
+    # "the graph forward" is the training forward, Model.forward, unpadded
     model = build_model(kind, 10, 1, seed=2)
     windows = np.random.default_rng(rows).uniform(0, 1, (rows, 10))
-    assert np.array_equal(model(windows), model.forward(Tensor(windows)).data)
+    assert np.array_equal(model(windows), model.forward(windows)[0])
 
 
 @pytest.mark.parametrize("kind", ["MLP", "CNN", "GRU", "LSTM"])
@@ -250,16 +251,15 @@ def test_resumed_iterative_equals_plain_loop(kind, w, h, stride, n_origins):
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
 def test_resumed_call_runs_only_its_predictions(kind, monkeypatch):
-    # layer-1 calls of the array forward, in order: T steps over B rows
-    name = "gru_forward" if kind == "GRU" else "lstm_forward"
-    original, runs = getattr(ad, name), []
+    # layer-1 runs of the sequence layer, in order: T steps over B rows
+    original, runs = layers._project, []
 
     def counting(x, *args):
         if x.shape[2] == 1:
             runs.append(x.shape[:2])
         return original(x, *args)
 
-    monkeypatch.setattr(ad, name, counting)
+    monkeypatch.setattr(layers, "_project", counting)
     w, h, n = 4, 7, 10
     model = build_surrogate(kind, w, 1, seed=1)
     rolling_test_forecast(model, np.linspace(0.0, 1.0, w + h + n - 1), w, h, "iterative")
@@ -280,10 +280,11 @@ def test_resumed_call_runs_only_its_predictions(kind, monkeypatch):
 @pytest.mark.parametrize("kind,w,h,n_origins", [("GRU", 30, 7, 100), ("GRU", 90, 28, 32),
                                                 ("LSTM", 90, 28, 32)])
 def test_resumed_iterative_peaks_no_higher_than_the_graph(kind, w, h, n_origins):
+    # "the graph" is the plain loop through the training forward
     values = np.random.default_rng(9).uniform(0, 1, w + h + n_origins - 1)
     model = build_model(kind, w, 1, seed=3)
     peaks = []
-    for m in (through_graph(model), model):
+    for m in (training_forward(model), model):
         tracemalloc.start()
         try:
             rolling_test_forecast(m, values, w, h, "iterative")
