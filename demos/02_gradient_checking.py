@@ -20,11 +20,14 @@ params = ParamSet({
 target = rng.standard_normal((2, 4))
 
 
-def f(p):
+def f(p, grads=True):
     """The loss and its gradients: each layer's forward keeps a cache, and
-    its backward turns dloss/dy into the input's and parameters' gradients."""
+    its backward turns dloss/dy into the input's and parameters' gradients.
+    The finite-difference probes need the loss alone (grads=False)."""
     y, cache = dense.forward(p["x"], p["W"], p["b"])
     loss, diff = mse.forward(y, target)
+    if not grads:
+        return loss
     dx, (dW, db) = dense.backward(cache, mse.backward(diff, 1.0, target)[0], p["W"], p["b"])
     return loss, {"x": dx, "W": dW, "b": db}
 

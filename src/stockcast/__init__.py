@@ -14,6 +14,29 @@ import os
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
+# Fixed glibc malloc thresholds.  glibc's defaults move the mmap threshold
+# as large blocks are freed and trim the heap top, so a training step's
+# multi-MB arrays are unmapped or trimmed and then faulted in again, and
+# each new model's arrays get fresh pages.  Fixed thresholds keep freed
+# memory in the heap for the next step and model; RSS stays at its
+# high-water mark until exit.  Forked pool workers inherit the setting,
+# others set it again on import.  Other C libraries keep their defaults.
+try:
+    _GLIBC = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+except (AttributeError, ValueError, OSError):  # no confstr, name or value
+    _GLIBC = False
+if _GLIBC:
+    import ctypes
+
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_TRIM_THRESHOLD = -1, M_MMAP_THRESHOLD = -3 (<malloc.h>)
+    if not (_mallopt(-1, 256 << 20) == 1 and _mallopt(-3, 32 << 20) == 1):
+        import warnings
+
+        warnings.warn("mallopt refused a malloc threshold; freed memory may be re-faulted",
+                      RuntimeWarning)
+
 from .evaluation import DmReport, dm_test, pairwise_dm_matrix
 from .experiment import LossInterval, RunResult, TrainConfig, run_grid, train
 from .ingest import TimeSeries, load_series, write_series

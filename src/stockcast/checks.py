@@ -36,15 +36,15 @@ class CheckResult:
         return self.worst_error < self.tol
 
 
-def _loss(chain, params, x, target):
+def _loss(chain, params, x, target, grads=True):
     """(loss, grads) of mse(chain(x), target), or with no target of the
-    chain's output, with the gradient of x as grads["x"]."""
-    y, caches = run(chain, params, x, keep=True)
-    if target is None:
-        loss, g = y, 1.0
-    else:
-        loss, diff = mse.forward(y, target)
-        g = mse.backward(diff, 1.0, target)[0]
+    chain's output, with the gradient of x as grads["x"]; without `grads`
+    the loss alone, with no caches kept and no backward."""
+    y, caches = run(chain, params, x, keep=grads)
+    loss, diff = (y, None) if target is None else mse.forward(y, target)
+    if not grads:
+        return loss
+    g = 1.0 if target is None else mse.backward(diff, 1.0, target)[0]
     dx, grads = backprop(chain, params, caches, g)
     return loss, {"x": dx, **grads}
 
@@ -62,7 +62,7 @@ def _normal(chain, target, args, seed, attempt):
                        for name, (shape, scale) in args.items()})
     if target is not None:
         target = rng.standard_normal(target)
-    return (lambda p: _loss(chain, p, p["x"], target)), params
+    return (lambda p, grads=True: _loss(chain, p, p["x"], target, grads)), params
 
 
 # batch-major [B, T, .] <-> time-major [T, B, .]
@@ -83,7 +83,7 @@ def _maxpool(seed, attempt):
     x = rng.permutation(np.linspace(-3.0, 3.0, 48)) + 0.01 * rng.standard_normal(48)
     params = ParamSet({"x": x.reshape(2, 2, 12)})
     target = rng.standard_normal((2, 2, 4))
-    return (lambda p: _loss([(maxpool(3), ())], p, p["x"], target)), params
+    return (lambda p, grads=True: _loss([(maxpool(3), ())], p, p["x"], target, grads)), params
 
 
 def _architecture(kind, seed, attempt, w=7, h=2):
@@ -91,7 +91,7 @@ def _architecture(kind, seed, attempt, w=7, h=2):
     model = build_surrogate(kind, w, h, seed=seed + attempt)
     x = rng.uniform(0.1, 0.9, size=(2, w))
     y = rng.uniform(0.1, 0.9, size=(2, h))
-    return (lambda p: _loss(model.chain, p, x, y)), model.params
+    return (lambda p, grads=True: _loss(model.chain, p, x, y, grads)), model.params
 
 
 # (name, maker, tolerance); maker(seed, attempt) returns a fresh (f, params)

@@ -13,9 +13,11 @@ _FLOOR = 1e-8
 def grad_check(f, params: ParamSet, eps: float = 1e-5) -> float:
     """Worst relative error between analytic gradients and central differences.
 
-    `f` maps the ParamSet to (loss, grads): a scalar and a gradient per
-    parameter name.  Relative error uses the denominator
-    max(|analytic|, |numeric|, 1e-8) per coordinate.
+    `f(params)` returns (loss, grads): a scalar and a gradient per
+    parameter name; `f(params, grads=False)` returns the loss alone, with
+    no backward, and the finite-difference probes call that.  Relative
+    error uses the denominator max(|analytic|, |numeric|, 1e-8) per
+    coordinate.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
@@ -29,9 +31,9 @@ def grad_check(f, params: ParamSet, eps: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            hi = float(f(params)[0])
+            hi = float(f(params, grads=False))
             flat[i] = orig - eps
-            lo = float(f(params)[0])
+            lo = float(f(params, grads=False))
             flat[i] = orig
             num = (hi - lo) / (2.0 * eps)
             if not np.isfinite(num):

@@ -275,9 +275,9 @@ def test_criterion_7_degenerate_inputs(tmp_path):
         params = ParamSet({"w": np.array([0.0, 1e308])})
         target = np.array([0.0, -1e308])
 
-        def f(p):
+        def f(p, grads=True):
             loss, diff = mse.forward(p["w"], target)
-            return loss, {"w": mse.backward(diff, 1.0, target)[0]}
+            return (loss, {"w": mse.backward(diff, 1.0, target)[0]}) if grads else loss
 
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteGradient):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -585,10 +586,10 @@ def test_gradcheck_command_detects_wrong_gradient(monkeypatch, capsys):
         rng = np.random.default_rng((seed, attempt))
         params = ParamSet({"w": rng.standard_normal(3)})
 
-        def f(p):
+        def f(p, grads=True):
             target = np.full(3, p["w"][0])
             loss, diff = mse.forward(p["w"], target)
-            return loss, {"w": mse.backward(diff, 1.0, target)[0]}
+            return (loss, {"w": mse.backward(diff, 1.0, target)[0]}) if grads else loss
 
         return f, params
 
@@ -690,3 +691,42 @@ def test_one_blas_thread_per_process():
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["1", "1"]
+
+
+HEAP_FAULTS = """
+import multiprocessing
+import resource
+import stockcast
+import numpy as np
+from concurrent.futures import ProcessPoolExecutor
+
+def faults():
+    def rounds(n):
+        for _ in range(n):
+            arrays = [np.ones(3 << 17) for _ in range(8)]  # 8 x 3 MiB
+            del arrays
+    rounds(2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rounds(5)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+if __name__ == "__main__":
+    here = faults()
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        print(here, pool.submit(faults).result())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
+def test_freed_memory_stays_in_the_heap():
+    # after a warm-up, allocating and freeing the same multi-MB arrays faults in no
+    # fresh pages, in the process and in a forked pool worker; glibc's default
+    # thresholds unmap or trim them on every free, one fault per 4 KiB page (~30,000)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", HEAP_FAULTS], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    here, worker = map(int, out.stdout.split())
+    assert here < 1000 and worker < 1000, out.stdout

@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stockcast import checks
 from stockcast.checks import _SWAP, _loss, run_gradcheck_suite
 from stockcast.errors import NonFiniteGradient, ShapeMismatch
 from stockcast.experiment import TrainConfig, train
 from stockcast.models import KINDS, build_model
 from stockcast.nn.gradcheck import grad_check
 from stockcast.nn.layers import (
+    backprop,
     conv1d,
     dense,
     gru,
@@ -26,7 +28,7 @@ from stockcast.nn.params import ParamSet
 
 def through_mse(chain, target):
     """grad_check's f for mse(chain(x), target), the input x a parameter."""
-    return lambda p: _loss(chain, p, p["x"], target)
+    return lambda p, grads=True: _loss(chain, p, p["x"], target, grads)
 
 
 # --- dense -------------------------------------------------------------------
@@ -534,6 +536,17 @@ def test_grad_check_non_finite():
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteGradient):
             grad_check(through_mse([], np.array([0.0, -1e308])), params)
+
+
+def test_grad_check_runs_one_backward(monkeypatch):
+    # the finite-difference probes need the loss alone: one backward per
+    # grad_check, for the analytic gradients, on every check of the suite
+    calls = []
+    monkeypatch.setattr(checks, "backprop", lambda *args: calls.append(1) or backprop(*args))
+    for name, make, _ in checks.CHECKS:
+        calls.clear()
+        grad_check(*make(7, 0))
+        assert len(calls) == 1, name
 
 
 def test_full_suite_green():
