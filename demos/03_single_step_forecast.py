@@ -27,7 +27,7 @@ iv = cell.interval
 print(f"MLP test MSE over {iv.n_runs} seeds: {iv.mean:.3e} +/- {iv.std:.3e}")
 
 persistence = FunctionModel(lambda x: x[-1], input_arity=W)
-_, predictions, targets = rolling_test_forecast(persistence, test_n, W, 1)
+_, predictions, targets = rolling_test_forecast(persistence, test_n, W, (1,))[0]
 print(f"persistence baseline test MSE:  {np.mean((predictions - targets) ** 2):.3e}")
 
 best = min(cell.runs, key=lambda r: r.test_mse)

@@ -5,6 +5,8 @@ single-step and multi-step forecasting (direct and iterative), a seeded
 multi-run experiment harness, and Diebold-Mariano significance testing.
 """
 
+import ctypes
+import glob
 import os
 
 # One BLAS thread per process.  `run` defaults to one worker process
@@ -26,8 +28,6 @@ try:
 except (AttributeError, ValueError, OSError):  # no confstr, name or value
     _GLIBC = False
 if _GLIBC:
-    import ctypes
-
     _mallopt = ctypes.CDLL(None).mallopt
     _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     # M_TRIM_THRESHOLD = -1, M_MMAP_THRESHOLD = -3 (<malloc.h>)
@@ -37,11 +37,24 @@ if _GLIBC:
         warnings.warn("mallopt refused a malloc threshold; freed memory may be re-faulted",
                       RuntimeWarning)
 
+import numpy
+
 from .evaluation import DmReport, dm_test, pairwise_dm_matrix
 from .experiment import LossInterval, RunResult, TrainConfig, run_grid, train
 from .ingest import TimeSeries, load_series, write_series
 from .models import Model, build_cnn, build_gru, build_lstm, build_mlp, build_model
 from .preprocess import Scaler, fit_scaler, inverse_scale, scale, split_by_date
 from .windowing import FunctionModel, forecast, make_samples, rolling_test_forecast
+
+# numpy's bundled OpenBLAS, or None.  One loaded by a numpy imported before
+# stockcast read no thread count above, so it is pinned here (numpy 2.x, 1.x).
+_LIBS = glob.glob(os.path.join(numpy.__path__[0], os.pardir, "numpy.libs", "*openblas*"))
+_OPENBLAS = ctypes.CDLL(_LIBS[0]) if _LIBS else None
+for _name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+    if hasattr(_OPENBLAS, _name):
+        _set_threads = getattr(_OPENBLAS, _name)
+        _set_threads.argtypes, _set_threads.restype = (ctypes.c_int,), None
+        _set_threads(1)
+        break
 
 __version__ = "0.1.0"

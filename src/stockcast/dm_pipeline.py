@@ -30,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import MalformedInput
-from .evaluation import MULTI_STEP_PAIRS, SINGLE_STEP_PAIRS, pairwise_dm_matrix
+from .evaluation import dm_pairs, pairwise_dm_matrix
 from .runner import RUN_ERRORS_COLUMNS
 
 # an unsized str field would load every name as ""
@@ -206,8 +206,8 @@ def load_run_errors(path) -> tuple[dict[str, dict[str, np.ndarray]], int]:
 def dm_csv_text(errors_path, mode: str, loss: str = "squared",
                 harvey: bool = True) -> str:
     """One `stock,pair` row per model pair, in the fixed report order."""
+    pairs = dm_pairs(mode)
     series, h = load_run_errors(errors_path)
-    pairs = SINGLE_STEP_PAIRS if mode == "single" else MULTI_STEP_PAIRS
     lines = [
         "# stockcast DM comparison",
         f"# mode = {mode}",

@@ -29,13 +29,18 @@ import numpy as np
 
 from .errors import DegenerateDifferential
 
-# fixed pair orderings for the single-step and multi-step comparison reports
-SINGLE_STEP_PAIRS = (
-    ("MLP", "CNN"), ("LSTM", "GRU"), ("MLP", "LSTM"), ("LSTM", "CNN"), ("CNN", "GRU"),
-)
-MULTI_STEP_PAIRS = (
-    ("MLP", "CNN"), ("LSTM", "GRU"), ("MLP", "LSTM"), ("LSTM", "CNN"), ("MLP", "GRU"),
-)
+# the model pairs of the single-step and multi-step comparison reports, in report order
+DM_PAIRS = {
+    "single": (("MLP", "CNN"), ("LSTM", "GRU"), ("MLP", "LSTM"), ("LSTM", "CNN"), ("CNN", "GRU")),
+    "multi": (("MLP", "CNN"), ("LSTM", "GRU"), ("MLP", "LSTM"), ("LSTM", "CNN"), ("MLP", "GRU")),
+}
+
+
+def dm_pairs(mode: str) -> tuple[tuple[str, str], ...]:
+    """The model pairs of the `mode` report; ValueError for another mode."""
+    if mode not in DM_PAIRS:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {list(DM_PAIRS)}")
+    return DM_PAIRS[mode]
 
 
 @dataclass(frozen=True)
@@ -153,9 +158,8 @@ def pairwise_dm_matrix(per_model_errors: dict[str, np.ndarray], h: int,
     A degenerate pair (identical losses) yields None instead of raising,
     so the remaining pairs still report.
     """
-    pairs = SINGLE_STEP_PAIRS if mode == "single" else MULTI_STEP_PAIRS
     out = []
-    for a, b in pairs:
+    for a, b in dm_pairs(mode):
         try:
             report = dm_test(per_model_errors[a], per_model_errors[b], h=h,
                              loss=loss, harvey=harvey)

@@ -25,7 +25,7 @@ from .errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
 from .models import build_model, cnn_kernel
 from .nn.layers import mse
 from .nn.optim import Adam
-from .windowing import make_samples, rolling_forecasts
+from .windowing import make_samples, rolling_test_forecast
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ def run_model(train_values, test_values, kind: str, w: int, cfg: TrainConfig, st
     The direct strategy trains an h-output model, so `horizons` must be
     (h,).  The iterative strategy trains a single-output model and feeds
     its predictions back in; nothing in that depends on h, so one model
-    serves every horizon, and `rolling_forecasts` forecasts them all at
-    once.  Returns one RunResult per horizon, with the
+    serves every horizon, and `rolling_test_forecast` forecasts them all
+    at once.  Returns one RunResult per horizon, with the
     rolling-origin test MSE in normalized space, or None if training
     diverged.
     """
@@ -144,8 +144,8 @@ def run_model(train_values, test_values, kind: str, w: int, cfg: TrainConfig, st
         history = train(model, X, Y, cfg)
     except NonFiniteLoss:
         return None
-    forecasts = rolling_forecasts(model, test_values, w, horizons, strategy=strategy,
-                                  origin_stride=cfg.origin_stride)
+    forecasts = rolling_test_forecast(model, test_values, w, horizons, strategy=strategy,
+                                      origin_stride=cfg.origin_stride)
     return [RunResult(seed=cfg.seed, test_mse=float(np.mean((predictions - targets) ** 2)),
                       loss_history=history, origins=origins,
                       predictions=predictions, targets=targets)

@@ -54,9 +54,9 @@ class Model:
     """A map from a length-w window to h outputs: a fixed chain of
     `(layer, parameter names)` steps over the parameters.
 
-    `forward` and `backward` train it on a batch as given.  `__call__`
-    and, for a recurrent model, `predict` evaluate it: they pad their
-    batch to a multiple of PAD_ROWS rows and keep no caches.
+    `forward` and `backward` train it on a batch as given.  `predict`,
+    and `__call__` through it, evaluate it: they pad their batch to a
+    multiple of PAD_ROWS rows and keep no caches.
     """
 
     def __init__(self, kind: str, w: int, h: int, params: ParamSet, chain):
@@ -83,13 +83,14 @@ class Model:
         return backprop(self.chain, self.params, caches, g)[1]
 
     def predict(self, x, init=None):
-        """Forward of a recurrent model over x [batch, T], any T >= 0, from
-        the per-layer initial states `init` (None: zero).
+        """The evaluation forward of every kind: (y [batch, h], states)
+        from x [batch, T].  An MLP or CNN reads T = w; its states are [].
 
-        A layer's state is (h,) for a GRU and (h, c) for an LSTM, each
-        [batch, n].  Returns (y [batch, h], states): states holds each
-        layer's per-step states, (H,) or (H, C), each [T, batch, n].  With
-        T = 0 the output head reads the initial state of the last layer.
+        A GRU or LSTM runs any T >= 0 steps from the per-layer initial
+        states `init` (None: zero), each (h,) for a GRU and (h, c) for an
+        LSTM, each [batch, n].  states holds each layer's per-step states,
+        (H,) or (H, C), each [T, batch, n].  With T = 0 the output head
+        reads the initial state of the last layer.
         """
         x = np.asarray(x, dtype=np.float64)
         init = init or ()
@@ -106,9 +107,8 @@ class Model:
 
     def __call__(self, windows) -> np.ndarray:
         """Numpy-in, numpy-out prediction: windows [N, w] -> [N, h]."""
-        windows = np.asarray(windows, dtype=np.float64)
-        self._check_window(windows.shape)
-        return run(self.chain, self.params, _pad_rows(windows))[0][:len(windows)]
+        self._check_window(np.shape(windows))
+        return self.predict(windows)[0]
 
     def n_params(self) -> int:
         return self.params.n_scalars()

@@ -16,7 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArityMismatch, WindowTooLarge
 
-# Origins per batched model call in rolling_test_forecast.  Memory grows
+# Origins per model call in rolling_test_forecast's one chunk loop, which
+# forecasts the shortest horizon's origins at the longest.  Memory grows
 # with the batch: at w=30 h=7, iterative evaluation of all 496 origins of a
 # 532-point test series in one batch peaks at 197 MB RSS (GRU) and 257 MB
 # (LSTM), in chunks of 32 at 54 and 60 MB, about 39 MB of it the
@@ -109,6 +110,9 @@ def _resumed_iterative(model, values, starts, w: int, h: int) -> np.ndarray:
     if model.w != w:
         raise ArityMismatch(f"model window {model.w}, forecast window {w}")
     n, m = len(starts), min(h, w)
+    # the last origins' later starts run past the series into these zeros;
+    # of every start only the states over its true values are read
+    values = np.concatenate([values, np.zeros(m - 1)])
     needed = sorted({k + j for k in starts.tolist() for j in range(m)})
     windows = sliding_window_view(values, w)[needed]
     # only the states of the last m steps are read: the first w - m steps
@@ -139,47 +143,25 @@ def _resumed_iterative(model, values, starts, w: int, h: int) -> np.ndarray:
     return P
 
 
-def rolling_test_forecast(model, test_values, w: int, h: int,
-                          strategy: str = "direct", origin_stride: int = 1
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Teacher-forced rolling-origin forecasts over a test series.
+def rolling_test_forecast(model, test_values, w: int, horizons, strategy: str = "direct",
+                          origin_stride: int = 1
+                          ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Teacher-forced rolling-origin forecasts over a test series: one
+    (origins [N], predictions [N, h], targets [N, h]) per h in `horizons`.
 
-    Every origin's input window holds true observed values; predictions
-    are never reused across origins.  Returns (origins [N], predictions
-    [N, h], targets [N, h]), where an origin counts the observed points
-    preceding its forecast (the 0-based index of its first predicted
-    point).  A model with `predict` forecasts iteratively by
-    `_resumed_iterative`, any other model and strategy by `forecast`.
+    Every input window holds true observed values; an origin is the
+    0-based index of its first predicted point.  The shortest horizon's
+    origins are forecast once, at the longest, EVAL_CHUNK at a time (by
+    `_resumed_iterative` for a model with `predict`, else by `forecast`).
+    Call j of an origin reads no later call and a row does not depend on
+    its batch, so each horizon takes the first rows and h columns of it.
     """
-    X, Y = make_samples(test_values, w, h)
-    X, Y = X[::origin_stride], Y[::origin_stride]
+    targets = [np.array(make_samples(test_values, w, h)[1][::origin_stride]) for h in horizons]
+    X = make_samples(test_values, w, min(horizons))[0][::origin_stride]
     origins = w + origin_stride * np.arange(len(X))
-    if strategy == "iterative" and getattr(model, "resumable", False):
-        values = np.asarray(test_values, dtype=np.float64)
-        parts = [_resumed_iterative(model, values, origins[k:k + EVAL_CHUNK] - w, w, h)
-                 for k in range(0, len(X), EVAL_CHUNK)]
-    else:
-        parts = [forecast(model, X[k:k + EVAL_CHUNK], h, strategy)
-                 for k in range(0, len(X), EVAL_CHUNK)]
-    return origins, np.concatenate(parts), np.array(Y)
-
-
-def rolling_forecasts(model, test_values, w: int, horizons, strategy: str = "direct",
-                      origin_stride: int = 1) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """`rolling_test_forecast` at each of `horizons` (a direct model has
-    one), from one forecast at the longest horizon.
-
-    That forecast covers the origins of the shortest horizon.  Call j of
-    an origin reads no later call, and a model's row does not depend on
-    its batch (it pads every batch), so each horizon takes the first rows
-    and the first h columns of it, and its targets from the series.
-    """
-    values = np.asarray(test_values, dtype=np.float64)
-    h_min, h_max = min(horizons), max(horizons)
-    # a forecast at h_max from the last origins of h_min reads no value past
-    # the series, but the resumed prefix runs its windows over the zeros
-    # appended here and then uses none of their states
-    padded = np.concatenate([values, np.zeros(h_max - h_min)])
-    origins, P, _ = rolling_test_forecast(model, padded, w, h_max, strategy, origin_stride)
-    targets = [np.array(make_samples(values, w, h)[1][::origin_stride]) for h in horizons]
-    return [(origins[:len(Y)], P[:len(Y), :h], Y) for h, Y in zip(horizons, targets)]
+    h, resumed = max(horizons), strategy == "iterative" and getattr(model, "resumable", False)
+    P = np.concatenate([
+        _resumed_iterative(model, test_values, origins[k:k + EVAL_CHUNK] - w, w, h) if resumed
+        else forecast(model, X[k:k + EVAL_CHUNK], h, strategy)
+        for k in range(0, len(X), EVAL_CHUNK)])
+    return [(origins[:len(Y)], P[:len(Y), :Y.shape[1]], Y) for Y in targets]

@@ -1,10 +1,9 @@
 import ctypes
-import glob
 import os
 
-import numpy as np
 import pytest
 
+import stockcast
 from stockcast.synthetic import make_reference_corpus
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -12,14 +11,11 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
 def pytest_report_header(config):
     """The OpenBLAS kernels numpy runs on, which the bit-identity tests hold for."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in sorted(glob.glob(libs)):
-        try:
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return f"openblas core: {corename().decode()}"
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+        if hasattr(stockcast._OPENBLAS, name):
+            corename = getattr(stockcast._OPENBLAS, name)
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return f"openblas core: {corename().decode()}"
     return "openblas core: unknown"
 
 

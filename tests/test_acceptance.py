@@ -246,7 +246,7 @@ def test_criterion_7_degenerate_inputs(tmp_path):
                                 [1.0, 2.0, 3.0, 4.0], 3, 2))
     check("short test set -> WindowTooLarge",
           lambda: pytest.raises(WindowTooLarge, rolling_test_forecast,
-                                FunctionModel(np.sum, 3), [1.0, 2.0, 3.0], 3, 1))
+                                FunctionModel(np.sum, 3), [1.0, 2.0, 3.0], 3, (1,)))
     check("wrong model arity -> ArityMismatch",
           lambda: pytest.raises(ArityMismatch, forecast,
                                 FunctionModel(np.sum, input_arity=4), [[1.0, 2.0, 3.0]],
@@ -256,8 +256,8 @@ def test_criterion_7_degenerate_inputs(tmp_path):
     def _h1_equivalence():
         model = FunctionModel(lambda x: 0.5 * x[-1] + 0.1, input_arity=3)
         values = [0.1, 0.4, 0.2, 0.5, 0.3, 0.6, 0.35]
-        direct = rolling_test_forecast(model, values, 3, 1, strategy="direct")
-        iterative = rolling_test_forecast(model, values, 3, 1, strategy="iterative")
+        direct = rolling_test_forecast(model, values, 3, (1,), strategy="direct")[0]
+        iterative = rolling_test_forecast(model, values, 3, (1,), strategy="iterative")[0]
         assert all(np.array_equal(d, i) for d, i in zip(direct, iterative))
         origins, predictions, _ = direct
         for origin, prediction in zip(origins.tolist(), predictions.tolist()):

@@ -693,6 +693,32 @@ def test_one_blas_thread_per_process():
     assert out.stdout.split() == ["1", "1"]
 
 
+NUMPY_FIRST = """
+import ctypes, glob, os
+import numpy
+import stockcast
+libs = [ctypes.CDLL(path) for path in glob.glob(os.path.join(
+    os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*"))]
+names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+print(*[getattr(lib, name)() for lib in libs for name in names if hasattr(lib, name)]
+      or ["no bundled OpenBLAS"])
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU gets one BLAS thread anyway")
+def test_one_blas_thread_when_numpy_is_imported_first():
+    # numpy's OpenBLAS has read the (unset) thread counts before stockcast sets them
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", NUMPY_FIRST], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    if out.stdout.strip() == "no bundled OpenBLAS":
+        pytest.skip("numpy has no bundled OpenBLAS")
+    assert out.stdout.strip() == "1"
+
+
 HEAP_FAULTS = """
 import multiprocessing
 import resource

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stockcast.dm_pipeline import dm_csv_text
 from stockcast.errors import DegenerateDifferential, TooFewRuns
 from stockcast.evaluation import (
-    MULTI_STEP_PAIRS,
-    SINGLE_STEP_PAIRS,
+    DM_PAIRS,
     _two_sided_normal_p,
     _two_sided_t_p,
     dm_test,
@@ -189,12 +189,21 @@ def _error_map(seed=26, T=60):
 
 def test_pairwise_matrix_single_mode_pairs():
     reports = pairwise_dm_matrix(_error_map(), h=1, mode="single")
-    assert [pair for pair, _ in reports] == list(SINGLE_STEP_PAIRS)
+    assert [pair for pair, _ in reports] == list(DM_PAIRS["single"])
 
 
 def test_pairwise_matrix_multi_mode_pairs():
     reports = pairwise_dm_matrix(_error_map(), h=7, mode="multi")
-    assert [pair for pair, _ in reports] == list(MULTI_STEP_PAIRS)
+    assert [pair for pair, _ in reports] == list(DM_PAIRS["multi"])
+
+
+@pytest.mark.parametrize("mode", ["Single", "multi-step", ""])
+def test_dm_reports_reject_an_unknown_mode(mode, tmp_path):
+    with pytest.raises(ValueError, match="unknown mode"):
+        pairwise_dm_matrix(_error_map(), h=1, mode=mode)
+    # before the errors file is read
+    with pytest.raises(ValueError, match="unknown mode"):
+        dm_csv_text(tmp_path / "absent.csv", mode=mode)
 
 
 def test_pairwise_matrix_all_identical():

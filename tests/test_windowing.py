@@ -14,7 +14,6 @@ from stockcast.windowing import (
     FunctionModel,
     forecast,
     make_samples,
-    rolling_forecasts,
     rolling_test_forecast,
 )
 
@@ -151,7 +150,7 @@ def test_direct_forecast_single_model_call():
 
 def test_rolling_origins():
     model = FunctionModel(lambda x: np.zeros(7), input_arity=30)
-    origins, predictions, targets = rolling_test_forecast(model, np.arange(40.0), 30, 7)
+    origins, predictions, targets = rolling_test_forecast(model, np.arange(40.0), 30, (7,))[0]
     assert origins.tolist() == [30, 31, 32, 33]
     assert predictions.shape == targets.shape == (4, 7)
     assert targets[:, 0].tolist() == [30.0, 31.0, 32.0, 33.0]
@@ -162,7 +161,7 @@ def test_rolling_origin_stride_and_chunks():
     values = np.arange(120.0)
     model = FunctionModel(lambda x: x[-1], input_arity=5)
     origins, predictions, targets = rolling_test_forecast(
-        model, values, 5, 3, strategy="iterative", origin_stride=2)
+        model, values, 5, (3,), strategy="iterative", origin_stride=2)[0]
     assert origins.tolist() == list(range(5, 118, 2))
     assert predictions.tolist() == [[o - 1.0] * 3 for o in origins.tolist()]
     assert targets.tolist() == [[o, o + 1.0, o + 2.0] for o in origins.tolist()]
@@ -171,7 +170,7 @@ def test_rolling_origin_stride_and_chunks():
 
 def test_rolling_echo_constant_series():
     model = FunctionModel(lambda x: np.full(4, x[-1]), input_arity=5)
-    _, predictions, targets = rolling_test_forecast(model, np.full(20, 3.5), 5, 4)
+    _, predictions, targets = rolling_test_forecast(model, np.full(20, 3.5), 5, (4,))[0]
     assert (predictions == 3.5).all() and (targets == 3.5).all()
 
 
@@ -179,7 +178,7 @@ def test_rolling_mse_matches_flat_pairs():
     rng = np.random.default_rng(1)
     values = rng.uniform(0, 1, 30)
     model = FunctionModel(lambda x: np.full(3, x.mean()), input_arity=5)
-    _, predictions, targets = rolling_test_forecast(model, values, 5, 3)
+    _, predictions, targets = rolling_test_forecast(model, values, 5, (3,))[0]
     flat_sq = [(p - t) ** 2 for pr, tr in zip(predictions.tolist(), targets.tolist())
                for p, t in zip(pr, tr)]
     per_origin = [np.mean([(p - t) ** 2 for p, t in zip(pr, tr)])
@@ -189,12 +188,12 @@ def test_rolling_mse_matches_flat_pairs():
 
 def test_rolling_window_too_large():
     with pytest.raises(WindowTooLarge):
-        rolling_test_forecast(echo(10), np.arange(12.0), 10, 5)
+        rolling_test_forecast(echo(10), np.arange(12.0), 10, (5,))
 
 
 def test_trace_json_shape():
     origins, predictions, targets = rolling_test_forecast(
-        echo(2), [1.0, 2.0, 1.5, 2.5, 3.0], 2, 2, strategy="iterative")
+        echo(2), [1.0, 2.0, 1.5, 2.5, 3.0], 2, (2,), strategy="iterative")[0]
     cell = CellResult("A", "MLP", 2, 2, "iterative", runs=[
         RunResult(0, 0.1, [], origins, predictions, targets)])
     record, = json.loads(traces_json_text(ExperimentConfig(), [cell]))["records"]
@@ -211,9 +210,16 @@ def training_forward(model):
     return lambda windows: model.forward(windows)[0]
 
 
-def plain(model):
-    """The plain iterative loop's model: every call runs the padded Model.__call__."""
-    return lambda windows: model(windows)
+def plain_loop(model, values, w, h, stride):
+    """The reference rolling forecast at h: (origins, predictions, targets)
+    of the plain iterative loop, `forecast`, over every rolling window at
+    h, 32 windows at a time.  A Model's every call runs its padded
+    Model.__call__."""
+    X, Y = make_samples(values, w, h)
+    X, Y = X[::stride], Y[::stride]
+    P = np.concatenate([forecast(model, X[k:k + 32], h, "iterative")
+                        for k in range(0, len(X), 32)])
+    return w + stride * np.arange(len(X)), P, Y
 
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
@@ -242,8 +248,8 @@ def test_evaluation_rows_do_not_depend_on_their_batch(kind):
 def test_resumed_iterative_equals_plain_loop(kind, w, h, stride, n_origins):
     values = np.random.default_rng((w, h, stride)).uniform(0, 1, w + h + stride * (n_origins - 1))
     model = build_model(kind, w, 1, seed=w + h)
-    got = rolling_test_forecast(model, values, w, h, "iterative", stride)
-    want = rolling_test_forecast(plain(model), values, w, h, "iterative", stride)
+    got = rolling_test_forecast(model, values, w, (h,), "iterative", stride)[0]
+    want = plain_loop(model, values, w, h, stride)
     assert len(got[0]) == n_origins
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -262,7 +268,7 @@ def test_resumed_call_runs_only_its_predictions(kind, monkeypatch):
     monkeypatch.setattr(layers, "_project", counting)
     w, h, n = 4, 7, 10
     model = build_surrogate(kind, w, 1, seed=1)
-    rolling_test_forecast(model, np.linspace(0.0, 1.0, w + h + n - 1), w, h, "iterative")
+    rolling_test_forecast(model, np.linspace(0.0, 1.0, w + h + n - 1), w, (h,), "iterative")
     # one run of every start over its w true values (the n origins and the
     # next w - 1 starts); then round r reads call r's state (0 steps) and
     # steps the w - 1 - r calls after it over prediction r in one batch,
@@ -287,7 +293,7 @@ def test_resumed_iterative_peaks_no_higher_than_the_graph(kind, w, h, n_origins)
     for m in (training_forward(model), model):
         tracemalloc.start()
         try:
-            rolling_test_forecast(m, values, w, h, "iterative")
+            rolling_test_forecast(m, values, w, (h,), "iterative")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -297,11 +303,11 @@ def test_resumed_iterative_peaks_no_higher_than_the_graph(kind, w, h, n_origins)
 def test_resumed_iterative_rejects_another_window():
     model = build_surrogate("GRU", 4, 1)
     with pytest.raises(ArityMismatch):
-        rolling_test_forecast(model, np.zeros(40), 5, 3, "iterative")
+        rolling_test_forecast(model, np.zeros(40), 5, (3,), "iterative")
 
 
 @pytest.mark.parametrize("stride", [1, 3])
-def test_rolling_forecasts_equal_one_forecast_per_horizon(stride):
+def test_rolling_test_forecast_equals_one_forecast_per_horizon(stride):
     # 150 values, w=8: at stride 1 the horizons have 140, 136 and 131
     # origins; one forecast at h=12 over the 140 serves all three, so its
     # last chunk holds 12 origins where h=12 alone has 3
@@ -309,19 +315,34 @@ def test_rolling_forecasts_equal_one_forecast_per_horizon(stride):
     w, horizons = 8, (3, 7, 12)
     for kind in ("MLP", "CNN", "GRU", "LSTM"):
         model = build_model(kind, w, 1, seed=1)
-        got = rolling_forecasts(model, values, w, horizons, "iterative", stride)
+        got = rolling_test_forecast(model, values, w, horizons, "iterative", stride)
         for h, forecast_h in zip(horizons, got):
-            want = rolling_test_forecast(plain(model), values, w, h, "iterative", stride)
-            for a, b in zip(forecast_h, want):
+            for a, b in zip(forecast_h, plain_loop(model, values, w, h, stride)):
                 assert np.array_equal(a, b), (kind, h)
     shared, per_horizon = (FunctionModel(lambda x: 0.9 * x[-1] + 0.1 * x.mean(), w)
                            for _ in range(2))
-    got = rolling_forecasts(shared, values, w, horizons, "iterative", stride)
+    got = rolling_test_forecast(shared, values, w, horizons, "iterative", stride)
     for h, forecast_h in zip(horizons, got):
-        want = rolling_test_forecast(per_horizon, values, w, h, "iterative", stride)
-        for a, b in zip(forecast_h, want):
+        for a, b in zip(forecast_h, plain_loop(per_horizon, values, w, h, stride)):
             assert np.array_equal(a, b)
     assert shared.n_calls < per_horizon.n_calls
+
+
+@pytest.mark.parametrize("kind", ["MLP", "CNN", "GRU", "LSTM"])
+@pytest.mark.parametrize("strategy", ["direct", "iterative"])
+def test_no_forecast_reads_a_target(kind, strategy):
+    # the last min(horizons) values are targets of every horizon and in no
+    # origin's window; a direct model forecasts all horizons at the longest
+    w, horizons = 8, (3, 7, 12)
+    values = np.random.default_rng(6).uniform(0, 1, 80)
+    hidden = values.copy()
+    hidden[-min(horizons):] = np.nan
+    model = build_model(kind, w, 1 if strategy == "iterative" else max(horizons), seed=5)
+    for (origins, predictions, _), want in zip(
+            rolling_test_forecast(model, hidden, w, horizons, strategy),
+            rolling_test_forecast(model, values, w, horizons, strategy)):
+        assert np.isfinite(predictions).all(), (kind, strategy)
+        assert np.array_equal(origins, want[0]) and np.array_equal(predictions, want[1])
 
 
 # brute-force index-enumeration oracles, kept deliberately naive
