@@ -65,7 +65,7 @@ class Model:
         self.h = h
         self.params = params
         self.chain = chain
-        # GRU, LSTM: `predict` runs any number of steps from given states
+        # GRU, LSTM: `predict` runs T >= 1 steps from a flat list of states
         self.resumable = any(layer.state for layer, _ in chain)
 
     def _check_window(self, shape):
@@ -82,28 +82,25 @@ class Model:
         `forward` and g = dloss/dy [batch, h]; consumes the caches."""
         return backprop(self.chain, self.params, caches, g)[1]
 
-    def predict(self, x, init=None):
+    def predict(self, x, init=()):
         """The evaluation forward of every kind: (y [batch, h], states)
         from x [batch, T].  An MLP or CNN reads T = w; its states are [].
 
-        A GRU or LSTM runs any T >= 0 steps from the per-layer initial
-        states `init` (None: zero), each (h,) for a GRU and (h, c) for an
-        LSTM, each [batch, n].  states holds each layer's per-step states,
-        (H,) or (H, C), each [T, batch, n].  With T = 0 the output head
-        reads the initial state of the last layer.
+        A GRU or LSTM runs any T >= 1 steps from the initial states
+        `init` (empty: zero): the state arrays of its recurrent layers in
+        chain order, [h0, h1] for a GRU and [h0, c0, h1, c1] for an LSTM,
+        each [batch, n].  states holds the per-step states in that order,
+        each [T, batch, n].
         """
         x = np.asarray(x, dtype=np.float64)
-        init = init or ()
-        recurrent = [(layer, names) for layer, names in self.chain if layer.state]
-        for (layer, names), state in zip(recurrent, init):
-            if len(state) > len(layer.state):
-                raise ShapeMismatch(f"initial state of {len(state)} arrays, expected {layer.state}")
-            n = self.params[names[1]].shape[1]  # a recurrent layer's U is [gates*n, n]
-            for name, s in zip(layer.state, (*state, None)):
-                check_state(name, s, len(x), n)
-        init = [tuple(_pad_rows(s) for s in layer) for layer in init]
-        y, states = run(self.chain, self.params, _pad_rows(x), init)
-        return y[:len(x)], [tuple(s[:, :len(x)] for s in layer) for layer in states]
+        widths = [(name, self.params[keys[1]].shape[1])  # a recurrent layer's U is [gates*n, n]
+                  for layer, keys in self.chain for name in layer.state]
+        if init and len(init) != len(widths):
+            raise ShapeMismatch(f"{len(init)} initial state arrays, expected {len(widths)}")
+        for (name, n), s in zip(widths, init):
+            check_state(name, s, len(x), n)
+        y, states = run(self.chain, self.params, _pad_rows(x), [_pad_rows(s) for s in init])
+        return y[:len(x)], [s[:, :len(x)] for s in states]
 
     def __call__(self, windows) -> np.ndarray:
         """Numpy-in, numpy-out prediction: windows [N, w] -> [N, h]."""

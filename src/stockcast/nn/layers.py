@@ -33,23 +33,22 @@ class Layer(NamedTuple):
 def run(chain, params, x, init=(), keep=False):
     """Run the `(layer, parameter names)` steps of `chain` over x.
 
-    The recurrent layers start from the states in `init`, one tuple per
-    recurrent layer (missing: zero).  Returns (y, out): with `keep`, out
-    is every step's cache, for `backprop`; otherwise the caches are
-    dropped as the chain goes, and out holds each recurrent layer's
-    per-step states, (H,) or (H, C), each [T, B, n].
+    The recurrent layers start from the state arrays in `init`, one flat
+    list in chain order with `len(layer.state)` arrays per recurrent
+    layer (empty: zero states).  Returns (y, out): with `keep`, out is
+    every step's cache, for `backprop`; otherwise the caches are dropped
+    as the chain goes, and out is the per-step states in the order of
+    `init`, each [T, B, n].
     """
     init = iter(init)
     out = []
     for layer, names in chain:
-        args = [params[k] for k in names]
-        if layer.state:
-            args += next(init, ())
+        args = [params[k] for k in names] + [next(init, None) for _ in layer.state]
         x, cache = layer.forward(x, *args)
         if keep:
             out.append(cache)
         elif layer.state:
-            out.append(cache[:len(layer.state)])
+            out += cache[:len(layer.state)]
     return x, out
 
 
@@ -211,8 +210,8 @@ def _project(x, W, U, b, gates: int):
     projection x W^T + b [T, B, gates*n]; the forward loops add the
     recurrent term to the projection and overwrite it with the gate values
     step by step."""
-    if x.ndim != 3 or U.ndim != 2:
-        raise ShapeMismatch(f"sequence layer on time-major x {x.shape}, U {U.shape}")
+    if x.ndim != 3 or not len(x) or U.ndim != 2:
+        raise ShapeMismatch(f"sequence layer on time-major x {x.shape} (T >= 1), U {U.shape}")
     T, B, n_in = x.shape
     n = U.shape[1]
     if W.shape != (gates * n, n_in) or U.shape != (gates * n, n) or b.shape != (gates * n,):
@@ -384,14 +383,11 @@ lstm = Layer(lstm_forward, _lstm_backward, ("h", "c"))
 
 
 def last(seq: Layer) -> Layer:
-    """The sequence layer `seq` with its last hidden state [B, n] as its
-    output; after no steps, that is its initial h (zero if none)."""
+    """The sequence layer `seq` with its last hidden state [B, n] as its output."""
 
-    def forward(x, W, U, b, *state):
-        H, cache = seq.forward(x, W, U, b, *state)
-        if len(H):
-            return H[-1], cache
-        return (state[0] if state else np.zeros(H.shape[1:])), cache
+    def forward(x, *args):
+        H, cache = seq.forward(x, *args)
+        return H[-1], cache
 
     def backward(cache, g, *params):
         dH = np.zeros(cache[0].shape)

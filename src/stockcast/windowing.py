@@ -101,43 +101,38 @@ def _resumed_iterative(model, values, starts, w: int, h: int) -> np.ndarray:
 
     Call j < w of the window at k reads the w - j true values from k + j
     on, then j predictions.  Every start k + j runs once over its true
-    values, and call j resumes from that start's states after w - j
-    steps.  Then, in round r, every call j > r not yet done runs one step
-    over prediction r, all in one batch, and call r + 1 is done.  So call
-    j runs its j predictions only.  A call j >= w reads predictions only
-    and runs all w of them from a zero state.
+    values; call 0 is that run of start k, and call j > 0 resumes from
+    start k + j's states after w - j steps.  Then, in round r, every call
+    j > r not yet done runs one step over prediction r, all in one batch;
+    that step finishes call r + 1, the first n rows.  So call j runs its j
+    predictions only.  A call j >= w reads predictions only and runs all w
+    of them from a zero state.
     """
     if model.w != w:
         raise ArityMismatch(f"model window {model.w}, forecast window {w}")
-    n, m = len(starts), min(h, w)
+    n, m, starts = len(starts), min(h, w), starts.tolist()
     # the last origins' later starts run past the series into these zeros;
     # of every start only the states over its true values are read
     values = np.concatenate([values, np.zeros(m - 1)])
-    needed = sorted({k + j for k in starts.tolist() for j in range(m)})
+    needed = sorted({k + j for k in starts for j in range(m)})
     windows = sliding_window_view(values, w)[needed]
     # only the states of the last m steps are read: the first w - m steps
     # run apart and keep only their final states, to hold fewer at once
-    init = None
-    if w > m:
-        init = [tuple(s[-1].copy() for s in layer)
-                for layer in model.predict(windows[:, :w - m])[1]]
-    _, prefix = model.predict(windows[:, w - m:], init)
-    # row j*n + i is call j of window i: start starts[i] + j after w - j
-    # steps (index lists in plain Python: a chunk has at most 32 * w)
+    init = [s[-1].copy() for s in model.predict(windows[:, :w - m])[1]] if w > m else []
+    y, prefix = model.predict(windows[:, w - m:], init)
+    # row (j-1)*n + i is call j > 0 of window i: start starts[i] + j after
+    # w - j steps (index lists in plain Python: a chunk has at most 32 * w)
     row = {k: i for i, k in enumerate(needed)}
-    rows = [row[k + j] for j in range(m) for k in starts.tolist()]
-    steps = np.repeat(m - 1 - np.arange(m), n)
-    state = [tuple(s[steps, rows] for s in layer) for layer in prefix]
-    del prefix
     P = np.empty((n, h))
-    for r in range(m):
-        # call r is done: the output head reads its state
-        y = model.predict(P[:, :0], [tuple(s[:n] for s in layer) for layer in state])[0]
-        P[:, r] = _checked(y, (n, 1))[:, 0]
-        if r + 1 < m:
-            _, out = model.predict(np.tile(P[:, r:r + 1], (m - r - 1, 1)),
-                                   [tuple(s[n:] for s in layer) for layer in state])
-            state = [tuple(s[-1] for s in layer) for layer in out]
+    P[:, 0] = _checked(y, (len(needed), 1))[[row[k] for k in starts], 0]
+    rows = [row[k + j] for j in range(1, m) for k in starts]
+    steps = np.repeat(m - 1 - np.arange(1, m), n)
+    state = [s[steps, rows] for s in prefix]
+    del prefix
+    for r in range(m - 1):
+        y, out = model.predict(np.tile(P[:, r:r + 1], (m - r - 1, 1)), state)
+        P[:, r + 1] = _checked(y, ((m - r - 1) * n, 1))[:n, 0]
+        state = [s[-1, n:] for s in out]
     for j in range(w, h):
         P[:, j] = _checked(model.predict(P[:, j - w:j])[0], (n, 1))[:, 0]
     return P

@@ -165,26 +165,20 @@ def test_relu_output_clips_negative():
     assert (model(rng.uniform(0, 1, (20, 5))) >= 0.0).all()
 
 
-@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
-def test_predict_over_no_steps_reads_the_zero_state(kind):
-    # no steps and no state: the head reads the zero state of the last layer
-    model = build_surrogate(kind, 4, 1)
-    y, states = model.predict(np.zeros((3, 0)))
-    assert np.array_equal(y, np.zeros((3, 5)) @ model.params["out.W"].T + model.params["out.b"])
-    assert [[s.shape for s in layer] for layer in states] == [
-        [(0, 3, n)] * len(layer) for layer, n in zip(states, (6, 5))]
-
-
-@pytest.mark.parametrize("kind,rows,arrays,message", [
-    # a GRU-shaped state lacks an LSTM's c
-    ("LSTM", 3, 1, r"initial c of shape None, expected \(3, 6\)"),
+@pytest.mark.parametrize("kind,shapes,message", [
     # padded to 16 rows, a 4-row state would pass for a 3-row batch
-    ("GRU", 4, 1, r"initial h of shape \(4, 6\), expected \(3, 6\)"),
-    # an LSTM-shaped state has one array too many for a GRU
-    ("GRU", 3, 2, r"initial state of 2 arrays, expected \('h',\)"),
-])
-def test_predict_names_the_callers_rows_for_a_wrong_state(kind, rows, arrays, message):
+    ("GRU", [(4, 6), (4, 5)], r"initial h of shape \(4, 6\), expected \(3, 6\)"),
+    # a GRU-shaped list lacks an LSTM's c arrays
+    ("LSTM", [(3, 6), (3, 5)], "2 initial state arrays, expected 4"),
+    # an LSTM-shaped list has two arrays too many for a GRU
+    ("GRU", [(3, 6), (3, 6), (3, 5), (3, 5)], "4 initial state arrays, expected 2"),
+    # the second layer would run from zero
+    ("GRU", [(3, 6)], "1 initial state arrays, expected 2"),
+    # an MLP has no state to start from
+    ("MLP", [(9, 9)], "1 initial state arrays, expected 0"),
+], ids=["GRU-4-rows", "LSTM-given-GRU-states", "GRU-given-LSTM-states",
+        "GRU-given-one-layer", "MLP-given-a-state"])
+def test_predict_names_the_callers_rows_for_a_wrong_state(kind, shapes, message):
     model = build_surrogate(kind, 4, 1)
-    init = [(np.zeros((rows, n)),) * arrays for n in (6, 5)]
     with pytest.raises(ShapeMismatch, match=message):
-        model.predict(np.zeros((3, 4)), init)
+        model.predict(np.zeros((3, 4)), [np.zeros(shape) for shape in shapes])

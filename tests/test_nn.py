@@ -263,6 +263,8 @@ def test_seq_op_rejects_wrong_shapes(kind):
         forward(xt, W, U, b[1:])
     with pytest.raises(ShapeMismatch):
         forward(xt[:, :, :1], W, U, b)
+    with pytest.raises(ShapeMismatch):  # no steps
+        forward(xt[:0], W, U, b)
 
 
 # array forward and the number of state arrays a layer carries (h; h and c)

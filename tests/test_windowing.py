@@ -270,16 +270,15 @@ def test_resumed_call_runs_only_its_predictions(kind, monkeypatch):
     model = build_surrogate(kind, w, 1, seed=1)
     rolling_test_forecast(model, np.linspace(0.0, 1.0, w + h + n - 1), w, (h,), "iterative")
     # one run of every start over its w true values (the n origins and the
-    # next w - 1 starts); then round r reads call r's state (0 steps) and
-    # steps the w - 1 - r calls after it over prediction r in one batch,
-    # so call j < w runs j steps; a call j >= w runs w.  Every batch is
-    # padded to a multiple of PAD_ROWS rows.
+    # next w - 1 starts), which is call 0; then round r steps the w - 1 - r
+    # calls after call r over prediction r in one batch, and that step
+    # finishes call r + 1, so call j < w runs j steps; a call j >= w runs
+    # w.  Every batch is padded to a multiple of PAD_ROWS rows.
     def pad(b):
         return -(-b // PAD_ROWS) * PAD_ROWS
 
-    rounds = [[(0, pad(n))] + ([(1, pad((w - 1 - r) * n))] if r < w - 1 else [])
-              for r in range(w)]
-    assert runs == [(w, pad(n + w - 1))] + sum(rounds, []) + [(w, pad(n))] * (h - w)
+    rounds = [(1, pad((w - 1 - r) * n)) for r in range(w - 1)]
+    assert runs == [(w, pad(n + w - 1))] + rounds + [(w, pad(n))] * (h - w)
 
 
 # (90, 28) over one chunk: the default grid's longest window and horizon
