@@ -101,13 +101,6 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
 
 
-def _autocovariance(d: np.ndarray, lag: int) -> float:
-    """Biased (1/T) autocovariance at the given lag."""
-    T = d.size
-    dc = d - d.mean()
-    return float(np.dot(dc[lag:], dc[:T - lag]) / T)
-
-
 def dm_test(errors_a, errors_b, h: int = 1, loss: str = "squared",
             harvey: bool = True) -> DmReport:
     """Diebold-Mariano test on two aligned forecast-error series.
@@ -132,8 +125,10 @@ def dm_test(errors_a, errors_b, h: int = 1, loss: str = "squared",
     if np.all(d == 0.0):
         raise DegenerateDifferential("identical losses; forecasts indistinguishable")
 
-    gamma0 = _autocovariance(d, 0)
-    v_hat = gamma0 + 2.0 * sum(_autocovariance(d, k) for k in range(1, h))
+    # biased (1/T) autocovariances of d at lags 0 to h - 1
+    dc = d - d.mean()
+    gamma0, *gammas = (float(np.dot(dc[k:], dc[:T - k]) / T) for k in range(h))
+    v_hat = gamma0 + 2.0 * sum(gammas)
     if v_hat <= 0.0:
         # possible at h > 1; documented deterministic fallback
         v_hat = gamma0

@@ -79,7 +79,7 @@ class Model:
 
     def backward(self, caches, g: np.ndarray) -> dict[str, np.ndarray]:
         """The gradient of every parameter, by name, from the caches of
-        `forward` and g = dloss/dy [batch, h]; consumes the caches."""
+        `forward` and g = dloss/dy [batch, h]; empties the cache list."""
         return backprop(self.chain, self.params, caches, g)[1]
 
     def predict(self, x, init=()):

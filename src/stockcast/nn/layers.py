@@ -36,9 +36,9 @@ def run(chain, params, x, init=(), keep=False):
     The recurrent layers start from the state arrays in `init`, one flat
     list in chain order with `len(layer.state)` arrays per recurrent
     layer (empty: zero states).  Returns (y, out): with `keep`, out is
-    every step's cache, for `backprop`; otherwise the caches are dropped
-    as the chain goes, and out is the per-step states in the order of
-    `init`, each [T, B, n].
+    every step's cache, for one `backprop`, which empties the list;
+    otherwise the caches are dropped as the chain goes, and out is the
+    per-step states in the order of `init`, each [T, B, n].
     """
     init = iter(init)
     out = []
@@ -55,10 +55,14 @@ def run(chain, params, x, init=(), keep=False):
 def backprop(chain, params, caches, g):
     """From the caches of `run(..., keep=True)` and g = dloss/dy, the
     gradient of the chain's input and {name: gradient} of its parameters.
-    Consumes the caches: the recurrent backwards write over them."""
+    Pops each step's cache just before its backward, so the cache is freed
+    once that has run and the list ends empty; a list whose length is not
+    the chain's (one already backpropagated) raises ShapeMismatch."""
+    if len(caches) != len(chain):
+        raise ShapeMismatch(f"{len(caches)} caches for a chain of {len(chain)} steps")
     grads = {}
-    for (layer, names), cache in zip(reversed(chain), reversed(caches)):
-        g, param_grads = layer.backward(cache, g, *(params[k] for k in names))
+    for layer, names in reversed(chain):
+        g, param_grads = layer.backward(caches.pop(), g, *(params[k] for k in names))
         grads.update(zip(names, param_grads))
     return g, grads
 
@@ -198,7 +202,9 @@ def maxpool(pool: int) -> Layer:
 # run from the zero state (training never starts from another), with no
 # gradient for the state.  They write each step's gate gradients over that
 # step's gate values, which they have read by then, so they need no second
-# [T, B, gates*n] array; a forward's cache is backpropagated once.
+# [T, B, gates*n] array; a forward's cache is backpropagated once.  A cache
+# keeps no array its backward rebuilds in one elementwise pass by the same
+# operation, bit for bit (the GRU's r * h_prev, the LSTM's tanh(c)).
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -256,16 +262,13 @@ def gru_forward(x, W, U, b, h=None):
         h~ = tanh(W_h x + U_h (r * h) + b_h)
         h' = h + z * (h~ - h)
 
-    Returns every hidden state H [T, B, n] and the cache (H, xt, G, RH):
-    the flat input xt [T*B, n_in], the gate values G [T, B, 3n] (z, r, h~)
-    and the inputs r * h_prev of U_h, RH [T, B, n] (from step 1 when h is
-    None).
+    Returns every hidden state H [T, B, n] and the cache (H, xt, G): the
+    flat input xt [T*B, n_in] and the gate values G [T, B, 3n] (z, r, h~).
     """
     xt, G, n = _project(x, W, U, b, 3)
     T, B = G.shape[:2]
     U_zr, U_h = U[:2 * n], U[2 * n:]
     H = np.empty((T, B, n))
-    RH = np.empty((T, B, n))
     resume = h is not None
     if resume:
         check_state("h", h, B, n)
@@ -275,20 +278,20 @@ def gru_forward(x, W, U, b, h=None):
         a = G[t]
         if t or resume:
             a[:, :2 * n] = _sigmoid(a[:, :2 * n] + h @ U_zr.T)
-            np.multiply(a[:, n:2 * n], h, out=RH[t])
-            a[:, 2 * n:] = np.tanh(a[:, 2 * n:] + RH[t] @ U_h.T)
+            a[:, 2 * n:] = np.tanh(a[:, 2 * n:] + (a[:, n:2 * n] * h) @ U_h.T)
         else:
             a[:, :2 * n] = _sigmoid(a[:, :2 * n])
             a[:, 2 * n:] = np.tanh(a[:, 2 * n:])
         z, h_tilde = a[:, :n], a[:, 2 * n:]
         h = H[t] = h + z * (h_tilde - h)
-    return H, (H, xt, G, RH)
+    return H, (H, xt, G)
 
 
 def _gru_backward(cache, dH, W, U, b):
-    H, xt, G, RH = cache
+    H, xt, G = cache
     T, B, n = H.shape
     U_zr, U_h = U[:2 * n], U[2 * n:]
+    RH = G[1:, :, n:2 * n] * H[:-1]  # the inputs r * h_prev of U_h, before G is overwritten
     dh = np.zeros((B, n))
     a = np.empty((B, 3 * n))  # step t's pre-activation gradients, kept in G[t]
     for t in range(T - 1, -1, -1):
@@ -309,7 +312,7 @@ def _gru_backward(cache, dH, W, U, b):
     dx, dW, db = _seq_grads(W, xt, dA)
     dU = np.empty_like(U)
     _outer_sum(dA[1:, :, :2 * n], H[:-1], out=dU[:2 * n])
-    _outer_sum(dA[1:, :, 2 * n:], RH[1:], out=dU[2 * n:])
+    _outer_sum(dA[1:, :, 2 * n:], RH, out=dU[2 * n:])
     return dx, (dW, dU, db)
 
 
@@ -326,14 +329,13 @@ def lstm_forward(x, W, U, b, h=None, c=None):
         i, f, o = sigmoid(W_. x + U_. h + b_.);  g = tanh(W_g x + U_g h + b_g)
         c' = f * c + i * g;  h' = o * tanh(c')
 
-    Returns every hidden state H [T, B, n] and the cache (H, C, xt, G,
-    TC): every cell state C [T, B, n], the flat input xt [T*B, n_in], the
-    gate values G [T, B, 4n] (i, f, o, g) and tanh(C).
+    Returns every hidden state H [T, B, n] and the cache (H, C, xt, G):
+    every cell state C [T, B, n], the flat input xt [T*B, n_in] and the
+    gate values G [T, B, 4n] (i, f, o, g).
     """
     xt, G, n = _project(x, W, U, b, 4)
     T, B = G.shape[:2]
     C = np.empty((T, B, n))
-    TC = np.empty((T, B, n))
     H = np.empty((T, B, n))
     resume = h is not None or c is not None
     if resume:
@@ -349,14 +351,14 @@ def lstm_forward(x, W, U, b, h=None, c=None):
         a[:, 3 * n:] = np.tanh(a[:, 3 * n:])
         i, f, o, g = (a[:, k * n:(k + 1) * n] for k in range(4))
         c = C[t] = f * c + i * g
-        np.tanh(c, out=TC[t])
-        h = H[t] = o * TC[t]
-    return H, (H, C, xt, G, TC)
+        h = H[t] = o * np.tanh(c)
+    return H, (H, C, xt, G)
 
 
 def _lstm_backward(cache, dH, W, U, b):
-    H, C, xt, G, TC = cache
+    H, C, xt, G = cache
     T, B, n = H.shape
+    TC = np.tanh(C)
     dh = np.zeros((B, n))
     dc = np.zeros((B, n))
     a = np.empty((B, 4 * n))  # step t's pre-activation gradients, kept in G[t]

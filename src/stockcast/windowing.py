@@ -19,12 +19,14 @@ from .errors import ArityMismatch, WindowTooLarge
 # Origins per model call in rolling_test_forecast's one chunk loop, which
 # forecasts the shortest horizon's origins at the longest.  Memory grows
 # with the batch: at w=30 h=7, iterative evaluation of all 496 origins of a
-# 532-point test series in one batch peaks at 197 MB RSS (GRU) and 257 MB
-# (LSTM), in chunks of 32 at 54 and 60 MB, about 39 MB of it the
-# interpreter and its imports.  It must be a multiple of `models.PAD_ROWS`
-# and at most 32: even padded, CNN rows are not batch-invariant above 32
-# rows (in batches of 48 to 96, 5 to 8 of the first 16 rows differ at
-# w = 5, 8 and 30; OpenBLAS 0.3.31, SkylakeX kernels).
+# 532-point test series in one batch peaks at 159 MB (GRU) and 206 MB
+# (LSTM), in chunks of 32 at 53 and 58 MB, about 29 MB of it the
+# interpreter and its imports (VmHWM of one fresh process per case, at
+# production widths; Python 3.11, numpy 2.4.6).  It must be a multiple of
+# `models.PAD_ROWS` and at most 32: even padded, CNN rows are not
+# batch-invariant above 32 rows (in batches of 48 to 96, 5 to 8 of the
+# first 16 rows differ at w = 5, 8 and 30; OpenBLAS 0.3.31, SkylakeX
+# kernels).
 EVAL_CHUNK = 32
 
 

@@ -514,6 +514,55 @@ def test_gradients_own_their_memory(kind):
             assert not np.shares_memory(a, other)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_backward_rejects_consumed_caches(kind):
+    # the first backward empties the list (and the recurrent ones write
+    # their gate gradients over the cache), so a second has nothing to read
+    model = build_model(kind, 5, 1, seed=2)
+    pred, caches = model.forward(np.random.default_rng(26).standard_normal((4, 5)))
+    model.backward(caches, np.ones_like(pred))
+    assert caches == []
+    with pytest.raises(ShapeMismatch, match=f"0 caches for a chain of {len(model.chain)}"):
+        model.backward(caches, np.ones_like(pred))
+
+
+@pytest.mark.parametrize("kind", ["GRU", "LSTM"])
+def test_epoch_peaks_no_higher_than_one_batch(kind):
+    # each layer's cache is freed once its backward has run, so no step's
+    # caches are alive while the next step's forward runs
+    rng = np.random.default_rng(27)
+    X, Y = rng.standard_normal((96, 30)), rng.standard_normal((96, 1))
+    peaks = []
+    for n in (32, 96):
+        tracemalloc.start()
+        try:
+            model = build_model(kind, 30, 1, seed=2)
+            tracemalloc.reset_peak()
+            train(model, X[:n], Y[:n], TrainConfig(epochs=1, batch_size=32))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.02 * peaks[0], peaks[1] / peaks[0]
+
+
+@pytest.mark.parametrize("kind,kept", [("GRU", 4), ("LSTM", 6)])
+def test_seq_forward_keeps_no_rebuildable_array(kind, kept):
+    # GRU: H and G [T, B, 3n]; LSTM: H, C and G [T, B, 4n]; the flat input
+    # is a view of the C-contiguous x
+    T, B, n_in, n = 30, 32, 1, 64
+    rng = np.random.default_rng(28)
+    _, W, U, b = seq_arrays(rng, kind, B, T, n_in, n)
+    x = rng.standard_normal((T, B, n_in))
+    tracemalloc.start()
+    try:
+        out = SEQ_FORWARDS[kind][0](x, W, U, b)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out[0].shape == (T, B, n)
+    assert held <= 8 * T * B * kept * n + 4096, held / (8 * T * B * n)
+
+
 def test_paramset_rejects_non_contiguous_data():
     with pytest.raises(ShapeMismatch, match="C-contiguous"):
         ParamSet({"W": np.ones((3, 4)).T})

@@ -224,8 +224,7 @@ def plain_loop(model, values, w, h, stride):
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
 @pytest.mark.parametrize("rows", [16, 32])
-def test_padded_call_is_the_graph_forward_on_whole_pads(kind, rows):
-    # "the graph forward" is the training forward, Model.forward, unpadded
+def test_padded_call_is_the_training_forward_on_whole_pads(kind, rows):
     model = build_model(kind, 10, 1, seed=2)
     windows = np.random.default_rng(rows).uniform(0, 1, (rows, 10))
     assert np.array_equal(model(windows), model.forward(windows)[0])
@@ -284,8 +283,7 @@ def test_resumed_call_runs_only_its_predictions(kind, monkeypatch):
 # (90, 28) over one chunk: the default grid's longest window and horizon
 @pytest.mark.parametrize("kind,w,h,n_origins", [("GRU", 30, 7, 100), ("GRU", 90, 28, 32),
                                                 ("LSTM", 90, 28, 32)])
-def test_resumed_iterative_peaks_no_higher_than_the_graph(kind, w, h, n_origins):
-    # "the graph" is the plain loop through the training forward
+def test_resumed_iterative_peaks_no_higher_than_the_training_forward(kind, w, h, n_origins):
     values = np.random.default_rng(9).uniform(0, 1, w + h + n_origins - 1)
     model = build_model(kind, w, 1, seed=3)
     peaks = []
