@@ -1,11 +1,12 @@
 """The gradient-check suite behind the `gradcheck` command and tests.
 
 Every layer kind plus all four architectures at surrogate widths is
-compared against central finite differences; a layer's output enters
-the loss as mse against a random target.  Purely linear
-paths must agree to 1e-6; relu/pool/gated paths to 1e-4, with kink
-resampling (a finite-difference step that crosses a relu kink or a pool
-argmax flip is a property of the probe point, not a wrong gradient).
+checked against central finite differences through `mse_loss`, the
+training step: a layer's output enters the loss as mse against a random
+target.  Purely linear paths must agree to 1e-6; relu/pool/gated paths
+to 1e-4, with kink resampling (a finite-difference step that crosses a
+relu kink or a pool argmax flip is a property of the probe point, not a
+wrong gradient).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .models import KINDS, build_surrogate
 from .nn.gradcheck import grad_check
-from .nn.layers import Layer, backprop, conv1d, dense, gru, lstm, maxpool, mse, run
+from .nn.layers import Layer, conv1d, dense, gru, lstm, maxpool, mse, mse_loss
 from .nn.params import ParamSet
 
 LINEAR_TOL = 1e-6
@@ -36,19 +37,6 @@ class CheckResult:
         return self.worst_error < self.tol
 
 
-def _loss(chain, params, x, target, grads=True):
-    """(loss, grads) of mse(chain(x), target), or with no target of the
-    chain's output, with the gradient of x as grads["x"]; without `grads`
-    the loss alone, with no caches kept and no backward."""
-    y, caches = run(chain, params, x, keep=grads)
-    loss, diff = (y, None) if target is None else mse.forward(y, target)
-    if not grads:
-        return loss
-    g = 1.0 if target is None else mse.backward(diff, 1.0, target)[0]
-    dx, grads = backprop(chain, params, caches, g)
-    return loss, {"x": dx, **grads}
-
-
 def _normal(chain, target, args, seed, attempt):
     """A layer check at standard-normal arguments.
 
@@ -62,7 +50,7 @@ def _normal(chain, target, args, seed, attempt):
                        for name, (shape, scale) in args.items()})
     if target is not None:
         target = rng.standard_normal(target)
-    return (lambda p, grads=True: _loss(chain, p, p["x"], target, grads)), params
+    return (lambda p, grads=True: mse_loss(chain, p, p["x"], target, grads)), params
 
 
 # batch-major [B, T, .] <-> time-major [T, B, .]
@@ -83,7 +71,7 @@ def _maxpool(seed, attempt):
     x = rng.permutation(np.linspace(-3.0, 3.0, 48)) + 0.01 * rng.standard_normal(48)
     params = ParamSet({"x": x.reshape(2, 2, 12)})
     target = rng.standard_normal((2, 2, 4))
-    return (lambda p, grads=True: _loss([(maxpool(3), ())], p, p["x"], target, grads)), params
+    return (lambda p, grads=True: mse_loss([(maxpool(3), ())], p, p["x"], target, grads)), params
 
 
 def _architecture(kind, seed, attempt, w=7, h=2):
@@ -91,7 +79,7 @@ def _architecture(kind, seed, attempt, w=7, h=2):
     model = build_surrogate(kind, w, h, seed=seed + attempt)
     x = rng.uniform(0.1, 0.9, size=(2, w))
     y = rng.uniform(0.1, 0.9, size=(2, h))
-    return (lambda p, grads=True: _loss(model.chain, p, x, y, grads)), model.params
+    return (lambda p, grads=True: mse_loss(model.chain, p, x, y, grads)), model.params
 
 
 # (name, maker, tolerance); maker(seed, attempt) returns a fresh (f, params)

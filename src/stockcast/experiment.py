@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
 from .models import build_model, cnn_kernel
-from .nn.layers import mse
+from .nn.layers import mse_loss
 from .nn.optim import Adam
 from .windowing import make_samples, rolling_test_forecast
 
@@ -94,12 +94,15 @@ def train(model, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> list[float]:
     """Mini-batch Adam on MSE over samples X [n, w] -> Y [n, h]; returns
     the per-epoch mean batch loss.
 
-    Mutates the model's parameters in place.  Identical (model, cfg)
-    reproduce bit-identical histories on one platform.
+    One `mse_loss` step and one Adam step per batch; windows of the wrong
+    width raise ArityMismatch before the first.  Mutates the model's
+    parameters in place.  Identical (model, cfg) reproduce bit-identical
+    histories on one platform.
     """
     n = len(X)
     if not n:
         raise ValueError("no training samples")
+    model.check_window(X.shape)
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params, lr=cfg.lr)
     history = []
@@ -109,16 +112,16 @@ def train(model, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> list[float]:
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            pred, caches = model.forward(X[idx])
-            target = Y[idx]
-            loss, diff = mse.forward(pred, target)
+            loss, grads = mse_loss(model.chain, model.params, X[idx], Y[idx])
             value = float(loss)
             if not math.isfinite(value):
                 raise NonFiniteLoss(
                     f"{model.kind} diverged at epoch {len(history)}, batch {n_batches} "
                     f"(lr={cfg.lr}, seed={cfg.seed})"
                 )
-            opt.step(model.backward(caches, mse.backward(diff, 1.0, target)[0]))
+            opt.step(grads)
+            # freed before the next batch's forward, which would otherwise run beside them
+            del grads
             epoch_loss += value
             n_batches += 1
         history.append(epoch_loss / n_batches)

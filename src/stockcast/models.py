@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ArityMismatch, ShapeMismatch, WindowTooSmall
 from .nn.layers import (
-    backprop,
     channels,
     check_state,
     conv1d,
@@ -54,9 +53,10 @@ class Model:
     """A map from a length-w window to h outputs: a fixed chain of
     `(layer, parameter names)` steps over the parameters.
 
-    `forward` and `backward` train it on a batch as given.  `predict`,
-    and `__call__` through it, evaluate it: they pad their batch to a
-    multiple of PAD_ROWS rows and keep no caches.
+    Training runs `nn.layers.mse_loss` on the chain and the parameters,
+    on a batch as given.  `predict`, and `__call__` through it, evaluate
+    the model: they pad their batch to a multiple of PAD_ROWS rows and
+    keep no caches.
     """
 
     def __init__(self, kind: str, w: int, h: int, params: ParamSet, chain):
@@ -65,22 +65,16 @@ class Model:
         self.h = h
         self.params = params
         self.chain = chain
-        # GRU, LSTM: `predict` runs T >= 1 steps from a flat list of states
-        self.resumable = any(layer.state for layer, _ in chain)
+        # GRU, LSTM: (name, n) of each state array, in chain order, that
+        # `predict` runs T >= 1 steps from; a recurrent layer's U is [gates*n, n]
+        self.state_widths = [(name, params[keys[1]].shape[1])
+                             for layer, keys in chain for name in layer.state]
+        self.resumable = bool(self.state_widths)
 
-    def _check_window(self, shape):
+    def check_window(self, shape):
+        """Raise ArityMismatch unless `shape` is that of windows [batch, w]."""
         if len(shape) != 2 or shape[1] != self.w:
-            raise ArityMismatch(f"forward input {shape}, expected [batch, {self.w}]")
-
-    def forward(self, x: np.ndarray):
-        """x [batch, w] -> (y [batch, h], the caches `backward` reads)."""
-        self._check_window(x.shape)
-        return run(self.chain, self.params, x, keep=True)
-
-    def backward(self, caches, g: np.ndarray) -> dict[str, np.ndarray]:
-        """The gradient of every parameter, by name, from the caches of
-        `forward` and g = dloss/dy [batch, h]; empties the cache list."""
-        return backprop(self.chain, self.params, caches, g)[1]
+            raise ArityMismatch(f"windows of shape {shape}, expected [batch, {self.w}]")
 
     def predict(self, x, init=()):
         """The evaluation forward of every kind: (y [batch, h], states)
@@ -93,18 +87,17 @@ class Model:
         each [T, batch, n].
         """
         x = np.asarray(x, dtype=np.float64)
-        widths = [(name, self.params[keys[1]].shape[1])  # a recurrent layer's U is [gates*n, n]
-                  for layer, keys in self.chain for name in layer.state]
-        if init and len(init) != len(widths):
-            raise ShapeMismatch(f"{len(init)} initial state arrays, expected {len(widths)}")
-        for (name, n), s in zip(widths, init):
+        if init and len(init) != len(self.state_widths):
+            raise ShapeMismatch(f"{len(init)} initial state arrays, "
+                                f"expected {len(self.state_widths)}")
+        for (name, n), s in zip(self.state_widths, init):
             check_state(name, s, len(x), n)
         y, states = run(self.chain, self.params, _pad_rows(x), [_pad_rows(s) for s in init])
         return y[:len(x)], [s[:, :len(x)] for s in states]
 
     def __call__(self, windows) -> np.ndarray:
         """Numpy-in, numpy-out prediction: windows [N, w] -> [N, h]."""
-        self._check_window(np.shape(windows))
+        self.check_window(np.shape(windows))
         return self.predict(windows)[0]
 
     def n_params(self) -> int:

@@ -9,8 +9,9 @@ non-overlapping max-pool, whole-sequence GRU and LSTM layers (backward
 through time) and the MSE loss.  Every model is a straight chain of
 `(layer, parameter names)` steps, which `run` evaluates and `backprop`
 differentiates: each array gets exactly one gradient, so nothing is
-accumulated.  Everything is float64 so finite-difference checks are
-meaningful.
+accumulated.  `mse_loss`, the one training step, adds the MSE loss:
+training runs it on every batch, and the gradient checks verify it.
+Everything is float64 so finite-difference checks are meaningful.
 """
 
 from __future__ import annotations
@@ -65,6 +66,19 @@ def backprop(chain, params, caches, g):
         g, param_grads = layer.backward(caches.pop(), g, *(params[k] for k in names))
         grads.update(zip(names, param_grads))
     return g, grads
+
+
+def mse_loss(chain, params, x, target, grads=True):
+    """The training step: (loss, grads) of mse(chain(x), target), or with
+    no target of the chain's output, with the gradient of x as grads["x"];
+    without `grads` the loss alone, with no caches kept and no backward."""
+    y, caches = run(chain, params, x, keep=grads)
+    loss, diff = (y, None) if target is None else mse.forward(y, target)
+    if not grads:
+        return loss
+    g = 1.0 if target is None else mse.backward(diff, 1.0, target)[0]
+    dx, grads = backprop(chain, params, caches, g)
+    return loss, {"x": dx, **grads}
 
 
 # --- input layouts -------------------------------------------------------------
@@ -204,7 +218,7 @@ def maxpool(pool: int) -> Layer:
 # step's gate values, which they have read by then, so they need no second
 # [T, B, gates*n] array; a forward's cache is backpropagated once.  A cache
 # keeps no array its backward rebuilds in one elementwise pass by the same
-# operation, bit for bit (the GRU's r * h_prev, the LSTM's tanh(c)).
+# operation, bit for bit (the GRU's r * h_prev on entry, the LSTM's tanh(c) per step).
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -358,17 +372,17 @@ def lstm_forward(x, W, U, b, h=None, c=None):
 def _lstm_backward(cache, dH, W, U, b):
     H, C, xt, G = cache
     T, B, n = H.shape
-    TC = np.tanh(C)
     dh = np.zeros((B, n))
     dc = np.zeros((B, n))
     a = np.empty((B, 4 * n))  # step t's pre-activation gradients, kept in G[t]
     for t in range(T - 1, -1, -1):
         dh += dH[t]
         i, f, o, g = (G[t, :, k * n:(k + 1) * n] for k in range(4))
-        dc = dc + dh * o * (1.0 - TC[t] * TC[t])
+        tc = np.tanh(C[t])
+        dc = dc + dh * o * (1.0 - tc * tc)
         a[:, :n] = dc * g
         a[:, n:2 * n] = dc * C[t - 1] if t else 0.0
-        a[:, 2 * n:3 * n] = dh * TC[t]
+        a[:, 2 * n:3 * n] = dh * tc
         s = G[t, :, :3 * n]
         a[:, :3 * n] *= s * (1.0 - s)
         a[:, 3 * n:] = dc * i * (1.0 - g * g)

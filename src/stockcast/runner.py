@@ -15,7 +15,6 @@ import secrets
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import StockcastError
 from .experiment import CellResult, check_grid, run_grid
 from .ingest import load_series
 from .preprocess import fit_scaler, scale, split_by_date

@@ -7,9 +7,15 @@ import pytest
 
 from stockcast import experiment
 from stockcast.config import ExperimentConfig
-from stockcast.errors import NonFiniteLoss, TooFewRuns, WindowTooLarge, WindowTooSmall
+from stockcast.errors import (
+    ArityMismatch,
+    NonFiniteLoss,
+    TooFewRuns,
+    WindowTooLarge,
+    WindowTooSmall,
+)
 from stockcast.experiment import CellResult, RunResult, TrainConfig, run_grid, run_model, train
-from stockcast.models import build_mlp
+from stockcast.models import KINDS, build_mlp, build_model
 from stockcast.runner import execute
 from stockcast.windowing import FunctionModel, make_samples
 
@@ -74,6 +80,20 @@ def test_train_divergence_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteLoss):
             train(model, X, Y, TrainConfig(epochs=1, seed=0))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_train_rejects_windows_of_another_width(kind):
+    # the layers alone do not: a CNN built for w=8 runs w=9 windows, and a
+    # GRU or LSTM any number of steps
+    model = build_model(kind, 8, 1, seed=0)
+    before = {name: p.copy() for name, p in model.params.items()}
+    rng = np.random.default_rng(5)
+    with pytest.raises(ArityMismatch, match=r"expected \[batch, 8\]"):
+        train(model, rng.uniform(0, 1, (40, 9)), rng.uniform(0, 1, (40, 1)),
+              TrainConfig(epochs=1))
+    for name, p in model.params.items():
+        assert np.array_equal(p, before[name]), name
 
 
 def evaluate_fixed(monkeypatch, fn, test_values, w, h):

@@ -11,7 +11,7 @@ from stockcast.models import (
     build_surrogate,
 )
 from stockcast.nn.gradcheck import grad_check
-from stockcast.nn.layers import mse
+from stockcast.nn.layers import mse_loss
 from stockcast.windowing import forecast
 
 
@@ -132,11 +132,7 @@ def test_every_architecture_gradchecks(kind):
     y = rng.uniform(0.1, 0.9, size=(2, 2))
 
     def f(p, grads=True):
-        pred, caches = model.forward(x)
-        loss, diff = mse.forward(pred, y)
-        if not grads:
-            return loss
-        return loss, model.backward(caches, mse.backward(diff, 1.0, y)[0])
+        return mse_loss(model.chain, model.params, x, y, grads)
 
     assert grad_check(f, model.params) < 1e-4
 
@@ -145,8 +141,6 @@ def test_forward_arity_checks():
     model = build_mlp(5, 1)
     with pytest.raises(ArityMismatch):
         model(np.zeros(4))
-    with pytest.raises(ArityMismatch):
-        model.forward(np.zeros((2, 4)))
     with pytest.raises(ArityMismatch):
         forecast(model, np.zeros((2, 4)), 1, "direct")
 

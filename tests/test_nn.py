@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stockcast import checks
-from stockcast.checks import _SWAP, _loss, run_gradcheck_suite
+from stockcast.checks import _SWAP, run_gradcheck_suite
 from stockcast.errors import NonFiniteGradient, ShapeMismatch
 from stockcast.experiment import TrainConfig, train
 from stockcast.models import KINDS, build_model
@@ -19,6 +19,7 @@ from stockcast.nn.layers import (
     lstm_forward,
     maxpool,
     mse,
+    mse_loss,
     relu,
     run,
 )
@@ -28,7 +29,7 @@ from stockcast.nn.params import ParamSet
 
 def through_mse(chain, target):
     """grad_check's f for mse(chain(x), target), the input x a parameter."""
-    return lambda p, grads=True: _loss(chain, p, p["x"], target, grads)
+    return lambda p, grads=True: mse_loss(chain, p, p["x"], target, grads)
 
 
 # --- dense -------------------------------------------------------------------
@@ -244,7 +245,7 @@ def test_seq_op_matches_per_step_cells(kind, B, T, n_in, n):
     arrays = seq_arrays(rng, kind, B, T, n_in, n)
     x, W, U, b = arrays
     H = seq_H(kind, *arrays)
-    _, grads = _loss(seq_chain(kind), {"W": W, "U": U, "b": b}, x, target)
+    _, grads = mse_loss(seq_chain(kind), {"W": W, "U": U, "b": b}, x, target)
     assert H.shape == (B, T, n)
     np.testing.assert_allclose(H, reference_seq(kind, *arrays), rtol=1e-12, atol=1e-12)
     for name, g_ref in zip("xWUb", complex_step_grads(kind, arrays, target)):
@@ -500,11 +501,12 @@ def test_training_peak_memory_bound(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_gradients_own_their_memory(kind):
-    # Model.backward gives every parameter exactly one gradient, shaped
-    # like it, in memory that no other gradient and no parameter shares
+    # backprop gives every parameter exactly one gradient, shaped like it,
+    # in memory that no other gradient and no parameter shares
     model = build_model(kind, 5, 1, seed=2)
-    pred, caches = model.forward(np.random.default_rng(22).standard_normal((4, 5)))
-    grads = model.backward(caches, np.ones_like(pred))
+    x = np.random.default_rng(22).standard_normal((4, 5))
+    pred, caches = run(model.chain, model.params, x, keep=True)
+    grads = backprop(model.chain, model.params, caches, np.ones_like(pred))[1]
     assert sorted(grads) == sorted(name for name, _ in model.params.items())
     for name, p in model.params.items():
         assert grads[name].shape == p.shape, name
@@ -519,11 +521,12 @@ def test_backward_rejects_consumed_caches(kind):
     # the first backward empties the list (and the recurrent ones write
     # their gate gradients over the cache), so a second has nothing to read
     model = build_model(kind, 5, 1, seed=2)
-    pred, caches = model.forward(np.random.default_rng(26).standard_normal((4, 5)))
-    model.backward(caches, np.ones_like(pred))
+    x = np.random.default_rng(26).standard_normal((4, 5))
+    pred, caches = run(model.chain, model.params, x, keep=True)
+    backprop(model.chain, model.params, caches, np.ones_like(pred))
     assert caches == []
     with pytest.raises(ShapeMismatch, match=f"0 caches for a chain of {len(model.chain)}"):
-        model.backward(caches, np.ones_like(pred))
+        backprop(model.chain, model.params, caches, np.ones_like(pred))
 
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
@@ -593,7 +596,8 @@ def test_grad_check_runs_one_backward(monkeypatch):
     # the finite-difference probes need the loss alone: one backward per
     # grad_check, for the analytic gradients, on every check of the suite
     calls = []
-    monkeypatch.setattr(checks, "backprop", lambda *args: calls.append(1) or backprop(*args))
+    monkeypatch.setattr("stockcast.nn.layers.backprop",
+                        lambda *args: calls.append(1) or backprop(*args))
     for name, make, _ in checks.CHECKS:
         calls.clear()
         grad_check(*make(7, 0))

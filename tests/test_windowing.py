@@ -206,8 +206,8 @@ def test_trace_json_shape():
 
 def training_forward(model):
     """The plain iterative loop's model, unpadded: every call runs the
-    training forward, Model.forward, which keeps every layer's cache."""
-    return lambda windows: model.forward(windows)[0]
+    training forward, which keeps every layer's cache."""
+    return lambda windows: layers.run(model.chain, model.params, windows, keep=True)[0]
 
 
 def plain_loop(model, values, w, h, stride):
@@ -227,7 +227,7 @@ def plain_loop(model, values, w, h, stride):
 def test_padded_call_is_the_training_forward_on_whole_pads(kind, rows):
     model = build_model(kind, 10, 1, seed=2)
     windows = np.random.default_rng(rows).uniform(0, 1, (rows, 10))
-    assert np.array_equal(model(windows), model.forward(windows)[0])
+    assert np.array_equal(model(windows), training_forward(model)(windows))
 
 
 @pytest.mark.parametrize("kind", ["MLP", "CNN", "GRU", "LSTM"])
