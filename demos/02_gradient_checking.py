@@ -8,7 +8,7 @@ import numpy as np
 
 from stockcast.checks import run_gradcheck_suite
 from stockcast.nn.gradcheck import grad_check
-from stockcast.nn.layers import dense, mse
+from stockcast.nn.layers import dense, mse_loss
 from stockcast.nn.params import ParamSet
 
 rng = np.random.default_rng(0)
@@ -21,15 +21,11 @@ target = rng.standard_normal((2, 4))
 
 
 def f(p, grads=True):
-    """The loss and its gradients: each layer's forward keeps a cache, and
-    its backward turns dloss/dy into the input's and parameters' gradients.
-    The finite-difference probes need the loss alone (grads=False)."""
-    y, cache = dense.forward(p["x"], p["W"], p["b"])
-    loss, diff = mse.forward(y, target)
-    if not grads:
-        return loss
-    dx, (dW, db) = dense.backward(cache, mse.backward(diff, 1.0, target)[0], p["W"], p["b"])
-    return loss, {"x": dx, "W": dW, "b": db}
+    """The loss and its gradients by `mse_loss`, the step training runs on
+    every batch: each layer's forward keeps a cache, and its backward turns
+    dloss/dy into the input's and parameters' gradients.  The
+    finite-difference probes need the loss alone (grads=False)."""
+    return mse_loss([(dense, ("W", "b"))], p, p["x"], target, grads)
 
 
 err = grad_check(f, params)

@@ -3,10 +3,11 @@
 Every layer kind plus all four architectures at surrogate widths is
 checked against central finite differences through `mse_loss`, the
 training step: a layer's output enters the loss as mse against a random
-target.  Purely linear paths must agree to 1e-6; relu/pool/gated paths
-to 1e-4, with kink resampling (a finite-difference step that crosses a
-relu kink or a pool argmax flip is a property of the probe point, not a
-wrong gradient).
+target, and the `mse` row checks the loss's own prediction gradient on
+an empty chain.  Purely linear paths must agree to 1e-6; relu/pool/gated
+paths to 1e-4, with kink resampling (a finite-difference step that
+crosses a relu kink or a pool argmax flip is a property of the probe
+point, not a wrong gradient).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .models import KINDS, build_surrogate
 from .nn.gradcheck import grad_check
-from .nn.layers import Layer, conv1d, dense, gru, lstm, maxpool, mse, mse_loss
+from .nn.layers import conv1d, dense, gru, lstm, maxpool, mse_loss
 from .nn.params import ParamSet
 
 LINEAR_TOL = 1e-6
@@ -42,27 +43,21 @@ def _normal(chain, target, args, seed, attempt):
 
     `args` maps the input "x" and each parameter of `chain` to (shape,
     scale); they are drawn in order, then a target of shape `target`, and
-    the loss is mse(chain(x), target).  With no target, the chain's output
-    is the loss.
+    the loss is mse(chain(x), target).
     """
     rng = np.random.default_rng((seed, attempt))
     params = ParamSet({name: scale * rng.standard_normal(shape)
                        for name, (shape, scale) in args.items()})
-    if target is not None:
-        target = rng.standard_normal(target)
+    target = rng.standard_normal(target)
     return (lambda p, grads=True: mse_loss(chain, p, p["x"], target, grads)), params
 
 
-# batch-major [B, T, .] <-> time-major [T, B, .]
-_SWAP = Layer(lambda x: (x.transpose(1, 0, 2), None), lambda _, g: (g.transpose(1, 0, 2), ()))
-
-
 def _recurrent(seq, gates):
-    """A sequence layer over batch 2, 3 steps, 2 inputs and 4 hidden units,
-    every hidden state in the loss, input included."""
-    return partial(_normal, [(_SWAP, ()), (seq, ("W", "U", "b")), (_SWAP, ())], (2, 3, 4), {
+    """A sequence layer over time-major x of 3 steps, batch 2 and 2 inputs,
+    with 4 hidden units, every hidden state in the loss, input included."""
+    return partial(_normal, [(seq, ("W", "U", "b"))], (3, 2, 4), {
         "W": ((gates * 4, 2), 0.5), "U": ((gates * 4, 4), 0.5), "b": ((gates * 4,), 0.5),
-        "x": ((2, 3, 2), 1)})
+        "x": ((3, 2, 2), 1)})
 
 
 def _maxpool(seed, attempt):
@@ -91,8 +86,7 @@ CHECKS = (
     ("maxpool", _maxpool, NONLINEAR_TOL),
     ("gru_cell", _recurrent(gru, 3), NONLINEAR_TOL),
     ("lstm_cell", _recurrent(lstm, 4), NONLINEAR_TOL),
-    ("mse", partial(_normal, [(mse, ("target",))], None, {"x": ((6,), 1), "target": ((6,), 1)}),
-     LINEAR_TOL),
+    ("mse", partial(_normal, [], (6,), {"x": ((6,), 1)}), LINEAR_TOL),
     *((f"arch_{kind}", partial(_architecture, kind), NONLINEAR_TOL) for kind in KINDS),
 )
 

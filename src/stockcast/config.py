@@ -139,6 +139,8 @@ def parse_config(path) -> ExperimentConfig:
     if cfg.strategy not in ("direct", "iterative"):
         raise ParseError(
             f"field 'strategy': must be 'direct' or 'iterative', got {cfg.strategy!r}")
+    if not cfg.models:
+        raise ParseError("field 'models': must be non-empty")
     for m in cfg.models:
         if m not in KINDS:
             raise ParseError(f"field 'models': unknown model {m!r}")

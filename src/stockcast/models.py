@@ -209,7 +209,7 @@ def _build_recurrent(kind: str, w: int, h: int, seed: int, hidden) -> Model:
     arrays["out.b"] = np.zeros(h)
     chain = [(time_major, ()),
              (seq, ("r0.W", "r0.U", "r0.b")), (relu, ()),
-             (last(seq), ("r1.W", "r1.U", "r1.b")),
+             (seq, ("r1.W", "r1.U", "r1.b")), (last, ()),
              (dense, ("out.W", "out.b"))]
     return Model(kind, w, h, ParamSet(arrays), chain)
 

@@ -6,11 +6,11 @@ gradient of the loss with respect to y and `param_grads` holds one
 gradient per parameter, in order.  The layers are a dense layer (which
 flattens its input), relu, a valid-mode 1-D convolution, a
 non-overlapping max-pool, whole-sequence GRU and LSTM layers (backward
-through time) and the MSE loss.  Every model is a straight chain of
-`(layer, parameter names)` steps, which `run` evaluates and `backprop`
-differentiates: each array gets exactly one gradient, so nothing is
-accumulated.  `mse_loss`, the one training step, adds the MSE loss:
-training runs it on every batch, and the gradient checks verify it.
+through time) and `last`, a sequence's last step.  Every model is a
+straight chain of `(layer, parameter names)` steps, which `run`
+evaluates and `backprop` differentiates: each array gets one gradient,
+so nothing is accumulated.  `mse_loss`, the one training step, defines
+the MSE loss: training runs it on every batch, and the checks verify it.
 Everything is float64 so finite-difference checks are meaningful.
 """
 
@@ -69,15 +69,17 @@ def backprop(chain, params, caches, g):
 
 
 def mse_loss(chain, params, x, target, grads=True):
-    """The training step: (loss, grads) of mse(chain(x), target), or with
-    no target of the chain's output, with the gradient of x as grads["x"];
+    """The training step: (loss, grads) of the mean squared error of
+    chain(x) against target, with the gradient of x as grads["x"];
     without `grads` the loss alone, with no caches kept and no backward."""
     y, caches = run(chain, params, x, keep=grads)
-    loss, diff = (y, None) if target is None else mse.forward(y, target)
+    if y.shape != target.shape:
+        raise ShapeMismatch(f"mse shapes {y.shape} vs {target.shape}")
+    diff = y - target
+    loss = (diff * diff).mean()
     if not grads:
         return loss
-    g = 1.0 if target is None else mse.backward(diff, 1.0, target)[0]
-    dx, grads = backprop(chain, params, caches, g)
+    dx, grads = backprop(chain, params, caches, (2.0 / diff.size) * diff)
     return loss, {"x": dx, **grads}
 
 
@@ -91,7 +93,7 @@ channels = Layer(lambda x: (x.reshape(len(x), 1, x.shape[1]), None),
 time_major = Layer(lambda x: (x.T[:, :, None], None), lambda _, g: (g[:, :, 0].T, ()))
 
 
-# --- relu, dense layer and loss -------------------------------------------------
+# --- relu and dense layer ------------------------------------------------------
 
 def _relu(x):
     # subgradient at 0 is 0
@@ -118,23 +120,6 @@ def _dense_backward(cache, g, W, b):
 
 
 dense = Layer(_dense, _dense_backward)
-
-
-def _mse(pred, target):
-    """Mean squared error over all elements."""
-    if pred.shape != target.shape:
-        raise ShapeMismatch(f"mse shapes {pred.shape} vs {target.shape}")
-    diff = pred - target
-    return (diff * diff).mean(), diff
-
-
-def _mse_backward(diff, g, target):
-    d_pred = (2.0 * float(g) / diff.size) * diff
-    return d_pred, (-d_pred,)
-
-
-# the loss as a layer whose one parameter is the target
-mse = Layer(_mse, _mse_backward)
 
 
 # --- convolution and pooling ------------------------------------------------
@@ -398,16 +383,11 @@ def _lstm_backward(cache, dH, W, U, b):
 lstm = Layer(lstm_forward, _lstm_backward, ("h", "c"))
 
 
-def last(seq: Layer) -> Layer:
-    """The sequence layer `seq` with its last hidden state [B, n] as its output."""
+def _last_backward(shape, g):
+    dH = np.zeros(shape)
+    dH[-1] = g
+    return dH, ()
 
-    def forward(x, *args):
-        H, cache = seq.forward(x, *args)
-        return H[-1], cache
 
-    def backward(cache, g, *params):
-        dH = np.zeros(cache[0].shape)
-        dH[-1] = g
-        return seq.backward(cache, dH, *params)
-
-    return Layer(forward, backward, seq.state)
+# the last step [B, n] of a time-major sequence [T, B, n]
+last = Layer(lambda H: (H[-1], H.shape), _last_backward)

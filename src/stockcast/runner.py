@@ -31,7 +31,8 @@ def _fmt(x: float) -> str:
 
 def atomic_write(path: str, text: str):
     """Write through a synced temp file of its own in the target's
-    directory, so `path` holds either its old or its whole new text."""
+    directory, so `path` holds either its old or its whole new text; on
+    POSIX the directory is synced next, so a crash cannot undo the rename."""
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     # "x" creates the file or fails, with the mode a plain open() gives
     f = open(tmp, "x", encoding="utf-8", newline="\n")
@@ -44,6 +45,12 @@ def atomic_write(path: str, text: str):
     except BaseException:
         os.unlink(tmp)
         raise
+    if os.name == "posix":
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def prepare_series(cfg: ExperimentConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:

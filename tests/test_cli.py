@@ -3,6 +3,7 @@ import math
 import os
 import platform
 import shutil
+import stat
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -22,7 +23,6 @@ from stockcast.config import (
 )
 from stockcast.errors import MissingDataFile, ParseError
 from stockcast.models import KINDS
-from stockcast.nn.layers import mse
 from stockcast.nn.params import ParamSet
 from stockcast.runner import atomic_write
 
@@ -246,13 +246,16 @@ def test_run_rejects_count_below_one_before_training(tmp_path, tiny_dir, capsys,
     ("models", "MLP,mlp", {}),
     ("windows", "3,5,3", {}),
     ("horizons", "7,7", {"mode": "multi", "windows": "5"}),
+    # an empty model list would train nothing and still write result files
+    ("models", "", {}),
+    ("models", ",", {}),
 ])
 def test_run_rejects_out_of_range_value_before_training(tmp_path, tiny_dir, capsys, monkeypatch,
                                                         field, value, extra):
     trained = []
     monkeypatch.setattr(experiment, "train", lambda *args: trained.append(args) or [0.0])
     cfg_path = make_config(tmp_path, tiny_dir, **extra, **{field: value})
-    parts = value.upper().split(",")
+    parts = [p for p in value.upper().split(",") if p]
     rule = f"must not repeat {parts[-1]}$" if len(set(parts)) < len(parts) else "must be "
     with pytest.raises(ParseError, match=rf"field '{field}': {rule}"):
         parse_config(cfg_path)
@@ -386,14 +389,41 @@ def test_atomic_write_ignores_stale_tmp_path(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv", "results.csv.tmp"]
 
 
-def test_atomic_write_syncs_before_replace(tmp_path, monkeypatch):
+def record_syncs(monkeypatch, directory):
+    """The os.fsync and os.replace calls in order: "replace", and
+    ("fsync", "target dir") for an fd of `directory`, ("fsync", "dir") for
+    another directory's and ("fsync", "file") for a file's."""
     calls = []
-    monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync"))
     real_replace = os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        kind = "dir" if stat.S_ISDIR(st.st_mode) else "file"
+        calls.append(("fsync", "target dir" if os.path.samestat(st, os.stat(directory))
+                      else kind))
+
+    monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", lambda a, b: (calls.append("replace"),
                                                      real_replace(a, b)))
+    return calls
+
+
+def test_atomic_write_syncs_before_replace(tmp_path, monkeypatch):
+    # on POSIX the directory is synced after the rename, or a crash right
+    # after it can lose the rename
+    calls = record_syncs(monkeypatch, tmp_path)
     atomic_write(str(tmp_path / "out.csv"), "x\n")
-    assert calls == ["fsync", "replace"]
+    assert calls == [("fsync", "file"), "replace"] + [("fsync", "target dir")] * (
+        os.name == "posix")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="directories are synced on POSIX only")
+def test_atomic_write_syncs_the_working_directory_for_a_bare_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = record_syncs(monkeypatch, tmp_path)
+    atomic_write("out.csv", "x\n")
+    assert calls == [("fsync", "file"), "replace", ("fsync", "target dir")]
+    assert (tmp_path / "out.csv").read_text() == "x\n"
 
 
 def test_atomic_write_removes_tmp_on_failure(tmp_path, monkeypatch):
@@ -588,8 +618,9 @@ def test_gradcheck_command_detects_wrong_gradient(monkeypatch, capsys):
 
         def f(p, grads=True):
             target = np.full(3, p["w"][0])
-            loss, diff = mse.forward(p["w"], target)
-            return (loss, {"w": mse.backward(diff, 1.0, target)[0]}) if grads else loss
+            diff = p["w"] - target
+            loss = (diff * diff).mean()
+            return (loss, {"w": 2.0 * diff / diff.size}) if grads else loss
 
         return f, params
 

@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and every private name a module defines at its top level is read there.
 
-The package `__init__.py` files are left out: what they import is their
-public interface.
+The package `__init__.py` files are left out of the import check: what
+they import is their public interface.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stockcast"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.rglob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +39,37 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(source: str) -> list[str]:
+    """The module-level functions, classes and assigned names starting
+    with `_` (dunders aside) that the module never loads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                defined.setdefault(name, node.lineno)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in loaded]
+
+
+def test_finds_an_unused_private_name():
+    source = ("__all__ = []\n_A = 1\n_B, c = 2, 3\n"
+              "def _f():\n    return _A\n"
+              "class _C:\n    pass\n"
+              "def g():\n    _local = 4\n    return _f()\n")
+    assert unused_private_names(source) == ["_B (line 3)", "_C (line 6)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(SRC)))
+def test_module_reads_every_private_name(path):
+    assert unused_private_names(path.read_text()) == []

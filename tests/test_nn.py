@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from stockcast import checks
-from stockcast.checks import _SWAP, run_gradcheck_suite
+from stockcast.checks import run_gradcheck_suite
 from stockcast.errors import NonFiniteGradient, ShapeMismatch
 from stockcast.experiment import TrainConfig, train
 from stockcast.models import KINDS, build_model
 from stockcast.nn.gradcheck import grad_check
 from stockcast.nn.layers import (
+    Layer,
     backprop,
     conv1d,
     dense,
@@ -18,7 +19,6 @@ from stockcast.nn.layers import (
     lstm,
     lstm_forward,
     maxpool,
-    mse,
     mse_loss,
     relu,
     run,
@@ -217,11 +217,14 @@ def complex_step_grads(kind, arrays, target):
 
 SEQ_LAYERS = {"GRU": (gru, 3), "LSTM": (lstm, 4)}
 
+# batch-major [B, T, .] <-> time-major [T, B, .]
+SWAP = Layer(lambda x: (x.transpose(1, 0, 2), None), lambda _, g: (g.transpose(1, 0, 2), ()))
+
 
 def seq_chain(kind):
     """The sequence layer of `kind` over batch-major x [B, T, n_in], every
     hidden state out, [B, T, n]."""
-    return [(_SWAP, ()), (SEQ_LAYERS[kind][0], ("W", "U", "b")), (_SWAP, ())]
+    return [(SWAP, ()), (SEQ_LAYERS[kind][0], ("W", "U", "b")), (SWAP, ())]
 
 
 def seq_H(kind, x, W, U, b):
@@ -386,28 +389,26 @@ def test_lstm_hidden_state_bounded():
 # --- loss --------------------------------------------------------------------
 
 def test_mse_zero_on_equal():
-    assert mse.forward(np.array([0.3, 0.7]), np.array([0.3, 0.7]))[0] == 0.0
+    x = np.array([0.3, 0.7])
+    assert mse_loss([], {}, x, x.copy(), grads=False) == 0.0
 
 
 def test_mse_value():
-    assert mse.forward(np.zeros(2), np.ones(2))[0] == pytest.approx(1.0)
+    assert mse_loss([], {}, np.zeros(2), np.ones(2), grads=False) == pytest.approx(1.0)
 
 
 def test_mse_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        mse.forward(np.array([1.0]), np.array([1.0, 2.0]))
+    for grads in (True, False):
+        with pytest.raises(ShapeMismatch):
+            mse_loss([], {}, np.array([1.0]), np.array([1.0, 2.0]), grads)
 
 
 def test_mse_gradient():
     rng = np.random.default_rng(8)
     pred, target = rng.standard_normal(5), rng.standard_normal(5)
-    _, diff = mse.forward(pred, target)
-    d_pred, (d_target,) = mse.backward(diff, 1.0, target)
-    expected = 2.0 * (pred - target) / 5
-    np.testing.assert_allclose(d_pred, expected, rtol=1e-15, atol=0)
-    np.testing.assert_array_equal(d_target, -d_pred)
-    params = ParamSet({"x": pred.copy(), "target": target.copy()})
-    assert grad_check(through_mse([(mse, ("target",))], None), params) < 1e-8
+    _, grads = mse_loss([], {}, pred, target)
+    np.testing.assert_array_equal(grads["x"], 2 * (pred - target) / 5)
+    assert grad_check(through_mse([], target), ParamSet({"x": pred.copy()})) < 1e-8
 
 
 # --- Adam --------------------------------------------------------------------
