@@ -3,6 +3,9 @@
 From-scratch differentiable models (MLP, 1-D CNN, GRU, LSTM), windowed
 single-step and multi-step forecasting (direct and iterative), a seeded
 multi-run experiment harness, and Diebold-Mariano significance testing.
+
+The DM names (`DmReport`, `dm_test`, `pairwise_dm_matrix`) load
+`stockcast.evaluation` on first use, so a `run` never compiles it.
 """
 
 import ctypes
@@ -39,7 +42,6 @@ if _GLIBC:
 
 import numpy
 
-from .evaluation import DmReport, dm_test, pairwise_dm_matrix
 from .experiment import LossInterval, RunResult, TrainConfig, run_grid, train
 from .ingest import TimeSeries, load_series, write_series
 from .models import Model, build_cnn, build_gru, build_lstm, build_mlp, build_model
@@ -58,3 +60,11 @@ for _name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"
         break
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("DmReport", "dm_test", "pairwise_dm_matrix"):
+        from . import evaluation
+
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

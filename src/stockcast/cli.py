@@ -7,9 +7,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .checks import run_gradcheck_suite
 from .config import parse_config
-from .dm_pipeline import dm_csv_text
 from .errors import StockcastError
 from .ingest import load_series
 from .runner import atomic_write, execute
@@ -31,6 +29,8 @@ def cmd_dm(args) -> int:
     directory = os.path.dirname(args.output) or "."
     if not os.path.isdir(directory):
         raise NotADirectoryError(f"--output {args.output}: {directory} is not a directory")
+    from .dm_pipeline import dm_csv_text
+
     text = dm_csv_text(args.errors, mode=args.mode, loss=args.loss,
                        harvey=not args.no_harvey)
     atomic_write(args.output, text)
@@ -39,6 +39,8 @@ def cmd_dm(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .checks import run_gradcheck_suite
+
     results = run_gradcheck_suite(seed=args.seed)
     failed = False
     for r in results:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from stockcast import checks, cli, experiment
+from stockcast import checks, dm_pipeline, experiment
 from stockcast.cli import build_parser, main
 from stockcast.config import (
     MULTI_STEP_HORIZONS,
@@ -315,7 +315,8 @@ def test_run_rejects_impossible_window_before_creating_output_dir(
                          ids=["missing_dir", "under_a_file"])
 def test_dm_rejects_unusable_output_dir_before_reading(tmp_path, capsys, monkeypatch, output):
     calls = []
-    monkeypatch.setattr(cli, "dm_csv_text", lambda *args, **kwargs: calls.append(args) or "")
+    monkeypatch.setattr(dm_pipeline, "dm_csv_text",
+                        lambda *args, **kwargs: calls.append(args) or "")
     (tmp_path / "file").write_text("")
     errors = synthetic_run_errors(tmp_path / "run_errors.csv")
     output = output.format(tmp=tmp_path)
@@ -331,7 +332,8 @@ def test_dm_rejects_unusable_output_dir_before_reading(tmp_path, capsys, monkeyp
 def test_dm_rejects_output_naming_no_file_before_reading(tmp_path, capsys, monkeypatch,
                                                         output, named):
     calls = []
-    monkeypatch.setattr(cli, "dm_csv_text", lambda *args, **kwargs: calls.append(args) or "")
+    monkeypatch.setattr(dm_pipeline, "dm_csv_text",
+                        lambda *args, **kwargs: calls.append(args) or "")
     errors = synthetic_run_errors(tmp_path / "run_errors.csv")
     output, named = output.format(tmp=tmp_path), named.format(tmp=tmp_path)
     assert main(["dm", "--errors", errors, "--output", output]) == 2
@@ -679,17 +681,34 @@ def test_validate_data_config_lists_the_configured_stocks_in_order(tmp_path, tin
     assert [line.split(":")[0] for line in out] == ["CCC", "AAA"]
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only oracle; a fresh interpreter shows what the CLI really imports
+def after_run_imports(code):
+    """The output of `code` in a fresh interpreter that has imported what a
+    `run` process imports before its first call."""
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, stockcast.cli; "
+    code = ("import sys, stockcast.cli, stockcast.config; "
             "assert stockcast.cli.__file__.startswith(sys.argv[1]), stockcast.cli.__file__; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+            + code)
     out = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True,
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+# scipy is a test-only oracle; the gradient-check suite, the DM reader and its
+# statistics load only when `gradcheck` or `dm` runs
+@pytest.mark.parametrize("module", ["scipy", "stockcast.checks", "stockcast.nn.gradcheck",
+                                    "stockcast.dm_pipeline", "stockcast.evaluation"])
+def test_run_imports_load_no_unused_module(module):
+    assert after_run_imports(f"print({module!r} in sys.modules)") == "False"
+
+
+def test_package_dm_names_load_on_first_use():
+    code = ("from stockcast import DmReport, dm_test, pairwise_dm_matrix; "
+            "import stockcast.evaluation as ev; "
+            "print(DmReport is ev.DmReport, dm_test is ev.dm_test, "
+            "pairwise_dm_matrix is ev.pairwise_dm_matrix)")
+    assert after_run_imports(code) == "True True True"
 
 
 BLAS_THREADS = """

@@ -11,6 +11,7 @@ from stockcast.models import PAD_ROWS, build_model, build_surrogate
 from stockcast.nn import layers
 from stockcast.runner import traces_json_text
 from stockcast.windowing import (
+    EVAL_CHUNK,
     FunctionModel,
     forecast,
     make_samples,
@@ -278,6 +279,12 @@ def test_resumed_call_runs_only_its_predictions(kind, monkeypatch):
 
     rounds = [(1, pad((w - 1 - r) * n)) for r in range(w - 1)]
     assert runs == [(w, pad(n + w - 1))] + rounds + [(w, pad(n))] * (h - w)
+
+
+def test_eval_chunk_is_whole_pads_of_at_most_32_rows():
+    # whole pads: only the last chunk is padded with zero rows; at most 32:
+    # even padded, CNN rows are not batch-invariant in larger batches
+    assert EVAL_CHUNK % PAD_ROWS == 0 and 0 < EVAL_CHUNK <= 32
 
 
 # (90, 28) over one chunk: the default grid's longest window and horizon
