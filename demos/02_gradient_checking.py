@@ -6,9 +6,8 @@ suite over every layer kind and all four architectures.
 
 import numpy as np
 
-from stockcast.checks import run_gradcheck_suite
-from stockcast.nn.gradcheck import grad_check
-from stockcast.nn.layers import dense, mse_loss
+from stockcast.checks import grad_check, run_gradcheck_suite
+from stockcast.nn.layers import dense
 from stockcast.nn.params import ParamSet
 
 rng = np.random.default_rng(0)
@@ -19,16 +18,12 @@ params = ParamSet({
 })
 target = rng.standard_normal((2, 4))
 
-
-def f(p, grads=True):
-    """The loss and its gradients by `mse_loss`, the step training runs on
-    every batch: each layer's forward keeps a cache, and its backward turns
-    dloss/dy into the input's and parameters' gradients.  The
-    finite-difference probes need the loss alone (grads=False)."""
-    return mse_loss([(dense, ("W", "b"))], p, p["x"], target, grads)
-
-
-err = grad_check(f, params)
+# grad_check takes the loss and its gradients from `mse_loss`, the step
+# training runs on every batch: each layer's forward keeps a cache, and
+# its backward turns dloss/dy into the input's and parameters'
+# gradients.  The finite-difference probes need the loss alone.  The
+# input is the "x" entry of params, so its gradient is checked too.
+err = grad_check([(dense, ("W", "b"))], params, params["x"], target)
 print(f"dense layer, mse head: worst relative error {err:.3e}")
 
 print("\nfull suite (every layer kind + all four architectures):")

@@ -69,7 +69,6 @@ class Model:
         # `predict` runs T >= 1 steps from; a recurrent layer's U is [gates*n, n]
         self.state_widths = [(name, params[keys[1]].shape[1])
                              for layer, keys in chain for name in layer.state]
-        self.resumable = bool(self.state_widths)
 
     def check_window(self, shape):
         """Raise ArityMismatch unless `shape` is that of windows [batch, w]."""
@@ -101,7 +100,7 @@ class Model:
         return self.predict(windows)[0]
 
     def n_params(self) -> int:
-        return self.params.n_scalars()
+        return sum(a.size for _, a in self.params.items())
 
 
 # --- seeded initialization ---------------------------------------------------

@@ -12,8 +12,9 @@ class ParamSet:
 
     Names are unique and shapes are fixed after construction; training
     mutates the arrays in place but never reshapes them.  Every array is
-    C-contiguous: Adam and grad_check write through `reshape(-1)`, which
-    for any other layout is a copy, and the write would be lost.
+    C-contiguous: Adam and `checks.grad_check` write through
+    `reshape(-1)`, which for any other layout is a copy, and the write
+    would be lost.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray]):
@@ -27,6 +28,3 @@ class ParamSet:
 
     def items(self):
         return self._arrays.items()
-
-    def n_scalars(self) -> int:
-        return sum(a.size for a in self._arrays.values())

@@ -156,7 +156,7 @@ def rolling_test_forecast(model, test_values, w: int, horizons, strategy: str = 
     targets = [np.array(make_samples(test_values, w, h)[1][::origin_stride]) for h in horizons]
     X = make_samples(test_values, w, min(horizons))[0][::origin_stride]
     origins = w + origin_stride * np.arange(len(X))
-    h, resumed = max(horizons), strategy == "iterative" and getattr(model, "resumable", False)
+    h, resumed = max(horizons), strategy == "iterative" and getattr(model, "state_widths", ())
     P = np.concatenate([
         _resumed_iterative(model, test_values, origins[k:k + EVAL_CHUNK] - w, w, h) if resumed
         else forecast(model, X[k:k + EVAL_CHUNK], h, strategy)

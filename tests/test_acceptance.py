@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from test_evaluation import reference_dm
 
-from stockcast.checks import run_gradcheck_suite
+from stockcast.checks import grad_check, run_gradcheck_suite
 from stockcast.cli import main
 from stockcast.config import ExperimentConfig
 from stockcast.errors import (
@@ -38,7 +38,6 @@ from stockcast.experiment import TrainConfig, run_grid, train
 from stockcast.ingest import TimeSeries, load_series
 from stockcast.models import build_cnn, build_surrogate
 from stockcast.nn.layers import dense
-from stockcast.nn.gradcheck import grad_check
 from stockcast.nn.params import ParamSet
 from stockcast.preprocess import fit_scaler, split_by_date
 from stockcast.runner import prepare_series
@@ -272,17 +271,12 @@ def test_criterion_7_degenerate_inputs(tmp_path):
                                 np.ones((4, 2)), np.ones(4)))
 
     def _nonfinite_gradient():
-        params = ParamSet({"w": np.array([0.0, 1e308])})
+        # x - target overflows to inf, and so does its gradient
+        params = ParamSet({"x": np.array([0.0, 1e308])})
         target = np.array([0.0, -1e308])
-
-        def f(p, grads=True):
-            diff = p["w"] - target
-            loss = (diff * diff).mean()
-            return (loss, {"w": 2.0 * diff / diff.size}) if grads else loss
-
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteGradient):
-                grad_check(f, params)
+                grad_check([], params, params["x"], target)
 
     check("gradient overflow -> NonFiniteGradient", _nonfinite_gradient)
 

@@ -23,7 +23,7 @@ from stockcast.config import (
 )
 from stockcast.errors import MissingDataFile, ParseError
 from stockcast.models import KINDS
-from stockcast.nn.params import ParamSet
+from stockcast.nn.layers import Layer, dense
 from stockcast.runner import atomic_write
 
 
@@ -612,19 +612,17 @@ def test_gradcheck_command_passes(capsys):
 
 
 def test_gradcheck_command_detects_wrong_gradient(monkeypatch, capsys):
-    # a target that moves with w[0] unseen by the backward: finite
-    # differences see it, the analytic gradient does not
+    # the dense row's points through a dense layer whose backward halves
+    # b's gradient: finite differences see it
+    def backward(cache, g, W, b):
+        dx, (dW, db) = dense.backward(cache, g, W, b)
+        return dx, (dW, 0.5 * db)
+
+    make_dense = checks.CHECKS[0][1]
+
     def bad_make(seed, attempt):
-        rng = np.random.default_rng((seed, attempt))
-        params = ParamSet({"w": rng.standard_normal(3)})
-
-        def f(p, grads=True):
-            target = np.full(3, p["w"][0])
-            diff = p["w"] - target
-            loss = (diff * diff).mean()
-            return (loss, {"w": 2.0 * diff / diff.size}) if grads else loss
-
-        return f, params
+        _, params, x, target = make_dense(seed, attempt)
+        return [(Layer(dense.forward, backward), ("W", "b"))], params, x, target
 
     monkeypatch.setattr(checks, "CHECKS",
                         (("dense", bad_make, checks.LINEAR_TOL), *checks.CHECKS[1:]))
@@ -697,8 +695,8 @@ def after_run_imports(code):
 
 # scipy is a test-only oracle; the gradient-check suite, the DM reader and its
 # statistics load only when `gradcheck` or `dm` runs
-@pytest.mark.parametrize("module", ["scipy", "stockcast.checks", "stockcast.nn.gradcheck",
-                                    "stockcast.dm_pipeline", "stockcast.evaluation"])
+@pytest.mark.parametrize("module", ["scipy", "stockcast.checks", "stockcast.dm_pipeline",
+                                    "stockcast.evaluation"])
 def test_run_imports_load_no_unused_module(module):
     assert after_run_imports(f"print({module!r} in sys.modules)") == "False"
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stockcast.checks import grad_check
 from stockcast.errors import ArityMismatch, ShapeMismatch, WindowTooSmall
 from stockcast.models import (
     build_cnn,
@@ -10,8 +11,6 @@ from stockcast.models import (
     build_model,
     build_surrogate,
 )
-from stockcast.nn.gradcheck import grad_check
-from stockcast.nn.layers import mse_loss
 from stockcast.windowing import forecast
 
 
@@ -130,11 +129,7 @@ def test_every_architecture_gradchecks(kind):
     model = build_surrogate(kind, 7, 2, seed=3)
     x = rng.uniform(0.1, 0.9, size=(2, 7))
     y = rng.uniform(0.1, 0.9, size=(2, 2))
-
-    def f(p, grads=True):
-        return mse_loss(model.chain, model.params, x, y, grads)
-
-    assert grad_check(f, model.params) < 1e-4
+    assert grad_check(model.chain, model.params, x, y) < 1e-4
 
 
 def test_forward_arity_checks():

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from stockcast import checks
-from stockcast.checks import run_gradcheck_suite
+from stockcast.checks import grad_check, run_gradcheck_suite
 from stockcast.errors import NonFiniteGradient, ShapeMismatch
 from stockcast.experiment import TrainConfig, train
 from stockcast.models import KINDS, build_model
-from stockcast.nn.gradcheck import grad_check
 from stockcast.nn.layers import (
     Layer,
     backprop,
@@ -25,11 +24,6 @@ from stockcast.nn.layers import (
 )
 from stockcast.nn.optim import _BLOCK, Adam
 from stockcast.nn.params import ParamSet
-
-
-def through_mse(chain, target):
-    """grad_check's f for mse(chain(x), target), the input x a parameter."""
-    return lambda p, grads=True: mse_loss(chain, p, p["x"], target, grads)
 
 
 # --- dense -------------------------------------------------------------------
@@ -62,7 +56,7 @@ def test_dense_gradcheck_random_4x3():
             "x": rng.standard_normal((2, 3)),
         })
         target = rng.standard_normal((2, 4))
-        assert grad_check(through_mse([(dense, ("W", "b"))], target), params) < 1e-6
+        assert grad_check([(dense, ("W", "b"))], params, params["x"], target) < 1e-6
 
 
 def test_dense_backward_is_one_node():
@@ -102,7 +96,7 @@ def test_conv1d_gradcheck():
         "x": rng.standard_normal((2, 2, 8)),
     })
     target = rng.standard_normal((2, 3, 6))
-    assert grad_check(through_mse([(conv1d, ("K", "b"))], target), params) < 1e-6
+    assert grad_check([(conv1d, ("K", "b"))], params, params["x"], target) < 1e-6
 
 
 def test_maxpool_basic():
@@ -129,7 +123,7 @@ def test_maxpool_tie_breaks_first():
 def test_maxpool_gradcheck_non_tied():
     x = np.array([0.3, -1.2, 2.0, 0.7, -0.5, 1.1, 1.6, -0.9]).reshape(1, 2, 4)
     target = np.random.default_rng(16).standard_normal((1, 2, 2))
-    assert grad_check(through_mse([(maxpool(2), ())], target), ParamSet({"x": x})) < 1e-6
+    assert grad_check([(maxpool(2), ())], ParamSet({"x": x}), x, target) < 1e-6
 
 
 # --- activations -------------------------------------------------------------
@@ -342,7 +336,7 @@ def test_gru_unrolled_gradcheck():
     x, W, U, b = seq_arrays(rng, "GRU", 2, 3, 2, 4)
     params = ParamSet({"x": x, "W": W, "U": U, "b": b})
     target = rng.standard_normal((2, 3, 4))
-    assert grad_check(through_mse(seq_chain("GRU"), target), params) < 1e-5
+    assert grad_check(seq_chain("GRU"), params, x, target) < 1e-5
 
 
 def test_gru_hidden_state_bounded():
@@ -376,7 +370,7 @@ def test_lstm_unrolled_gradcheck():
     x, W, U, b = seq_arrays(rng, "LSTM", 2, 3, 2, 4)
     params = ParamSet({"x": x, "W": W, "U": U, "b": b})
     target = rng.standard_normal((2, 3, 4))
-    assert grad_check(through_mse(seq_chain("LSTM"), target), params) < 1e-5
+    assert grad_check(seq_chain("LSTM"), params, x, target) < 1e-5
 
 
 def test_lstm_hidden_state_bounded():
@@ -408,7 +402,8 @@ def test_mse_gradient():
     pred, target = rng.standard_normal(5), rng.standard_normal(5)
     _, grads = mse_loss([], {}, pred, target)
     np.testing.assert_array_equal(grads["x"], 2 * (pred - target) / 5)
-    assert grad_check(through_mse([], target), ParamSet({"x": pred.copy()})) < 1e-8
+    x = pred.copy()
+    assert grad_check([], ParamSet({"x": x}), x, target) < 1e-8
 
 
 # --- Adam --------------------------------------------------------------------
@@ -576,13 +571,13 @@ def test_paramset_rejects_non_contiguous_data():
 
 def test_grad_check_exact_quadratic():
     params = ParamSet({"x": np.array([1.0, -2.0, 3.0])})
-    assert grad_check(through_mse([], np.zeros(3)), params) < 1e-9
+    assert grad_check([], params, params["x"], np.zeros(3)) < 1e-9
 
 
 def test_grad_check_eps_range():
     params = ParamSet({"x": np.array([1.0])})
     with pytest.raises(ValueError):
-        grad_check(through_mse([], np.array([0.0])), params, eps=1e-2)
+        grad_check([], params, params["x"], np.array([0.0]), eps=1e-2)
 
 
 def test_grad_check_non_finite():
@@ -590,7 +585,57 @@ def test_grad_check_non_finite():
     params = ParamSet({"x": np.array([0.0, 1e308])})
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteGradient):
-            grad_check(through_mse([], np.array([0.0, -1e308])), params)
+            grad_check([], params, params["x"], np.array([0.0, -1e308]))
+
+
+def scaled_dense(dx_factor, dW_factor):
+    """dense with a backward that scales the input's and W's gradients:
+    a factor other than 1 is a wrong gradient, a dropped factor."""
+    def backward(cache, g, W, b):
+        dx, (dW, db) = dense.backward(cache, g, W, b)
+        return dx_factor * dx, (dW_factor * dW, db)
+
+    return Layer(dense.forward, backward)
+
+
+@pytest.mark.parametrize("factors", [(0.5, 1.0), (1.0, 0.5)], ids=["input", "W"])
+def test_grad_check_catches_a_dropped_factor(factors):
+    rng = np.random.default_rng(17)
+    params = ParamSet({
+        "W": rng.standard_normal((4, 3)),
+        "b": rng.standard_normal(4),
+        "x": rng.standard_normal((2, 3)),
+    })
+    target = rng.standard_normal((2, 4))
+    chain = [(scaled_dense(*factors), ("W", "b"))]
+    assert grad_check(chain, params, params["x"], target) > 1e-2
+
+
+def dense_row(dW_factors):
+    """A suite maker: the dense row's point at each attempt, through a
+    dense whose backward scales W's gradient by dW_factors[attempt]."""
+    make_dense = next(make for name, make, _ in checks.CHECKS if name == "dense")
+
+    def make(seed, attempt):
+        _, params, x, target = make_dense(seed, attempt)
+        return [(scaled_dense(1.0, dW_factors[attempt]), ("W", "b"))], params, x, target
+
+    return make
+
+
+def test_suite_resamples_a_failing_point(monkeypatch):
+    # a failing point is resampled, up to 3 points in all; the best error
+    # counts: W's gradient at half, then right; then at 1/2, 7/10, 1/5
+    # (relative errors of about 0.5, 0.3, 0.8)
+    flaky, broken = dense_row((0.5, 1.0, 1.0)), dense_row((0.5, 0.7, 0.2))
+    monkeypatch.setattr(checks, "CHECKS", (("flaky", flaky, checks.LINEAR_TOL),
+                                           ("broken", broken, checks.LINEAR_TOL)))
+    first, second = run_gradcheck_suite()
+    assert first.passed and first.resamples == 1
+    assert first.worst_error == grad_check(*flaky(7, 1))
+    errors = [grad_check(*broken(7, k)) for k in range(3)]
+    assert not second.passed and second.resamples == 2
+    assert second.worst_error == min(errors) == errors[1]
 
 
 def test_grad_check_runs_one_backward(monkeypatch):
