@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from stockcast.config import ExperimentConfig
-from stockcast.experiment import TrainConfig, run_grid
+from stockcast.experiment import TrainConfig, plan_grid, run_grid
 from stockcast.runner import prepare_series
 from stockcast.windowing import FunctionModel, rolling_test_forecast
 
@@ -21,8 +21,9 @@ W = 3
 train_n, test_n = prepare_series(ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,)))[SYMBOL]
 print(f"{SYMBOL}: {len(train_n)} train / {len(test_n)} test points, window {W}")
 
-[cell] = run_grid({SYMBOL: (train_n, test_n)}, ["MLP"], [W], [1],
-                  TrainConfig(seed=0), n_runs=5, strategy="direct")
+series = {SYMBOL: (train_n, test_n)}
+[cell] = run_grid(series, plan_grid(series, ["MLP"], [W], [1], TrainConfig(seed=0),
+                                    n_runs=5, strategy="direct"))
 iv = cell.interval
 print(f"MLP test MSE over {iv.n_runs} seeds: {iv.mean:.3e} +/- {iv.std:.3e}")
 

@@ -10,7 +10,7 @@ observed values.
 import sys
 
 from stockcast.config import ExperimentConfig
-from stockcast.experiment import TrainConfig, run_grid
+from stockcast.experiment import TrainConfig, plan_grid, run_grid
 from stockcast.runner import prepare_series
 
 DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
@@ -22,10 +22,11 @@ print(f"{SYMBOL}: window {W}, horizon {H}, "
       f"{len(test_n) - W - H + 1} rolling test origins")
 
 cfg = TrainConfig(epochs=40, batch_size=64, seed=0)
+series = {SYMBOL: (train_n, test_n)}
 cells = {}
 for strategy in ("direct", "iterative"):
-    [cells[strategy]] = run_grid({SYMBOL: (train_n, test_n)}, ["MLP"], [W], [H],
-                                 cfg, n_runs=3, strategy=strategy)
+    [cells[strategy]] = run_grid(series, plan_grid(series, ["MLP"], [W], [H], cfg,
+                                                   n_runs=3, strategy=strategy))
     iv = cells[strategy].interval
     print(f"  {strategy:9s} test MSE {iv.mean:.3e} +/- {iv.std:.3e} "
           f"({iv.n_runs} seeds)")

@@ -12,7 +12,7 @@ import numpy as np
 
 from stockcast.config import ExperimentConfig
 from stockcast.evaluation import dm_test
-from stockcast.experiment import TrainConfig, run_grid
+from stockcast.experiment import TrainConfig, plan_grid, run_grid
 from stockcast.runner import prepare_series
 
 DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
@@ -21,9 +21,11 @@ W = 5
 
 train_n, test_n = prepare_series(ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,)))[SYMBOL]
 
+series = {SYMBOL: (train_n, test_n)}
 errors = {}
-for cell in run_grid({SYMBOL: (train_n, test_n)}, ["MLP", "CNN"], [W], [1],
-                     TrainConfig(epochs=40, seed=0), n_runs=3, strategy="direct"):
+for cell in run_grid(series, plan_grid(series, ["MLP", "CNN"], [W], [1],
+                                       TrainConfig(epochs=40, seed=0), n_runs=3,
+                                       strategy="direct")):
     # mean absolute error per origin, averaged across the seeds
     per_seed = np.array([np.abs(run.predictions[:, 0] - run.targets[:, 0])
                          for run in cell.runs])

@@ -42,7 +42,7 @@ if _GLIBC:
 
 import numpy
 
-from .experiment import LossInterval, RunResult, TrainConfig, run_grid, train
+from .experiment import LossInterval, RunResult, TrainConfig, plan_grid, run_grid, train
 from .ingest import TimeSeries, load_series, write_series
 from .models import Model, build_cnn, build_gru, build_lstm, build_mlp, build_model
 from .preprocess import Scaler, fit_scaler, inverse_scale, scale, split_by_date

@@ -6,12 +6,12 @@ space; the cell aggregates to a mean (+/- sample std) loss interval.
 Run seeds derive from the master seed as master + i so any single run
 is re-executable in isolation.
 
-The grid is scheduled as one task per trained model.  The iterative
-strategy's single-output model does not depend on h, so it is trained
-once per (stock, model, w, seed) and evaluated at every horizon; a
-direct model is trained per horizon.  Tasks run in grid order, and
-their runs are put back into cells in grid order and seed order, so
-results do not depend on the worker count.
+`plan_grid` checks the grid once and lists its tasks, one per trained
+model, before anything trains.  The iterative strategy's single-output
+model does not depend on h, so one task per (stock, model, w, seed)
+serves every horizon; a direct task serves one.  `run_grid` files each
+task's runs in the cells named by the task's own fields, so results do
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -128,39 +128,54 @@ def train(model, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> list[float]:
     return history
 
 
-def run_model(train_values, test_values, kind: str, w: int, cfg: TrainConfig, strategy: str,
-              horizons: tuple[int, ...]) -> list[RunResult] | None:
-    """Train one model seeded with cfg.seed, then evaluate it at each horizon.
+@dataclass(frozen=True)
+class Task:
+    """One seeded model to train and evaluate.  It serves the cells
+    (stock, kind, w, h) for each h in `horizons`."""
+    stock: str
+    kind: str
+    w: int
+    horizons: tuple[int, ...]
+    strategy: str
+    cfg: TrainConfig
 
-    The direct strategy trains an h-output model, so `horizons` must be
-    (h,).  The iterative strategy trains a single-output model and feeds
-    its predictions back in; nothing in that depends on h, so one model
-    serves every horizon, and `rolling_test_forecast` forecasts them all
-    at once.  Returns one RunResult per horizon, with the
+
+def run_model(task: Task, train_values, test_values) -> list[RunResult] | None:
+    """Train the task's seeded model, then evaluate it at each of its horizons.
+
+    The direct strategy trains an h-output model, so a direct task has
+    one horizon.  The iterative strategy trains a single-output model and
+    feeds its predictions back in; nothing in that depends on h, so one
+    model serves every horizon, and `rolling_test_forecast` forecasts
+    them all at once.  Returns one RunResult per horizon, with the
     rolling-origin test MSE in normalized space, or None if training
     diverged.
     """
-    n_out = 1 if strategy == "iterative" else horizons[0]
-    X, Y = make_samples(train_values, w, n_out)
-    model = build_model(kind, w, n_out, seed=cfg.seed)
+    cfg = task.cfg
+    n_out = 1 if task.strategy == "iterative" else task.horizons[0]
+    X, Y = make_samples(train_values, task.w, n_out)
+    model = build_model(task.kind, task.w, n_out, seed=cfg.seed)
     try:
         history = train(model, X, Y, cfg)
     except NonFiniteLoss:
         return None
-    forecasts = rolling_test_forecast(model, test_values, w, horizons, strategy=strategy,
-                                      origin_stride=cfg.origin_stride)
+    forecasts = rolling_test_forecast(model, test_values, task.w, task.horizons,
+                                      strategy=task.strategy, origin_stride=cfg.origin_stride)
     return [RunResult(seed=cfg.seed, test_mse=float(np.mean((predictions - targets) ** 2)),
                       loss_history=history, origins=origins,
                       predictions=predictions, targets=targets)
             for origins, predictions, targets in forecasts]
 
 
-def check_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
-               kinds: list[str], windows: list[int], horizons: list[int],
-               strategy: str) -> None:
-    """Raise WindowTooSmall for a window too short for a CNN, and
-    WindowTooLarge for a window and horizon too long for some stock's
-    train or test series."""
+def plan_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
+              kinds: list[str], windows: list[int], horizons: list[int],
+              cfg: TrainConfig, n_runs: int, strategy: str) -> list[Task]:
+    """The grid's tasks, one per seeded model, in grid order, then seed
+    order (seeds cfg.seed + i).  `series_by_stock` maps symbol ->
+    (normalized train values, normalized test values).  Raises
+    WindowTooSmall for a window too short for a CNN, and WindowTooLarge
+    for a window and horizon too long for some stock's train or test
+    series."""
     if "CNN" in kinds:
         for w in windows:
             cnn_kernel(w)  # raises WindowTooSmall below the CNN's minimum window
@@ -172,56 +187,38 @@ def check_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
                     raise WindowTooLarge(
                         f"stock {stock}: window {w}, horizon {h} need {w + n_out} train "
                         f"and {w + h} test points, have {len(tr)} and {len(te)}")
+    # the horizons one model serves: all of them if iterative, its own if direct
+    served = [tuple(horizons)] if strategy == "iterative" else [(h,) for h in horizons]
+    return [Task(stock, kind, w, hs, strategy, replace(cfg, seed=cfg.seed + i))
+            for stock in series_by_stock for kind in kinds for w in windows
+            for hs in served for i in range(n_runs)]
 
 
 def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
-             kinds: list[str], windows: list[int], horizons: list[int],
-             cfg: TrainConfig, n_runs: int, strategy: str,
-             jobs: int = 1) -> list[CellResult]:
-    """One CellResult per (stock, kind, w, h), row order deterministic.
-
-    `series_by_stock` maps symbol -> (normalized train values, normalized
-    test values).  `check_grid` runs before any cell trains; divergent
-    runs are counted in their cell and never abort other cells.
-
-    Tasks, one per seeded model, run on at most min(jobs, tasks) workers.
-    """
-    check_grid(series_by_stock, kinds, windows, horizons, strategy)
-    # a group is the cells that share their models: one per cell if direct
-    groups = [
-        (stock, kind, w, hs)
-        for stock in series_by_stock
-        for kind in kinds
-        for w in windows
-        for hs in ([tuple(horizons)] if strategy == "iterative" else [(h,) for h in horizons])
-    ]
-    tasks = []
-    for stock, kind, w, hs in groups:
-        tr, te = series_by_stock[stock]
-        for i in range(n_runs):
-            tasks.append((tr, te, kind, w, replace(cfg, seed=cfg.seed + i), strategy, hs))
+             plan: list[Task], jobs: int = 1) -> list[CellResult]:
+    """Run a `plan_grid` plan, unchecked, on at most min(jobs, tasks)
+    workers: one CellResult per (stock, kind, w, h) the plan serves, in
+    the order it first serves them.  Each task's runs are filed, in plan
+    order, in the cells its own fields name; a diverged run fails every
+    cell its task serves and never aborts other cells."""
+    series = [series_by_stock[task.stock] for task in plan]
     # a forked pool starts every worker up front, so never more than there are tasks
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(plan))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_model, *zip(*tasks)))
+            outcomes = list(pool.map(run_model, plan, *zip(*series)))
     else:
-        outcomes = [run_model(*task) for task in tasks]
+        outcomes = [run_model(task, tr, te) for task, (tr, te) in zip(plan, series)]
 
-    cells = []
-    per_seed = iter(outcomes)
-    for stock, kind, w, hs in groups:
-        group = [CellResult(stock=stock, model=kind, w=w, h=h, strategy=strategy) for h in hs]
-        for _ in range(n_runs):
-            runs = next(per_seed)
+    cells = {}
+    for task, runs in zip(plan, outcomes):
+        for i, h in enumerate(task.horizons):
+            cell = cells.setdefault((task.stock, task.kind, task.w, h), CellResult(
+                stock=task.stock, model=task.kind, w=task.w, h=h, strategy=task.strategy))
             if runs is None:  # a diverged model fails every cell it serves
-                for cell in group:
-                    cell.failed_runs += 1
+                cell.failed_runs += 1
             else:
-                for cell, run in zip(group, runs):
-                    cell.runs.append(run)
-        cells += group
-    return cells
-
+                cell.runs.append(runs[i])
+    return list(cells.values())

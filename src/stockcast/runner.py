@@ -15,7 +15,7 @@ import secrets
 import numpy as np
 
 from .config import ExperimentConfig
-from .experiment import CellResult, check_grid, run_grid
+from .experiment import CellResult, plan_grid, run_grid
 from .ingest import load_series
 from .preprocess import fit_scaler, scale, split_by_date
 
@@ -132,12 +132,12 @@ def execute(cfg: ExperimentConfig, jobs: int = 1, all_traces: bool = False) -> i
     Returns the process exit code: 0 iff every cell completed all runs.
     """
     series = prepare_series(cfg)
-    # a grid that cannot be built, or an unusable output_dir, fails here:
-    # before output_dir exists, and not after hours of training
-    check_grid(series, list(cfg.models), list(cfg.windows), list(cfg.horizons), cfg.strategy)
+    # the plan is built and checked once, so a grid that cannot be built, or an
+    # unusable output_dir, fails here: before output_dir exists, not after hours of training
+    plan = plan_grid(series, cfg.models, cfg.windows, cfg.horizons, cfg.train, cfg.n_runs,
+                     cfg.strategy)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    cells = run_grid(series, list(cfg.models), list(cfg.windows), list(cfg.horizons),
-                     cfg.train, cfg.n_runs, cfg.strategy, jobs=jobs)
+    cells = run_grid(series, plan, jobs=jobs)
     atomic_write(os.path.join(cfg.output_dir, RESULTS_CSV),
                  results_csv_text(cfg, cells))
     atomic_write(os.path.join(cfg.output_dir, RUN_ERRORS_CSV),

@@ -34,7 +34,7 @@ from stockcast.errors import (
     WindowTooSmall,
 )
 from stockcast.evaluation import dm_test
-from stockcast.experiment import TrainConfig, run_grid, train
+from stockcast.experiment import TrainConfig, plan_grid, run_grid, train
 from stockcast.ingest import TimeSeries, load_series
 from stockcast.models import build_cnn, build_surrogate
 from stockcast.nn.layers import dense
@@ -149,8 +149,8 @@ def test_criterion_3_dm_oracle():
 def test_criterion_4_single_step_mlp_band(data_dir):
     t0 = time.time()
     series = prepare_series(ExperimentConfig(data_dir=data_dir, stocks=("ACC",)))
-    [cell] = run_grid(series, ["MLP"], [3], [1], TrainConfig(seed=0), n_runs=5,
-                      strategy="direct")
+    [cell] = run_grid(series, plan_grid(series, ["MLP"], [3], [1], TrainConfig(seed=0),
+                                        n_runs=5, strategy="direct"))
     elapsed = time.time() - t0
     assert cell.failed_runs == 0 and len(cell.runs) == 5
     mean = cell.interval.mean
@@ -165,8 +165,8 @@ def test_criterion_4_single_step_mlp_band(data_dir):
 def test_criterion_5_horizon_degradation(data_dir):
     cfg = TrainConfig(epochs=40, batch_size=64, seed=0)
     series = prepare_series(ExperimentConfig(data_dir=data_dir, stocks=tuple(SYMBOLS)))
-    cells = run_grid(series, ["MLP"], [30], [7, 28], cfg,
-                     n_runs=3, strategy="direct")
+    cells = run_grid(series, plan_grid(series, ["MLP"], [30], [7, 28], cfg,
+                                       n_runs=3, strategy="direct"))
     by_stock = {}
     for cell in cells:
         assert cell.failed_runs == 0
@@ -308,8 +308,10 @@ def test_criterion_7_degenerate_inputs(tmp_path):
 
     def _single_run():
         values = np.linspace(0.1, 0.9, 30)
-        [cell] = run_grid({"ACC": (values, values)}, ["MLP"], [3], [1],
-                          TrainConfig(epochs=1, seed=0), n_runs=1, strategy="direct")
+        series = {"ACC": (values, values)}
+        [cell] = run_grid(series, plan_grid(series, ["MLP"], [3], [1],
+                                            TrainConfig(epochs=1, seed=0), n_runs=1,
+                                            strategy="direct"))
         with pytest.raises(TooFewRuns):
             cell.interval
 

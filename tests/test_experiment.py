@@ -1,11 +1,12 @@
 import concurrent.futures
+import os
 from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from stockcast import experiment
+from stockcast import experiment, runner
 from stockcast.config import ExperimentConfig
 from stockcast.errors import (
     ArityMismatch,
@@ -14,7 +15,16 @@ from stockcast.errors import (
     WindowTooLarge,
     WindowTooSmall,
 )
-from stockcast.experiment import CellResult, RunResult, TrainConfig, run_grid, run_model, train
+from stockcast.experiment import (
+    CellResult,
+    RunResult,
+    Task,
+    TrainConfig,
+    plan_grid,
+    run_grid,
+    run_model,
+    train,
+)
 from stockcast.models import KINDS, build_mlp, build_model
 from stockcast.runner import execute
 from stockcast.windowing import FunctionModel, make_samples
@@ -102,7 +112,8 @@ def evaluate_fixed(monkeypatch, fn, test_values, w, h):
     monkeypatch.setattr(experiment, "build_model", lambda kind, w, h, seed: FunctionModel(
         fn, input_arity=w))
     monkeypatch.setattr(experiment, "train", lambda *args: [0.0])
-    [run] = run_model(np.zeros(w + h), test_values, "MLP", w, TrainConfig(), "direct", (h,))
+    task = Task("S", "MLP", w, (h,), "direct", TrainConfig())
+    [run] = run_model(task, np.zeros(w + h), test_values)
     assert run.test_mse == np.mean((run.predictions - run.targets) ** 2)
     return run
 
@@ -158,11 +169,16 @@ def sine_series(n, lo=0.2, hi=0.8):
     return lo + (hi - lo) * (x + 1) / 2
 
 
+def grid(series, *grid_args, jobs=1):
+    """run_grid over the plan_grid plan of series and grid_args."""
+    return run_grid(series, plan_grid(series, *grid_args), jobs=jobs)
+
+
 def test_run_grid_seeds_derive_from_master():
     tr = sine_series(120)
     te = sine_series(40)
     cfg = TrainConfig(epochs=2, seed=100)
-    [cell] = run_grid({"S": (tr, te)}, ["MLP"], [4], [1], cfg, 3, "direct")
+    [cell] = grid({"S": (tr, te)}, ["MLP"], [4], [1], cfg, 3, "direct")
     assert [r.seed for r in cell.runs] == [100, 101, 102]
 
 
@@ -171,7 +187,7 @@ def test_run_grid_iterative_uses_single_output_model(monkeypatch):
     tr = sine_series(120)
     te = sine_series(40)
     cfg = TrainConfig(epochs=2, seed=0)
-    [cell] = run_grid({"S": (tr, te)}, ["MLP"], [4], [3], cfg, 2, "iterative")
+    [cell] = grid({"S": (tr, te)}, ["MLP"], [4], [3], cfg, 2, "iterative")
     assert cell.h == 3
     assert [outputs for _, _, outputs, _, _ in trained] == [1, 1]
     assert all(r.predictions.shape == (40 - 4 - 3 + 1, 3) for r in cell.runs)
@@ -181,7 +197,7 @@ def test_run_grid_shape_and_order():
     series = {"A": (sine_series(100), sine_series(30)),
               "B": (sine_series(100), sine_series(30))}
     cfg = TrainConfig(epochs=2, seed=0)
-    cells = run_grid(series, ["MLP"], [3, 5], [1], cfg, 2, "direct")
+    cells = grid(series, ["MLP"], [3, 5], [1], cfg, 2, "direct")
     assert [(c.stock, c.w) for c in cells] == [("A", 3), ("A", 5), ("B", 3), ("B", 5)]
     for c in cells:
         assert len(c.runs) == 2
@@ -192,33 +208,53 @@ def test_run_order_independence():
     # a run's result depends only on its seed, not on which runs precede it
     tr = sine_series(120)
     te = sine_series(40)
-    [full] = run_grid({"S": (tr, te)}, ["MLP"], [4], [1], TrainConfig(epochs=3, seed=5), 3,
-                      "direct")
-    [solo] = run_grid({"S": (tr, te)}, ["MLP"], [4], [1], TrainConfig(epochs=3, seed=7), 1,
-                      "direct")
+    [full] = grid({"S": (tr, te)}, ["MLP"], [4], [1], TrainConfig(epochs=3, seed=5), 3,
+                  "direct")
+    [solo] = grid({"S": (tr, te)}, ["MLP"], [4], [1], TrainConfig(epochs=3, seed=7), 1,
+                  "direct")
     assert full.runs[2].seed == solo.runs[0].seed == 7
     assert full.runs[2].test_mse == solo.runs[0].test_mse
     assert full.runs[2].loss_history == solo.runs[0].loss_history
 
 
-def test_run_grid_checks_windows_before_training(monkeypatch):
+def test_plan_grid_checks_windows_before_training(monkeypatch):
     calls = []
     monkeypatch.setattr(experiment, "train", lambda *args: calls.append(args) or [0.0])
     series = {"A": (sine_series(100), sine_series(40))}
     cfg = TrainConfig(epochs=1, seed=0)
     with pytest.raises(WindowTooLarge, match=r"stock A: window 50, horizon 1"):
-        run_grid(series, ["MLP"], [3, 50], [1], cfg, 1, "direct")
+        plan_grid(series, ["MLP"], [3, 50], [1], cfg, 1, "direct")
     assert calls == []
 
 
-def test_run_grid_checks_cnn_window_before_training(monkeypatch):
+def test_plan_grid_checks_cnn_window_before_training(monkeypatch):
     calls = []
     monkeypatch.setattr(experiment, "train", lambda *args: calls.append(args) or [0.0])
     series = {"A": (sine_series(100), sine_series(40))}
     cfg = TrainConfig(epochs=1, seed=0)
     with pytest.raises(WindowTooSmall, match=r"window 1 too small for kernel 1 \+ pool 2"):
-        run_grid(series, ["MLP", "CNN"], [5, 1], [1], cfg, 1, "direct")
+        plan_grid(series, ["MLP", "CNN"], [5, 1], [1], cfg, 1, "direct")
     assert calls == []
+
+
+@pytest.mark.parametrize("strategy", ["direct", "iterative"])
+def test_plan_grid_lists_tasks_in_grid_then_seed_order(monkeypatch, strategy):
+    def no_model(*args, **kwargs):
+        raise AssertionError("planning built a model")
+
+    monkeypatch.setattr(experiment, "build_model", no_model)
+    cfg = TrainConfig(epochs=1, seed=20)
+    plan = plan_grid(two_stocks(), ["MLP", "CNN"], [3, 4], [2, 3], cfg, 2, strategy)
+    # a direct task serves one horizon, an iterative one every horizon
+    served = [(2,), (3,)] if strategy == "direct" else [(2, 3)]
+    assert plan == [
+        Task(stock, kind, w, hs, strategy, replace(cfg, seed=20 + i))
+        for stock in "AB" for kind in ("MLP", "CNN") for w in (3, 4)
+        for hs in served for i in range(2)]
+    assert [(t.stock, t.kind, t.w, t.horizons, t.cfg.seed) for t in plan[:3]] == (
+        [("A", "MLP", 3, (2,), 20), ("A", "MLP", 3, (2,), 21), ("A", "MLP", 3, (3,), 20)]
+        if strategy == "direct" else
+        [("A", "MLP", 3, (2, 3), 20), ("A", "MLP", 3, (2, 3), 21), ("A", "MLP", 4, (2, 3), 20)])
 
 
 @pytest.fixture
@@ -251,7 +287,7 @@ def test_run_grid_pool_capped_at_cells(recording_pool, n_cells, jobs, sizes):
     # a task is one seeded model, so the cap is min(jobs, cells x n_runs)
     series = {"A": (sine_series(100), sine_series(30))}
     cfg = TrainConfig(epochs=1, seed=0)
-    cells = run_grid(series, ["MLP"], [3, 4, 5][:n_cells], [1], cfg, 2, "direct", jobs=jobs)
+    cells = grid(series, ["MLP"], [3, 4, 5][:n_cells], [1], cfg, 2, "direct", jobs=jobs)
     assert [c.w for c in cells] == [3, 4, 5][:n_cells]
     assert recording_pool == sizes
 
@@ -281,7 +317,7 @@ def record_training(monkeypatch, diverge_seed=None):
 def test_run_grid_trains_each_model_once(monkeypatch, strategy, trainings_per_group):
     trained = record_training(monkeypatch)
     cfg = TrainConfig(epochs=1, seed=0)
-    cells = run_grid(two_stocks(), ["MLP", "CNN"], [3, 4], [2, 3], cfg, 2, strategy)
+    cells = grid(two_stocks(), ["MLP", "CNN"], [3, 4], [2, 3], cfg, 2, strategy)
     # n_runs x stocks x kinds x windows, times the horizons if direct
     assert len(trained) == 2 * 2 * 2 * 2 * trainings_per_group
     assert len(set(trained)) == len(trained)
@@ -297,15 +333,16 @@ def test_iterative_grid_cells_equal_standalone_cells():
     # across a group's horizons must not change any run
     tr, te = sine_series(100), sine_series(30)
     cfg = TrainConfig(epochs=2, seed=4)
-    cells = run_grid({"A": (tr, te)}, ["MLP", "CNN"], [3, 5], [2, 6], cfg, 3, "iterative")
+    cells = grid({"A": (tr, te)}, ["MLP", "CNN"], [3, 5], [2, 6], cfg, 3, "iterative")
     assert [(c.model, c.w, c.h) for c in cells] == [
         (kind, w, h) for kind in ("MLP", "CNN") for w in (3, 5) for h in (2, 6)]
     for cell in cells:
         assert (cell.stock, cell.strategy, cell.failed_runs) == ("A", "iterative", 0)
         assert [r.seed for r in cell.runs] == [4, 5, 6]
         for run in cell.runs:
-            [solo] = run_model(tr, te, cell.model, cell.w, replace(cfg, seed=run.seed),
-                               "iterative", (cell.h,))
+            task = Task("A", cell.model, cell.w, (cell.h,), "iterative",
+                        replace(cfg, seed=run.seed))
+            [solo] = run_model(task, tr, te)
             assert (run.seed, run.test_mse, run.loss_history) == (
                 solo.seed, solo.test_mse, solo.loss_history)
             for name in ("origins", "predictions", "targets"):
@@ -314,28 +351,77 @@ def test_iterative_grid_cells_equal_standalone_cells():
 
 def test_diverged_seed_fails_every_horizon_of_its_group(monkeypatch):
     trained = record_training(monkeypatch, diverge_seed=11)
-    cfg = TrainConfig(epochs=1, seed=10)
-    cells = run_grid(two_stocks(), ["MLP"], [3], [2, 3, 4], cfg, 3, "iterative")
-    assert len(trained) == 2 * 3
-    assert len(cells) == 6
-    for cell in cells:
-        assert cell.failed_runs == 1
-        assert [r.seed for r in cell.runs] == [10, 12]
+    series = two_stocks()
+    plan = plan_grid(series, ["MLP"], [3], [2, 3, 4], TrainConfig(epochs=1, seed=10), 3,
+                     "iterative")
+    # in either plan order: each cell gets its runs in plan order
+    for tasks, stocks, seeds in ((plan, "AB", [10, 12]), (plan[::-1], "BA", [12, 10])):
+        cells = run_grid(series, tasks)
+        assert [(c.stock, c.h) for c in cells] == [(s, h) for s in stocks for h in (2, 3, 4)]
+        for cell in cells:
+            assert cell.failed_runs == 1
+            assert [r.seed for r in cell.runs] == seeds
+    assert len(trained) == 2 * 2 * 3
+
+
+def runs_by_seed(cells):
+    """Each cell's strategy, failed runs and runs by seed, keyed by
+    (stock, kind, w, h)."""
+    return {(c.stock, c.model, c.w, c.h): (c.strategy, c.failed_runs, {
+        r.seed: (r.test_mse, r.loss_history, r.origins.tolist(), r.predictions.tolist(),
+                 r.targets.tolist()) for r in c.runs}) for c in cells}
+
+
+@pytest.mark.parametrize("strategy", ["direct", "iterative"])
+def test_run_grid_files_runs_by_task_not_by_position(strategy):
+    series = two_stocks()
+    cfg = TrainConfig(epochs=1, seed=0)
+    plan = plan_grid(series, ["MLP", "CNN"], [3, 4], [2, 3], cfg, 2, strategy)
+    in_order, reversed_ = run_grid(series, plan), run_grid(series, plan[::-1])
+    assert len(in_order) == len(reversed_) == 2 * 2 * 2 * 2
+    assert runs_by_seed(reversed_) == runs_by_seed(in_order)
+
+
+def one_stock_config(tmp_path, **fields):
+    """An ExperimentConfig over one 200-day sine stock, AAA, in tmp_path."""
+    days = [date(2016, 9, 1) + timedelta(days=i) for i in range(200)]
+    prices = 50.0 + 5.0 * np.sin(np.arange(200) / 7.0)
+    lines = ["date,close"] + [f"{d.isoformat()},{p!r}" for d, p in zip(days, prices.tolist())]
+    (tmp_path / "AAA.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ExperimentConfig(data_dir=str(tmp_path), stocks=("AAA",), models=("MLP", "CNN"),
+                            n_runs=2, output_dir=str(tmp_path / "out"),
+                            train=TrainConfig(epochs=2, batch_size=16, seed=3), **fields)
+
+
+def test_execute_plans_once_before_output_dir_and_runs_that_plan(tmp_path, monkeypatch):
+    cfg = one_stock_config(tmp_path, mode="multi", windows=(3, 5), horizons=(2, 4),
+                           strategy="direct")
+    plans, ran = [], []
+
+    def planning(*args):
+        assert not os.path.exists(cfg.output_dir)
+        plans.append(experiment.plan_grid(*args))
+        return plans[-1]
+
+    def running(series, plan, jobs=1):
+        ran.append(plan)
+        return experiment.run_grid(series, plan, jobs=jobs)
+
+    monkeypatch.setattr(runner, "plan_grid", planning)
+    monkeypatch.setattr(runner, "run_grid", running)
+    assert execute(cfg) == 0
+    assert len(plans) == len(ran) == 1
+    assert ran[0] is plans[0]
+    assert len(plans[0]) == 2 * 2 * 2 * 2  # models x windows x horizons x runs
 
 
 @pytest.mark.parametrize("mode, strategy, horizons", [
     ("single", "direct", (1,)), ("multi", "iterative", (2, 4)),
 ])
 def test_execute_files_identical_for_any_jobs(tmp_path, mode, strategy, horizons):
-    days = [date(2016, 9, 1) + timedelta(days=i) for i in range(200)]
-    prices = 50.0 + 5.0 * np.sin(np.arange(200) / 7.0)
-    lines = ["date,close"] + [f"{d.isoformat()},{p!r}" for d, p in zip(days, prices.tolist())]
-    (tmp_path / "AAA.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = one_stock_config(tmp_path, mode=mode, windows=(3, 5), horizons=horizons,
+                           strategy=strategy)
     out = tmp_path / "out"
-    cfg = ExperimentConfig(data_dir=str(tmp_path), stocks=("AAA",), mode=mode, windows=(3, 5),
-                           horizons=horizons, strategy=strategy, models=("MLP", "CNN"),
-                           n_runs=2, output_dir=str(out),
-                           train=TrainConfig(epochs=2, batch_size=16, seed=3))
     files = []
     for jobs in (1, 2):  # 2: a real process pool over 8 tasks
         assert execute(cfg, jobs=jobs) == 0

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stockcast.experiment import TrainConfig, run_grid
+from stockcast.experiment import TrainConfig, plan_grid, run_grid
 from stockcast.models import KINDS
 from stockcast.preprocess import fit_scaler, scale
 from stockcast.synthetic import make_series
@@ -36,11 +36,12 @@ def _series():
 
 def compute(kind: str) -> dict:
     """Two seeded 2-epoch runs per cell at production widths."""
-    train_values, test_values = _series()
+    series = {"ACC": _series()}
     out = {}
     for w, h, strategy in CELLS:
-        [cell] = run_grid({"ACC": (train_values, test_values)}, [kind], [w], [h],
-                          TrainConfig(epochs=2, seed=0), n_runs=2, strategy=strategy)
+        [cell] = run_grid(series, plan_grid(series, [kind], [w], [h],
+                                            TrainConfig(epochs=2, seed=0), n_runs=2,
+                                            strategy=strategy))
         out[f"w={w} h={h} {strategy}"] = {
             "failed_runs": cell.failed_runs,
             "runs": [{"seed": r.seed, "loss_history": r.loss_history,
