@@ -33,7 +33,7 @@ def cmd_dm(args) -> int:
 
     text = dm_csv_text(args.errors, mode=args.mode, loss=args.loss,
                        harvey=not args.no_harvey)
-    atomic_write(args.output, text)
+    atomic_write(args.output, [text])
     print(f"wrote {args.output}")
     return 0
 
@@ -42,13 +42,11 @@ def cmd_gradcheck(args) -> int:
     from .checks import run_gradcheck_suite
 
     results = run_gradcheck_suite(seed=args.seed)
-    failed = False
     for r in results:
         status = "ok" if r.passed else "FAIL"
         print(f"{r.name:12s} worst rel err {r.worst_error:.3e} "
               f"(tol {r.tol:.0e}, resamples {r.resamples}) {status}")
-        failed = failed or not r.passed
-    return 1 if failed else 0
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_validate_data(args) -> int:

@@ -16,6 +16,7 @@ from datetime import date
 
 from .errors import MissingDataFile, ParseError
 from .experiment import TrainConfig
+from .ingest import parse_date
 from .models import KINDS
 
 SINGLE_STEP_WINDOWS = (3, 5, 7, 9, 11, 13, 15)
@@ -77,7 +78,7 @@ _PARSERS = {
     "int": (int, "an integer"),
     "float": (float, "a number"),
     "bool": (_bool, "true/false"),
-    "date": (date.fromisoformat, "YYYY-MM-DD"),
+    "date": (parse_date, "YYYY-MM-DD"),
     "tuple[int, ...]": (lambda raw: tuple(int(p) for p in _items(raw)),
                         "comma-separated integers"),
 }

@@ -173,9 +173,13 @@ def plan_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
     """The grid's tasks, one per seeded model, in grid order, then seed
     order (seeds cfg.seed + i).  `series_by_stock` maps symbol ->
     (normalized train values, normalized test values).  Raises
-    WindowTooSmall for a window too short for a CNN, and WindowTooLarge
-    for a window and horizon too long for some stock's train or test
-    series."""
+    ValueError for an empty grid, WindowTooSmall for a window too short
+    for a CNN, and WindowTooLarge for a window and horizon too long for
+    some stock's train or test series."""
+    for name, grid in (("stocks", series_by_stock), ("models", kinds), ("windows", windows),
+                       ("horizons", horizons), ("runs", range(n_runs))):
+        if not grid:
+            raise ValueError(f"empty grid: no {name}")
     if "CNN" in kinds:
         for w in windows:
             cnn_kernel(w)  # raises WindowTooSmall below the CNN's minimum window

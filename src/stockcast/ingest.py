@@ -1,7 +1,7 @@
 """Loading and validation of daily closing-price CSV files.
 
 Input contract: UTF-8 CSV, with or without a byte-order mark, with
-header ``date,close``, one row per trading day, ISO-8601 dates.  Extra
+header ``date,close``, one row per trading day, YYYY-MM-DD dates.  Extra
 columns (open/high/low/volume) are ignored; only the close column is
 modeled.  Rows with an unparsable date or a non-positive / non-numeric
 close are dropped and reported rather than aborting, so long historical
@@ -44,6 +44,14 @@ def _parse_close(raw: str) -> float | None:
     return v
 
 
+def parse_date(raw: str) -> date:
+    """A YYYY-MM-DD date; from Python 3.11 on, date.fromisoformat also reads 20170101."""
+    d = date.fromisoformat(raw)
+    if d.isoformat() != raw:
+        raise ValueError(f"not a YYYY-MM-DD date: {raw!r}")
+    return d
+
+
 def load_series(path, symbol: str) -> tuple[TimeSeries, list[tuple[int, str]]]:
     """Parse a close-price CSV into a canonical, date-sorted TimeSeries.
 
@@ -67,7 +75,7 @@ def load_series(path, symbol: str) -> tuple[TimeSeries, list[tuple[int, str]]]:
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                d = date.fromisoformat(row[0].strip())
+                d = parse_date(row[0].strip())
             except (ValueError, IndexError):
                 dropped.append((i, "unparsable date"))
                 continue

@@ -123,6 +123,17 @@ def test_parse_single_mode_rejects_long_horizon(tmp_path, tiny_dir):
         parse_config(path)
 
 
+@pytest.mark.parametrize("raw", ["20170101", "2017-W01-1"])
+def test_parse_cutoff_only_yyyy_mm_dd(tmp_path, tiny_dir, raw):
+    # from Python 3.11 on, date.fromisoformat also reads both
+    lines = [f"data_dir = {tiny_dir}", "stocks = AAA"]
+    assert parse_config(write_lines(tmp_path / "c.cfg", lines + ["cutoff = 2016-06-30"])
+                        ).cutoff == date(2016, 6, 30)
+    path = write_lines(tmp_path / "c.cfg", lines + [f"cutoff = {raw}"])
+    with pytest.raises(ParseError, match=f"field 'cutoff': expected YYYY-MM-DD, got '{raw}'"):
+        parse_config(path)
+
+
 @pytest.mark.parametrize("stocks", [[], ["stocks = ,"]])
 def test_parse_requires_stocks(tmp_path, tiny_dir, stocks):
     # an empty stock list would run an empty grid and exit 0
@@ -383,7 +394,7 @@ def test_atomic_write_ignores_stale_tmp_path(tmp_path):
     # a leftover directory at the old fixed temp name must not block writes
     target = tmp_path / "results.csv"
     (tmp_path / "results.csv.tmp").mkdir()
-    atomic_write(str(target), "a,b\n")
+    atomic_write(str(target), ["a,b\n"])
     assert target.read_text() == "a,b\n"
     umask = os.umask(0)
     os.umask(umask)
@@ -414,7 +425,7 @@ def test_atomic_write_syncs_before_replace(tmp_path, monkeypatch):
     # on POSIX the directory is synced after the rename, or a crash right
     # after it can lose the rename
     calls = record_syncs(monkeypatch, tmp_path)
-    atomic_write(str(tmp_path / "out.csv"), "x\n")
+    atomic_write(str(tmp_path / "out.csv"), ["x\n"])
     assert calls == [("fsync", "file"), "replace"] + [("fsync", "target dir")] * (
         os.name == "posix")
 
@@ -423,7 +434,7 @@ def test_atomic_write_syncs_before_replace(tmp_path, monkeypatch):
 def test_atomic_write_syncs_the_working_directory_for_a_bare_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     calls = record_syncs(monkeypatch, tmp_path)
-    atomic_write("out.csv", "x\n")
+    atomic_write("out.csv", ["x\n"])
     assert calls == [("fsync", "file"), "replace", ("fsync", "target dir")]
     assert (tmp_path / "out.csv").read_text() == "x\n"
 
@@ -434,7 +445,7 @@ def test_atomic_write_removes_tmp_on_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="replace failed"):
-        atomic_write(str(tmp_path / "out.csv"), "x\n")
+        atomic_write(str(tmp_path / "out.csv"), ["x\n"])
     assert list(tmp_path.iterdir()) == []
 
 

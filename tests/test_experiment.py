@@ -237,6 +237,17 @@ def test_plan_grid_checks_cnn_window_before_training(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("empty, name", [
+    ({"series_by_stock": {}}, "stocks"), ({"kinds": []}, "models"),
+    ({"windows": []}, "windows"), ({"horizons": []}, "horizons"), ({"n_runs": 0}, "runs"),
+])
+def test_plan_grid_rejects_an_empty_grid(empty, name):
+    args = {"series_by_stock": two_stocks(), "kinds": ["MLP"], "windows": [3],
+            "horizons": [2], "cfg": TrainConfig(epochs=1), "n_runs": 2, "strategy": "direct"}
+    with pytest.raises(ValueError, match=f"^empty grid: no {name}$"):
+        plan_grid(**{**args, **empty})
+
+
 @pytest.mark.parametrize("strategy", ["direct", "iterative"])
 def test_plan_grid_lists_tasks_in_grid_then_seed_order(monkeypatch, strategy):
     def no_model(*args, **kwargs):
@@ -413,6 +424,18 @@ def test_execute_plans_once_before_output_dir_and_runs_that_plan(tmp_path, monke
     assert len(plans) == len(ran) == 1
     assert ran[0] is plans[0]
     assert len(plans[0]) == 2 * 2 * 2 * 2  # models x windows x horizons x runs
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({}, "windows"), ({"windows": (3,), "stocks": ()}, "stocks"),
+    ({"windows": (3,), "n_runs": 0}, "runs"),
+])
+def test_execute_rejects_an_empty_grid_before_output_dir(tmp_path, fields, name):
+    # a config built in code is not checked by parse_config; its windows default to ()
+    cfg = replace(one_stock_config(tmp_path), **fields)
+    with pytest.raises(ValueError, match=f"^empty grid: no {name}$"):
+        execute(cfg)
+    assert not os.path.exists(cfg.output_dir)
 
 
 @pytest.mark.parametrize("mode, strategy, horizons", [

@@ -41,6 +41,15 @@ def test_bad_date_dropped(tmp_path):
     assert dropped == [(1, "unparsable date")]
 
 
+@pytest.mark.parametrize("raw", ["20020101", "2002-W01-2", "2002W012", "2002-1-01"])
+def test_only_yyyy_mm_dd_dates_parse(tmp_path, raw):
+    # from Python 3.11 on, date.fromisoformat also reads the first three
+    path = write_csv(tmp_path / "a.csv", [(raw, 1.0), ("2002-01-02", 2.0), ("2002-01-03", 3.0)])
+    ts, dropped = load_series(path, "A")
+    assert ts.dates == (date(2002, 1, 2), date(2002, 1, 3))
+    assert dropped == [(1, "unparsable date")]
+
+
 def test_byte_order_mark_parses_like_plain_file(tmp_path):
     plain = write_csv(tmp_path / "plain.csv",
                       [("2002-01-01", 1.0), ("2002-01-02", "NaN"), ("2002-01-03", 3.0)])
