@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -455,25 +456,71 @@ def test_adam_rejects_a_missing_gradient():
 
 def test_adam_step_equals_written_out_formula():
     # the update runs in blocks of _BLOCK elements: these shapes span
-    # several blocks, end in a partial one, or fit in one
+    # several blocks, end in a partial one, or fit in one.  The reference
+    # is the scaled recurrence of the Adam docstring with plain temporaries
     rng = np.random.default_rng(14)
     shapes = {"W": (3, _BLOCK // 2 + 1), "u": (2 * _BLOCK + 5,), "b": (4,)}
     params = ParamSet({k: rng.standard_normal(v) for k, v in shapes.items()})
     opt = Adam(params, lr=3e-3)
     p_ref = {k: p.copy() for k, p in params.items()}
-    m = {k: np.zeros(v) for k, v in shapes.items()}
-    v_ = {k: np.zeros(v) for k, v in shapes.items()}
+    M = {k: np.zeros(v) for k, v in shapes.items()}
+    V = {k: np.zeros(v) for k, v in shapes.items()}
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
     for t in range(1, 9):
         grads = {k: rng.standard_normal(v) for k, v in shapes.items()}
         opt.step({k: g.copy() for k, g in grads.items()})
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        k_t = math.sqrt((1.0 - b2) / c2)
+        s_t = lr * (1.0 - b1) / (c1 * k_t)
+        eps_t = eps / k_t
         for k, g in grads.items():
-            m[k] = b1 * m[k] + (1.0 - b1) * g
-            v_[k] = b2 * v_[k] + (1.0 - b2) * g * g
-            m_hat = m[k] / (1.0 - b1 ** t)
-            v_hat = v_[k] / (1.0 - b2 ** t)
-            p_ref[k] = p_ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            M[k] = b1 * M[k] + g
+            V[k] = b2 * V[k] + g * g
+            p_ref[k] = p_ref[k] - M[k] / (np.sqrt(V[k]) + eps_t) * s_t
             assert np.array_equal(params[k], p_ref[k]), (k, t)
+            assert np.array_equal(opt.m[k], M[k].reshape(-1)), (k, t)
+            assert np.array_equal(opt.v[k], V[k].reshape(-1)), (k, t)
+
+
+def test_adam_matches_the_textbook_update_over_long_runs():
+    # Kingma & Ba's reordered form against the textbook update with
+    # unscaled moments, over 1,100 steps whose gradient scale jumps from
+    # 1e-6 to 1e3 and back, with a stretch of zero gradients.  At 1e-6
+    # sqrt(v_hat) is near eps, so a wrong eps_t shows.  |p| stays far
+    # from 0 (each step moves it by at most lr (1-b1)/sqrt(1-b2) ~ 0.032)
+    # so a relative tolerance applies
+    rng = np.random.default_rng(15)
+    n = 257
+    p0 = rng.choice([-1.0, 1.0], n) * rng.uniform(50.0, 100.0, n)
+    params = ParamSet({"w": p0.copy()})
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    p, m, v = p0.copy(), np.zeros(n), np.zeros(n)
+    scales = [1e-6, 1e-3, 1.0, 1e3, 0.0, 1e3, 1e-6, 0.0, 1e-3, 1e2, 1.0]
+    t = 0
+    for scale in scales:
+        for _ in range(100):
+            t += 1
+            g = scale * (rng.standard_normal(n) + 0.5)
+            opt.step({"w": g.copy()})
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.testing.assert_allclose(params["w"], p, rtol=1e-12, atol=0.0)
+    assert np.abs(p - p0).max() > 1.0
+
+
+@pytest.mark.parametrize("arg,value", [
+    ("lr", 0.0), ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf),
+    ("beta1", -0.1), ("beta1", 1.0), ("beta1", math.nan),
+    ("beta2", -0.1), ("beta2", 1.0), ("beta2", 1.5), ("beta2", math.nan),
+    ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan), ("eps", math.inf),
+])
+def test_adam_rejects_bad_hyperparameters(arg, value):
+    with pytest.raises(ValueError, match=f"Adam {arg} must be"):
+        Adam(ParamSet({"w": np.array([1.0])}), **{arg: value})
 
 
 @pytest.mark.parametrize("kind", ["GRU", "LSTM"])
