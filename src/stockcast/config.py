@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 
 from .errors import MissingDataFile, ParseError
-from .experiment import TrainConfig
+from .experiment import TrainConfig, check_grid_fields
 from .ingest import parse_date
 from .models import KINDS
 
@@ -84,12 +84,6 @@ _PARSERS = {
 }
 
 
-def _check_no_repeats(key: str, values: tuple):
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ParseError(f"field {key!r}: must not repeat {value}")
-
-
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate; all defaults materialized."""
     types = {f.name: f.type for _, f in _keys(ExperimentConfig())}
@@ -114,39 +108,24 @@ def parse_config(path) -> ExperimentConfig:
 
     if not values.get("stocks"):
         raise ParseError("field 'stocks' is required")
+    mode = values.get("mode", "single")
+    values.setdefault("windows", SINGLE_STEP_WINDOWS if mode == "single" else MULTI_STEP_WINDOWS)
+    if mode == "multi":
+        values.setdefault("horizons", MULTI_STEP_HORIZONS)
     train_keys = {f.name for f in fields(TrainConfig)}
     try:
         train = TrainConfig(**{k: v for k, v in values.items() if k in train_keys})
-    except ValueError as exc:  # TrainConfig's rules read "<field> <rule>"
+        cfg = ExperimentConfig(**{k: v for k, v in values.items() if k not in train_keys},
+                               train=train)
+        if cfg.mode not in ("single", "multi"):
+            raise ValueError(f"mode must be 'single' or 'multi', got {cfg.mode!r}")
+        if cfg.mode == "single" and cfg.horizons != (1,):
+            raise ValueError("horizons single-step mode forces horizon 1")
+        check_grid_fields(cfg.stocks, cfg.models, cfg.windows, cfg.horizons, cfg.n_runs,
+                          cfg.strategy)
+    except ValueError as exc:  # every rule reads "<field> <rule>"
         key, _, rule = str(exc).partition(" ")
         raise ParseError(f"field {key!r}: {rule}") from None
-    cfg = ExperimentConfig(**{k: v for k, v in values.items() if k not in train_keys},
-                           train=train)
-
-    if cfg.mode not in ("single", "multi"):
-        raise ParseError(f"field 'mode': must be 'single' or 'multi', got {cfg.mode!r}")
-    if "windows" not in values:
-        cfg.windows = SINGLE_STEP_WINDOWS if cfg.mode == "single" else MULTI_STEP_WINDOWS
-    if "horizons" not in values and cfg.mode == "multi":
-        cfg.horizons = MULTI_STEP_HORIZONS
-    if cfg.mode == "single" and cfg.horizons != (1,):
-        raise ParseError("field 'horizons': single-step mode forces horizon 1")
-    if not cfg.windows or not cfg.horizons:
-        raise ParseError("window/horizon grids must be non-empty")
-    for key, grid in (("windows", cfg.windows), ("horizons", cfg.horizons),
-                      ("n_runs", (cfg.n_runs,))):
-        if min(grid) < 1:
-            raise ParseError(f"field {key!r}: must be >= 1, got {min(grid)}")
-    if cfg.strategy not in ("direct", "iterative"):
-        raise ParseError(
-            f"field 'strategy': must be 'direct' or 'iterative', got {cfg.strategy!r}")
-    if not cfg.models:
-        raise ParseError("field 'models': must be non-empty")
-    for m in cfg.models:
-        if m not in KINDS:
-            raise ParseError(f"field 'models': unknown model {m!r}")
-    for key in ("stocks", "models", "windows", "horizons"):
-        _check_no_repeats(key, getattr(cfg, key))
 
     for symbol in cfg.stocks:
         if not os.path.isfile(cfg.stock_path(symbol)):

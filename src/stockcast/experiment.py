@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
-from .models import build_model, cnn_kernel
+from .models import KINDS, build_model, cnn_kernel
 from .nn.layers import mse_loss
 from .nn.optim import Adam
 from .windowing import make_samples, rolling_test_forecast
@@ -167,19 +167,37 @@ def run_model(task: Task, train_values, test_values) -> list[RunResult] | None:
             for origins, predictions, targets in forecasts]
 
 
+def check_grid_fields(stocks, models, windows, horizons, n_runs: int, strategy: str):
+    """The rules every grid meets, whether a config file or code built it.
+    Each ValueError reads "<field> <rule>", like TrainConfig's."""
+    for name, grid in (("stocks", stocks), ("models", models), ("windows", windows),
+                       ("horizons", horizons)):
+        if not grid:
+            raise ValueError(f"{name} must be non-empty")
+        for i, value in enumerate(grid):
+            if value in grid[:i]:
+                raise ValueError(f"{name} must not repeat {value}")
+    for name, values in (("windows", windows), ("horizons", horizons), ("n_runs", (n_runs,))):
+        if min(values) < 1:
+            raise ValueError(f"{name} must be >= 1, got {min(values)}")
+    for kind in models:
+        if kind not in KINDS:
+            raise ValueError(f"models unknown model {kind!r}")
+    if strategy not in ("direct", "iterative"):
+        raise ValueError(f"strategy must be 'direct' or 'iterative', got {strategy!r}")
+
+
 def plan_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
               kinds: list[str], windows: list[int], horizons: list[int],
               cfg: TrainConfig, n_runs: int, strategy: str) -> list[Task]:
     """The grid's tasks, one per seeded model, in grid order, then seed
     order (seeds cfg.seed + i).  `series_by_stock` maps symbol ->
     (normalized train values, normalized test values).  Raises
-    ValueError for an empty grid, WindowTooSmall for a window too short
-    for a CNN, and WindowTooLarge for a window and horizon too long for
-    some stock's train or test series."""
-    for name, grid in (("stocks", series_by_stock), ("models", kinds), ("windows", windows),
-                       ("horizons", horizons), ("runs", range(n_runs))):
-        if not grid:
-            raise ValueError(f"empty grid: no {name}")
+    ValueError("<field> <rule>") for a field that breaks a
+    `check_grid_fields` rule, WindowTooSmall for a window too short for
+    a CNN, and WindowTooLarge for a window and horizon too long for some
+    stock's train or test series."""
+    check_grid_fields(list(series_by_stock), kinds, windows, horizons, n_runs, strategy)
     if "CNN" in kinds:
         for w in windows:
             cnn_kernel(w)  # raises WindowTooSmall below the CNN's minimum window

@@ -260,6 +260,8 @@ def test_run_rejects_count_below_one_before_training(tmp_path, tiny_dir, capsys,
     # an empty model list would train nothing and still write result files
     ("models", "", {}),
     ("models", ",", {}),
+    ("windows", "", {}),
+    ("horizons", ",", {"mode": "multi", "windows": "5"}),
 ])
 def test_run_rejects_out_of_range_value_before_training(tmp_path, tiny_dir, capsys, monkeypatch,
                                                         field, value, extra):
@@ -687,7 +689,26 @@ def test_validate_data_config_lists_the_configured_stocks_in_order(tmp_path, tin
     cfg_path = make_config(tmp_path, str(data), stocks="CCC,AAA")
     assert main(["validate-data", "--config", cfg_path]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in out] == ["CCC", "AAA"]
+    assert out == [f"{name}: ok, 500 points 2016-01-01..2017-05-14" for name in ("CCC", "AAA")]
+
+
+def test_validate_data_config_applies_the_grid_rules(tmp_path, tiny_dir, capsys):
+    assert main(["validate-data", "--config", make_config(tmp_path, tiny_dir,
+                                                          windows="5,5")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field 'windows': must not repeat 5\n"
+
+
+def test_readme_config_block_parses(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "readme.cfg").write_text(block, encoding="utf-8")
+    monkeypatch.chdir(root)  # the block's data_dir is ./data
+    cfg = parse_config(tmp_path / "readme.cfg")
+    assert (cfg.stocks, cfg.mode, cfg.windows, cfg.horizons) == (("ACC", "HDFC"), "single",
+                                                                 (3, 5, 7), (1,))
 
 
 def after_run_imports(code):

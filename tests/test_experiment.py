@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import re
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -237,15 +238,44 @@ def test_plan_grid_checks_cnn_window_before_training(monkeypatch):
     assert calls == []
 
 
+def grid_args(**changes):
+    """plan_grid keyword arguments for a small valid grid, with `changes` applied."""
+    return {"series_by_stock": two_stocks(), "kinds": ["MLP"], "windows": [3], "horizons": [2],
+            "cfg": TrainConfig(epochs=1), "n_runs": 2, "strategy": "direct", **changes}
+
+
+def empty_grid_message(name):
+    return "n_runs must be >= 1, got 0" if name == "runs" else f"{name} must be non-empty"
+
+
 @pytest.mark.parametrize("empty, name", [
     ({"series_by_stock": {}}, "stocks"), ({"kinds": []}, "models"),
     ({"windows": []}, "windows"), ({"horizons": []}, "horizons"), ({"n_runs": 0}, "runs"),
 ])
 def test_plan_grid_rejects_an_empty_grid(empty, name):
-    args = {"series_by_stock": two_stocks(), "kinds": ["MLP"], "windows": [3],
-            "horizons": [2], "cfg": TrainConfig(epochs=1), "n_runs": 2, "strategy": "direct"}
-    with pytest.raises(ValueError, match=f"^empty grid: no {name}$"):
-        plan_grid(**{**args, **empty})
+    with pytest.raises(ValueError, match=f"^{empty_grid_message(name)}$"):
+        plan_grid(**grid_args(**empty))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"strategy": "Iterative"}, "strategy must be 'direct' or 'iterative', got 'Iterative'"),
+    ({"kinds": ["MLP", "XYZ"]}, "models unknown model 'XYZ'"),
+    ({"kinds": ["MLP", "CNN", "MLP"]}, "models must not repeat MLP"),
+    ({"windows": [3, 4, 3]}, "windows must not repeat 3"),
+    ({"horizons": [2, 2]}, "horizons must not repeat 2"),
+    ({"windows": [3, 0]}, "windows must be >= 1, got 0"),
+    ({"windows": [-1]}, "windows must be >= 1, got -1"),
+    ({"horizons": [0]}, "horizons must be >= 1, got 0"),
+])
+def test_plan_grid_checks_config_rules_before_building_a_model(monkeypatch, changes, message):
+    # a grid built in code meets the rules a config file does, before any model exists
+    def fail(*args, **kwargs):
+        raise AssertionError("a model was built or trained")
+
+    monkeypatch.setattr(experiment, "build_model", fail)
+    monkeypatch.setattr(experiment, "train", fail)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        plan_grid(**grid_args(**changes))
 
 
 @pytest.mark.parametrize("strategy", ["direct", "iterative"])
@@ -433,7 +463,7 @@ def test_execute_plans_once_before_output_dir_and_runs_that_plan(tmp_path, monke
 def test_execute_rejects_an_empty_grid_before_output_dir(tmp_path, fields, name):
     # a config built in code is not checked by parse_config; its windows default to ()
     cfg = replace(one_stock_config(tmp_path), **fields)
-    with pytest.raises(ValueError, match=f"^empty grid: no {name}$"):
+    with pytest.raises(ValueError, match=f"^{empty_grid_message(name)}$"):
         execute(cfg)
     assert not os.path.exists(cfg.output_dir)
 
