@@ -31,7 +31,7 @@ for name in sorted(os.listdir(DATA_DIR)):
 
 symbol = "ACC"
 ts, _ = load_series(os.path.join(DATA_DIR, f"{symbol}.csv"), symbol)
-cutoff = ExperimentConfig().cutoff
+cutoff = ExperimentConfig(stocks=(symbol,)).cutoff
 train, test = split_by_date(ts, cutoff)
 print(f"\n{symbol}: split at {cutoff}")
 print(f"  train {len(train)} points, test {len(test)} points")

@@ -18,12 +18,13 @@ DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
 SYMBOL = "ACC"
 W = 3
 
-train_n, test_n = prepare_series(ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,)))[SYMBOL]
+cfg = ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,), models=("MLP",), windows=(W,),
+                       n_runs=5, train=TrainConfig(seed=0))
+series = prepare_series(cfg)
+train_n, test_n = series[SYMBOL]
 print(f"{SYMBOL}: {len(train_n)} train / {len(test_n)} test points, window {W}")
 
-series = {SYMBOL: (train_n, test_n)}
-[cell] = run_grid(series, plan_grid(series, ["MLP"], [W], [1], TrainConfig(seed=0),
-                                    n_runs=5, strategy="direct"))
+[cell] = run_grid(series, plan_grid(series, cfg))
 iv = cell.interval
 print(f"MLP test MSE over {iv.n_runs} seeds: {iv.mean:.3e} +/- {iv.std:.3e}")
 

@@ -8,6 +8,7 @@ observed values.
 """
 
 import sys
+from dataclasses import replace
 
 from stockcast.config import ExperimentConfig
 from stockcast.experiment import TrainConfig, plan_grid, run_grid
@@ -17,16 +18,17 @@ DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
 SYMBOL = "HDFC"
 W, H = 30, 7
 
-train_n, test_n = prepare_series(ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,)))[SYMBOL]
+cfg = ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,), mode="multi", models=("MLP",),
+                       windows=(W,), horizons=(H,), n_runs=3,
+                       train=TrainConfig(epochs=40, batch_size=64, seed=0))
+series = prepare_series(cfg)
+_, test_n = series[SYMBOL]
 print(f"{SYMBOL}: window {W}, horizon {H}, "
       f"{len(test_n) - W - H + 1} rolling test origins")
 
-cfg = TrainConfig(epochs=40, batch_size=64, seed=0)
-series = {SYMBOL: (train_n, test_n)}
 cells = {}
 for strategy in ("direct", "iterative"):
-    [cells[strategy]] = run_grid(series, plan_grid(series, ["MLP"], [W], [H], cfg,
-                                                   n_runs=3, strategy=strategy))
+    [cells[strategy]] = run_grid(series, plan_grid(series, replace(cfg, strategy=strategy)))
     iv = cells[strategy].interval
     print(f"  {strategy:9s} test MSE {iv.mean:.3e} +/- {iv.std:.3e} "
           f"({iv.n_runs} seeds)")

@@ -19,13 +19,11 @@ DATA_DIR = sys.argv[1] if len(sys.argv) > 1 else "./data"
 SYMBOL = "ACC"
 W = 5
 
-train_n, test_n = prepare_series(ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,)))[SYMBOL]
-
-series = {SYMBOL: (train_n, test_n)}
+cfg = ExperimentConfig(data_dir=DATA_DIR, stocks=(SYMBOL,), models=("MLP", "CNN"),
+                       windows=(W,), n_runs=3, train=TrainConfig(epochs=40, seed=0))
+series = prepare_series(cfg)
 errors = {}
-for cell in run_grid(series, plan_grid(series, ["MLP", "CNN"], [W], [1],
-                                       TrainConfig(epochs=40, seed=0), n_runs=3,
-                                       strategy="direct")):
+for cell in run_grid(series, plan_grid(series, cfg)):
     # mean absolute error per origin, averaged across the seeds
     per_seed = np.array([np.abs(run.predictions[:, 0] - run.targets[:, 0])
                          for run in cell.runs])

@@ -16,7 +16,7 @@ from .runner import atomic_write, execute
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg.train = replace(cfg.train, seed=args.seed)
+        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
     return execute(cfg, jobs=args.jobs, all_traces=args.all_traces)
 
 

@@ -6,6 +6,10 @@ the fields of `ExperimentConfig` (except `train`) followed by those of
 `TrainConfig`, in that order; their defaults are the field defaults.
 Every default is materialized at parse time so the echoed config in
 result headers is self-describing.
+
+`ExperimentConfig` is the one checked description of a grid: from a file
+or from code, it checks its own fields, mode rule included, when built,
+and is frozen, so no later change can break them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 
 from .errors import MissingDataFile, ParseError
-from .experiment import TrainConfig, check_grid_fields
+from .experiment import TrainConfig
 from .ingest import parse_date
 from .models import KINDS
 
@@ -24,19 +28,42 @@ MULTI_STEP_WINDOWS = (30, 60, 90)
 MULTI_STEP_HORIZONS = (7, 14, 21, 28)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     data_dir: str = "./data"
     stocks: tuple[str, ...] = ()
     cutoff: date = date(2017, 1, 1)
     mode: str = "single"
-    windows: tuple[int, ...] = ()      # unset in a file: the mode's grid
-    horizons: tuple[int, ...] = (1,)   # unset in a multi-mode file: MULTI_STEP_HORIZONS
+    windows: tuple[int, ...] = SINGLE_STEP_WINDOWS  # multi-mode file default: MULTI_STEP_WINDOWS
+    horizons: tuple[int, ...] = (1,)                # multi-mode file default: MULTI_STEP_HORIZONS
     strategy: str = "direct"
     models: tuple[str, ...] = KINDS
     n_runs: int = 5
     output_dir: str = "./results"
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        # each message starts with the field name: parse_config reports it as the field
+        if self.mode not in ("single", "multi"):
+            raise ValueError(f"mode must be 'single' or 'multi', got {self.mode!r}")
+        if self.mode == "single" and tuple(self.horizons) != (1,):
+            raise ValueError("horizons single-step mode forces horizon 1")
+        for name in ("stocks", "models", "windows", "horizons"):
+            grid = getattr(self, name)
+            if not grid:
+                raise ValueError(f"{name} must be non-empty")
+            for i, value in enumerate(grid):
+                if value in grid[:i]:
+                    raise ValueError(f"{name} must not repeat {value}")
+        for name, values in (("windows", self.windows), ("horizons", self.horizons),
+                             ("n_runs", (self.n_runs,))):
+            if min(values) < 1:
+                raise ValueError(f"{name} must be >= 1, got {min(values)}")
+        for kind in self.models:
+            if kind not in KINDS:
+                raise ValueError(f"models unknown model {kind!r}")
+        if self.strategy not in ("direct", "iterative"):
+            raise ValueError(f"strategy must be 'direct' or 'iterative', got {self.strategy!r}")
 
     def stock_path(self, symbol: str) -> str:
         return os.path.join(self.data_dir, f"{symbol}.csv")
@@ -86,7 +113,8 @@ _PARSERS = {
 
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate; all defaults materialized."""
-    types = {f.name: f.type for _, f in _keys(ExperimentConfig())}
+    types = {f.name: f.type for f in fields(ExperimentConfig) + fields(TrainConfig)
+             if f.name != "train"}
     values = {}
     with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
@@ -108,21 +136,14 @@ def parse_config(path) -> ExperimentConfig:
 
     if not values.get("stocks"):
         raise ParseError("field 'stocks' is required")
-    mode = values.get("mode", "single")
-    values.setdefault("windows", SINGLE_STEP_WINDOWS if mode == "single" else MULTI_STEP_WINDOWS)
-    if mode == "multi":
+    if values.get("mode") == "multi":
+        values.setdefault("windows", MULTI_STEP_WINDOWS)
         values.setdefault("horizons", MULTI_STEP_HORIZONS)
     train_keys = {f.name for f in fields(TrainConfig)}
     try:
         train = TrainConfig(**{k: v for k, v in values.items() if k in train_keys})
         cfg = ExperimentConfig(**{k: v for k, v in values.items() if k not in train_keys},
                                train=train)
-        if cfg.mode not in ("single", "multi"):
-            raise ValueError(f"mode must be 'single' or 'multi', got {cfg.mode!r}")
-        if cfg.mode == "single" and cfg.horizons != (1,):
-            raise ValueError("horizons single-step mode forces horizon 1")
-        check_grid_fields(cfg.stocks, cfg.models, cfg.windows, cfg.horizons, cfg.n_runs,
-                          cfg.strategy)
     except ValueError as exc:  # every rule reads "<field> <rule>"
         key, _, rule = str(exc).partition(" ")
         raise ParseError(f"field {key!r}: {rule}") from None

@@ -6,26 +6,31 @@ space; the cell aggregates to a mean (+/- sample std) loss interval.
 Run seeds derive from the master seed as master + i so any single run
 is re-executable in isolation.
 
-`plan_grid` checks the grid once and lists its tasks, one per trained
-model, before anything trains.  The iterative strategy's single-output
-model does not depend on h, so one task per (stock, model, w, seed)
-serves every horizon; a direct task serves one.  `run_grid` files each
-task's runs in the cells named by the task's own fields, so results do
-not depend on the worker count.
+`plan_grid(series, cfg)` checks the grid an `ExperimentConfig` names
+against the data once and lists its tasks, one per trained model,
+before anything trains.  The iterative strategy's single-output model
+does not depend on h, so one task per (stock, model, w, seed) serves
+every horizon; a direct task serves one.  `run_grid` files each task's
+runs in the cells named by the task's own fields, so results do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
-from .models import KINDS, build_model, cnn_kernel
+from .models import build_model, cnn_kernel
 from .nn.layers import mse_loss
 from .nn.optim import Adam
 from .windowing import make_samples, rolling_test_forecast
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -167,53 +172,32 @@ def run_model(task: Task, train_values, test_values) -> list[RunResult] | None:
             for origins, predictions, targets in forecasts]
 
 
-def check_grid_fields(stocks, models, windows, horizons, n_runs: int, strategy: str):
-    """The rules every grid meets, whether a config file or code built it.
-    Each ValueError reads "<field> <rule>", like TrainConfig's."""
-    for name, grid in (("stocks", stocks), ("models", models), ("windows", windows),
-                       ("horizons", horizons)):
-        if not grid:
-            raise ValueError(f"{name} must be non-empty")
-        for i, value in enumerate(grid):
-            if value in grid[:i]:
-                raise ValueError(f"{name} must not repeat {value}")
-    for name, values in (("windows", windows), ("horizons", horizons), ("n_runs", (n_runs,))):
-        if min(values) < 1:
-            raise ValueError(f"{name} must be >= 1, got {min(values)}")
-    for kind in models:
-        if kind not in KINDS:
-            raise ValueError(f"models unknown model {kind!r}")
-    if strategy not in ("direct", "iterative"):
-        raise ValueError(f"strategy must be 'direct' or 'iterative', got {strategy!r}")
-
-
 def plan_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],
-              kinds: list[str], windows: list[int], horizons: list[int],
-              cfg: TrainConfig, n_runs: int, strategy: str) -> list[Task]:
-    """The grid's tasks, one per seeded model, in grid order, then seed
-    order (seeds cfg.seed + i).  `series_by_stock` maps symbol ->
-    (normalized train values, normalized test values).  Raises
-    ValueError("<field> <rule>") for a field that breaks a
-    `check_grid_fields` rule, WindowTooSmall for a window too short for
-    a CNN, and WindowTooLarge for a window and horizon too long for some
-    stock's train or test series."""
-    check_grid_fields(list(series_by_stock), kinds, windows, horizons, n_runs, strategy)
-    if "CNN" in kinds:
-        for w in windows:
+              cfg: ExperimentConfig) -> list[Task]:
+    """The tasks of the grid `cfg` names, one per seeded model, in grid
+    order, then seed order (seeds cfg.train.seed + i).  `series_by_stock`
+    maps each of cfg.stocks to (normalized train, test values).  `cfg`
+    checked its own fields when built; this checks the grid against the
+    data, raising WindowTooSmall for a window too short for a CNN and
+    WindowTooLarge for a window and horizon too long for some series."""
+    if "CNN" in cfg.models:
+        for w in cfg.windows:
             cnn_kernel(w)  # raises WindowTooSmall below the CNN's minimum window
-    for stock, (tr, te) in series_by_stock.items():
-        for w in windows:
-            for h in horizons:
-                n_out = 1 if strategy == "iterative" else h
+    for stock in cfg.stocks:
+        tr, te = series_by_stock[stock]
+        for w in cfg.windows:
+            for h in cfg.horizons:
+                n_out = 1 if cfg.strategy == "iterative" else h
                 if len(tr) < w + n_out or len(te) < w + h:
                     raise WindowTooLarge(
                         f"stock {stock}: window {w}, horizon {h} need {w + n_out} train "
                         f"and {w + h} test points, have {len(tr)} and {len(te)}")
     # the horizons one model serves: all of them if iterative, its own if direct
-    served = [tuple(horizons)] if strategy == "iterative" else [(h,) for h in horizons]
-    return [Task(stock, kind, w, hs, strategy, replace(cfg, seed=cfg.seed + i))
-            for stock in series_by_stock for kind in kinds for w in windows
-            for hs in served for i in range(n_runs)]
+    served = ([tuple(cfg.horizons)] if cfg.strategy == "iterative"
+              else [(h,) for h in cfg.horizons])
+    return [Task(stock, kind, w, hs, cfg.strategy, replace(cfg.train, seed=cfg.train.seed + i))
+            for stock in cfg.stocks for kind in cfg.models for w in cfg.windows
+            for hs in served for i in range(cfg.n_runs)]
 
 
 def run_grid(series_by_stock: dict[str, tuple[np.ndarray, np.ndarray]],

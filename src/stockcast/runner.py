@@ -69,15 +69,11 @@ def results_csv_text(cfg: ExperimentConfig, cells: list[CellResult]):
     yield from _header(cfg, ["std is the sample standard deviation (n-1 denominator)"])
     yield "stock,model,w,h,strategy,mean_mse,std_mse,n_runs,failed_runs\n"
     for cell in cells:
-        if len(cell.runs) >= 2:
-            iv = cell.interval
-            mean, std, n = f"{iv.mean:.10e}", f"{iv.std:.10e}", iv.n_runs
-        elif len(cell.runs) == 1:
-            mean, std, n = f"{cell.runs[0].test_mse:.10e}", "", 1
-        else:
-            mean, std, n = "", "", 0
+        errors = [run.test_mse for run in cell.runs]
+        mean = f"{np.mean(errors):.10e}" if errors else ""
+        std = f"{np.std(errors, ddof=1):.10e}" if len(errors) >= 2 else ""
         yield (f"{cell.stock},{cell.model},{cell.w},{cell.h},{cell.strategy},"
-               f"{mean},{std},{n},{cell.failed_runs}\n")
+               f"{mean},{std},{len(errors)},{cell.failed_runs}\n")
 
 
 def run_errors_csv_text(cfg: ExperimentConfig, cells: list[CellResult]):
@@ -125,8 +121,7 @@ def execute(cfg: ExperimentConfig, jobs: int = 1, all_traces: bool = False) -> i
     series = prepare_series(cfg)
     # the plan is built and checked once, so a grid that cannot be built, or an
     # unusable output_dir, fails here: before output_dir exists, not after hours of training
-    plan = plan_grid(series, cfg.models, cfg.windows, cfg.horizons, cfg.train, cfg.n_runs,
-                     cfg.strategy)
+    plan = plan_grid(series, cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     cells = run_grid(series, plan, jobs=jobs)
     for name, chunks in (("results.csv", results_csv_text(cfg, cells)),

@@ -148,9 +148,10 @@ def test_criterion_3_dm_oracle():
 
 def test_criterion_4_single_step_mlp_band(data_dir):
     t0 = time.time()
-    series = prepare_series(ExperimentConfig(data_dir=data_dir, stocks=("ACC",)))
-    [cell] = run_grid(series, plan_grid(series, ["MLP"], [3], [1], TrainConfig(seed=0),
-                                        n_runs=5, strategy="direct"))
+    cfg = ExperimentConfig(data_dir=data_dir, stocks=("ACC",), models=("MLP",), windows=(3,),
+                           train=TrainConfig(seed=0))
+    series = prepare_series(cfg)
+    [cell] = run_grid(series, plan_grid(series, cfg))
     elapsed = time.time() - t0
     assert cell.failed_runs == 0 and len(cell.runs) == 5
     mean = cell.interval.mean
@@ -163,10 +164,11 @@ def test_criterion_4_single_step_mlp_band(data_dir):
 
 
 def test_criterion_5_horizon_degradation(data_dir):
-    cfg = TrainConfig(epochs=40, batch_size=64, seed=0)
-    series = prepare_series(ExperimentConfig(data_dir=data_dir, stocks=tuple(SYMBOLS)))
-    cells = run_grid(series, plan_grid(series, ["MLP"], [30], [7, 28], cfg,
-                                       n_runs=3, strategy="direct"))
+    cfg = ExperimentConfig(data_dir=data_dir, stocks=tuple(SYMBOLS), mode="multi",
+                           models=("MLP",), windows=(30,), horizons=(7, 28), n_runs=3,
+                           train=TrainConfig(epochs=40, batch_size=64, seed=0))
+    series = prepare_series(cfg)
+    cells = run_grid(series, plan_grid(series, cfg))
     by_stock = {}
     for cell in cells:
         assert cell.failed_runs == 0
@@ -309,9 +311,9 @@ def test_criterion_7_degenerate_inputs(tmp_path):
     def _single_run():
         values = np.linspace(0.1, 0.9, 30)
         series = {"ACC": (values, values)}
-        [cell] = run_grid(series, plan_grid(series, ["MLP"], [3], [1],
-                                            TrainConfig(epochs=1, seed=0), n_runs=1,
-                                            strategy="direct"))
+        cfg = ExperimentConfig(stocks=("ACC",), models=("MLP",), windows=(3,), n_runs=1,
+                               train=TrainConfig(epochs=1, seed=0))
+        [cell] = run_grid(series, plan_grid(series, cfg))
         with pytest.raises(TooFewRuns):
             cell.interval
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import os
 import re
 from dataclasses import replace
@@ -170,16 +171,23 @@ def sine_series(n, lo=0.2, hi=0.8):
     return lo + (hi - lo) * (x + 1) / 2
 
 
-def grid(series, *grid_args, jobs=1):
-    """run_grid over the plan_grid plan of series and grid_args."""
-    return run_grid(series, plan_grid(series, *grid_args), jobs=jobs)
+def grid_config(series, **fields):
+    """An ExperimentConfig naming a grid over the stocks of `series`, in
+    multi-step mode, so any horizons are valid."""
+    return ExperimentConfig(stocks=tuple(series), mode="multi", **fields)
+
+
+def grid(series, jobs=1, **fields):
+    """run_grid over the plan_grid plan of series and grid_config(series, **fields)."""
+    return run_grid(series, plan_grid(series, grid_config(series, **fields)), jobs=jobs)
 
 
 def test_run_grid_seeds_derive_from_master():
     tr = sine_series(120)
     te = sine_series(40)
     cfg = TrainConfig(epochs=2, seed=100)
-    [cell] = grid({"S": (tr, te)}, ["MLP"], [4], [1], cfg, 3, "direct")
+    [cell] = grid({"S": (tr, te)}, models=("MLP",), windows=(4,), horizons=(1,), train=cfg,
+                  n_runs=3)
     assert [r.seed for r in cell.runs] == [100, 101, 102]
 
 
@@ -188,7 +196,8 @@ def test_run_grid_iterative_uses_single_output_model(monkeypatch):
     tr = sine_series(120)
     te = sine_series(40)
     cfg = TrainConfig(epochs=2, seed=0)
-    [cell] = grid({"S": (tr, te)}, ["MLP"], [4], [3], cfg, 2, "iterative")
+    [cell] = grid({"S": (tr, te)}, models=("MLP",), windows=(4,), horizons=(3,), train=cfg,
+                  n_runs=2, strategy="iterative")
     assert cell.h == 3
     assert [outputs for _, _, outputs, _, _ in trained] == [1, 1]
     assert all(r.predictions.shape == (40 - 4 - 3 + 1, 3) for r in cell.runs)
@@ -198,7 +207,7 @@ def test_run_grid_shape_and_order():
     series = {"A": (sine_series(100), sine_series(30)),
               "B": (sine_series(100), sine_series(30))}
     cfg = TrainConfig(epochs=2, seed=0)
-    cells = grid(series, ["MLP"], [3, 5], [1], cfg, 2, "direct")
+    cells = grid(series, models=("MLP",), windows=(3, 5), horizons=(1,), train=cfg, n_runs=2)
     assert [(c.stock, c.w) for c in cells] == [("A", 3), ("A", 5), ("B", 3), ("B", 5)]
     for c in cells:
         assert len(c.runs) == 2
@@ -209,10 +218,10 @@ def test_run_order_independence():
     # a run's result depends only on its seed, not on which runs precede it
     tr = sine_series(120)
     te = sine_series(40)
-    [full] = grid({"S": (tr, te)}, ["MLP"], [4], [1], TrainConfig(epochs=3, seed=5), 3,
-                  "direct")
-    [solo] = grid({"S": (tr, te)}, ["MLP"], [4], [1], TrainConfig(epochs=3, seed=7), 1,
-                  "direct")
+    [full] = grid({"S": (tr, te)}, models=("MLP",), windows=(4,), horizons=(1,),
+                  train=TrainConfig(epochs=3, seed=5), n_runs=3)
+    [solo] = grid({"S": (tr, te)}, models=("MLP",), windows=(4,), horizons=(1,),
+                  train=TrainConfig(epochs=3, seed=7), n_runs=1)
     assert full.runs[2].seed == solo.runs[0].seed == 7
     assert full.runs[2].test_mse == solo.runs[0].test_mse
     assert full.runs[2].loss_history == solo.runs[0].loss_history
@@ -222,9 +231,10 @@ def test_plan_grid_checks_windows_before_training(monkeypatch):
     calls = []
     monkeypatch.setattr(experiment, "train", lambda *args: calls.append(args) or [0.0])
     series = {"A": (sine_series(100), sine_series(40))}
-    cfg = TrainConfig(epochs=1, seed=0)
+    cfg = grid_config(series, models=("MLP",), windows=(3, 50), horizons=(1,), n_runs=1,
+                      train=TrainConfig(epochs=1, seed=0))
     with pytest.raises(WindowTooLarge, match=r"stock A: window 50, horizon 1"):
-        plan_grid(series, ["MLP"], [3, 50], [1], cfg, 1, "direct")
+        plan_grid(series, cfg)
     assert calls == []
 
 
@@ -232,16 +242,17 @@ def test_plan_grid_checks_cnn_window_before_training(monkeypatch):
     calls = []
     monkeypatch.setattr(experiment, "train", lambda *args: calls.append(args) or [0.0])
     series = {"A": (sine_series(100), sine_series(40))}
-    cfg = TrainConfig(epochs=1, seed=0)
+    cfg = grid_config(series, models=("MLP", "CNN"), windows=(5, 1), horizons=(1,), n_runs=1,
+                      train=TrainConfig(epochs=1, seed=0))
     with pytest.raises(WindowTooSmall, match=r"window 1 too small for kernel 1 \+ pool 2"):
-        plan_grid(series, ["MLP", "CNN"], [5, 1], [1], cfg, 1, "direct")
+        plan_grid(series, cfg)
     assert calls == []
 
 
-def grid_args(**changes):
-    """plan_grid keyword arguments for a small valid grid, with `changes` applied."""
-    return {"series_by_stock": two_stocks(), "kinds": ["MLP"], "windows": [3], "horizons": [2],
-            "cfg": TrainConfig(epochs=1), "n_runs": 2, "strategy": "direct", **changes}
+def grid_fields(**changes):
+    """ExperimentConfig fields for a small valid grid, with `changes` applied."""
+    return {"stocks": ("A", "B"), "mode": "multi", "models": ("MLP",), "windows": (3,),
+            "horizons": (2,), "train": TrainConfig(epochs=1), "n_runs": 2, **changes}
 
 
 def empty_grid_message(name):
@@ -249,33 +260,59 @@ def empty_grid_message(name):
 
 
 @pytest.mark.parametrize("empty, name", [
-    ({"series_by_stock": {}}, "stocks"), ({"kinds": []}, "models"),
-    ({"windows": []}, "windows"), ({"horizons": []}, "horizons"), ({"n_runs": 0}, "runs"),
+    ({"stocks": ()}, "stocks"), ({"models": ()}, "models"),
+    ({"windows": ()}, "windows"), ({"horizons": ()}, "horizons"), ({"n_runs": 0}, "runs"),
 ])
 def test_plan_grid_rejects_an_empty_grid(empty, name):
+    # plan_grid never receives an empty grid: its config is rejected when built
     with pytest.raises(ValueError, match=f"^{empty_grid_message(name)}$"):
-        plan_grid(**grid_args(**empty))
+        ExperimentConfig(**grid_fields(**empty))
 
 
 @pytest.mark.parametrize("changes, message", [
     ({"strategy": "Iterative"}, "strategy must be 'direct' or 'iterative', got 'Iterative'"),
-    ({"kinds": ["MLP", "XYZ"]}, "models unknown model 'XYZ'"),
-    ({"kinds": ["MLP", "CNN", "MLP"]}, "models must not repeat MLP"),
-    ({"windows": [3, 4, 3]}, "windows must not repeat 3"),
-    ({"horizons": [2, 2]}, "horizons must not repeat 2"),
-    ({"windows": [3, 0]}, "windows must be >= 1, got 0"),
-    ({"windows": [-1]}, "windows must be >= 1, got -1"),
-    ({"horizons": [0]}, "horizons must be >= 1, got 0"),
+    ({"models": ("MLP", "XYZ")}, "models unknown model 'XYZ'"),
+    ({"models": ("MLP", "CNN", "MLP")}, "models must not repeat MLP"),
+    ({"windows": (3, 4, 3)}, "windows must not repeat 3"),
+    ({"horizons": (2, 2)}, "horizons must not repeat 2"),
+    ({"windows": (3, 0)}, "windows must be >= 1, got 0"),
+    ({"windows": (-1,)}, "windows must be >= 1, got -1"),
+    ({"horizons": (0,)}, "horizons must be >= 1, got 0"),
 ])
 def test_plan_grid_checks_config_rules_before_building_a_model(monkeypatch, changes, message):
-    # a grid built in code meets the rules a config file does, before any model exists
+    # a grid built in code meets the rules a config file does when it is built,
+    # and a valid one cannot be changed into one that breaks them
     def fail(*args, **kwargs):
         raise AssertionError("a model was built or trained")
 
     monkeypatch.setattr(experiment, "build_model", fail)
     monkeypatch.setattr(experiment, "train", fail)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        plan_grid(**grid_args(**changes))
+        ExperimentConfig(**grid_fields(**changes))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(ExperimentConfig(**grid_fields()), **changes)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ExperimentConfig(stocks=("ACC",), horizons=(3,)),
+                 "horizons single-step mode forces horizon 1", id="single-h3"),
+    pytest.param(lambda: ExperimentConfig(stocks=("ACC",), mode="Multi"),
+                 "mode must be 'single' or 'multi', got 'Multi'", id="mode-case"),
+    pytest.param(lambda: replace(ExperimentConfig(stocks=("ACC",), windows=(5,)), horizons=(3,)),
+                 "horizons single-step mode forces horizon 1", id="replace-single-h3"),
+])
+def test_config_built_in_code_meets_the_mode_rules(build, message):
+    # a single-mode config with h != 1 cannot exist, so no output is headed
+    # "mode = single" over multi-step cells
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_config_cannot_be_changed_after_it_is_checked():
+    cfg = ExperimentConfig(stocks=("ACC",))
+    assert (cfg.windows, cfg.horizons) == ((3, 5, 7, 9, 11, 13, 15), (1,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.horizons = (3,)
 
 
 @pytest.mark.parametrize("strategy", ["direct", "iterative"])
@@ -285,7 +322,9 @@ def test_plan_grid_lists_tasks_in_grid_then_seed_order(monkeypatch, strategy):
 
     monkeypatch.setattr(experiment, "build_model", no_model)
     cfg = TrainConfig(epochs=1, seed=20)
-    plan = plan_grid(two_stocks(), ["MLP", "CNN"], [3, 4], [2, 3], cfg, 2, strategy)
+    plan = plan_grid(two_stocks(), grid_config(two_stocks(), models=("MLP", "CNN"),
+                                               windows=(3, 4), horizons=(2, 3), train=cfg,
+                                               n_runs=2, strategy=strategy))
     # a direct task serves one horizon, an iterative one every horizon
     served = [(2,), (3,)] if strategy == "direct" else [(2, 3)]
     assert plan == [
@@ -328,7 +367,8 @@ def test_run_grid_pool_capped_at_cells(recording_pool, n_cells, jobs, sizes):
     # a task is one seeded model, so the cap is min(jobs, cells x n_runs)
     series = {"A": (sine_series(100), sine_series(30))}
     cfg = TrainConfig(epochs=1, seed=0)
-    cells = grid(series, ["MLP"], [3, 4, 5][:n_cells], [1], cfg, 2, "direct", jobs=jobs)
+    cells = grid(series, jobs=jobs, models=("MLP",), windows=(3, 4, 5)[:n_cells],
+                 horizons=(1,), train=cfg, n_runs=2)
     assert [c.w for c in cells] == [3, 4, 5][:n_cells]
     assert recording_pool == sizes
 
@@ -358,7 +398,8 @@ def record_training(monkeypatch, diverge_seed=None):
 def test_run_grid_trains_each_model_once(monkeypatch, strategy, trainings_per_group):
     trained = record_training(monkeypatch)
     cfg = TrainConfig(epochs=1, seed=0)
-    cells = grid(two_stocks(), ["MLP", "CNN"], [3, 4], [2, 3], cfg, 2, strategy)
+    cells = grid(two_stocks(), models=("MLP", "CNN"), windows=(3, 4), horizons=(2, 3),
+                 train=cfg, n_runs=2, strategy=strategy)
     # n_runs x stocks x kinds x windows, times the horizons if direct
     assert len(trained) == 2 * 2 * 2 * 2 * trainings_per_group
     assert len(set(trained)) == len(trained)
@@ -374,7 +415,8 @@ def test_iterative_grid_cells_equal_standalone_cells():
     # across a group's horizons must not change any run
     tr, te = sine_series(100), sine_series(30)
     cfg = TrainConfig(epochs=2, seed=4)
-    cells = grid({"A": (tr, te)}, ["MLP", "CNN"], [3, 5], [2, 6], cfg, 3, "iterative")
+    cells = grid({"A": (tr, te)}, models=("MLP", "CNN"), windows=(3, 5), horizons=(2, 6),
+                 train=cfg, n_runs=3, strategy="iterative")
     assert [(c.model, c.w, c.h) for c in cells] == [
         (kind, w, h) for kind in ("MLP", "CNN") for w in (3, 5) for h in (2, 6)]
     for cell in cells:
@@ -393,8 +435,9 @@ def test_iterative_grid_cells_equal_standalone_cells():
 def test_diverged_seed_fails_every_horizon_of_its_group(monkeypatch):
     trained = record_training(monkeypatch, diverge_seed=11)
     series = two_stocks()
-    plan = plan_grid(series, ["MLP"], [3], [2, 3, 4], TrainConfig(epochs=1, seed=10), 3,
-                     "iterative")
+    plan = plan_grid(series, grid_config(series, models=("MLP",), windows=(3,),
+                                         horizons=(2, 3, 4), n_runs=3, strategy="iterative",
+                                         train=TrainConfig(epochs=1, seed=10)))
     # in either plan order: each cell gets its runs in plan order
     for tasks, stocks, seeds in ((plan, "AB", [10, 12]), (plan[::-1], "BA", [12, 10])):
         cells = run_grid(series, tasks)
@@ -417,7 +460,9 @@ def runs_by_seed(cells):
 def test_run_grid_files_runs_by_task_not_by_position(strategy):
     series = two_stocks()
     cfg = TrainConfig(epochs=1, seed=0)
-    plan = plan_grid(series, ["MLP", "CNN"], [3, 4], [2, 3], cfg, 2, strategy)
+    plan = plan_grid(series, grid_config(series, models=("MLP", "CNN"), windows=(3, 4),
+                                         horizons=(2, 3), train=cfg, n_runs=2,
+                                         strategy=strategy))
     in_order, reversed_ = run_grid(series, plan), run_grid(series, plan[::-1])
     assert len(in_order) == len(reversed_) == 2 * 2 * 2 * 2
     assert runs_by_seed(reversed_) == runs_by_seed(in_order)
@@ -457,14 +502,14 @@ def test_execute_plans_once_before_output_dir_and_runs_that_plan(tmp_path, monke
 
 
 @pytest.mark.parametrize("fields, name", [
-    ({}, "windows"), ({"windows": (3,), "stocks": ()}, "stocks"),
+    ({"windows": ()}, "windows"), ({"windows": (3,), "stocks": ()}, "stocks"),
     ({"windows": (3,), "n_runs": 0}, "runs"),
 ])
 def test_execute_rejects_an_empty_grid_before_output_dir(tmp_path, fields, name):
-    # a config built in code is not checked by parse_config; its windows default to ()
-    cfg = replace(one_stock_config(tmp_path), **fields)
+    # a config built in code is checked when built, so execute never receives this one
+    cfg = one_stock_config(tmp_path)
     with pytest.raises(ValueError, match=f"^{empty_grid_message(name)}$"):
-        execute(cfg)
+        execute(replace(cfg, **fields))
     assert not os.path.exists(cfg.output_dir)
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stockcast.config import ExperimentConfig
 from stockcast.experiment import TrainConfig, plan_grid, run_grid
 from stockcast.models import KINDS
 from stockcast.preprocess import fit_scaler, scale
@@ -39,9 +40,10 @@ def compute(kind: str) -> dict:
     series = {"ACC": _series()}
     out = {}
     for w, h, strategy in CELLS:
-        [cell] = run_grid(series, plan_grid(series, [kind], [w], [h],
-                                            TrainConfig(epochs=2, seed=0), n_runs=2,
-                                            strategy=strategy))
+        cfg = ExperimentConfig(stocks=("ACC",), mode="multi", models=(kind,), windows=(w,),
+                               horizons=(h,), strategy=strategy, n_runs=2,
+                               train=TrainConfig(epochs=2, seed=0))
+        [cell] = run_grid(series, plan_grid(series, cfg))
         out[f"w={w} h={h} {strategy}"] = {
             "failed_runs": cell.failed_runs,
             "runs": [{"seed": r.seed, "loss_history": r.loss_history,

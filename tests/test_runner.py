@@ -10,7 +10,8 @@ import pytest
 
 from stockcast.config import ExperimentConfig
 from stockcast.experiment import CellResult, RunResult
-from stockcast.runner import atomic_write, run_errors_csv_text, traces_json_text
+from stockcast.runner import (atomic_write, results_csv_text, run_errors_csv_text,
+                              traces_json_text)
 
 
 def make_cell(stock, seeds, mses, n_origins=5, h=3, model="MLP"):
@@ -25,7 +26,7 @@ def write_peak(path, cells) -> int:
     """The traced peak, in bytes, of writing run_errors.csv for `cells`."""
     tracemalloc.start()
     try:
-        atomic_write(str(path), run_errors_csv_text(ExperimentConfig(), cells))
+        atomic_write(str(path), run_errors_csv_text(ExperimentConfig(stocks=("A",)), cells))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -79,6 +80,19 @@ def test_traces_json_streams_the_whole_document_text(cells, all_traces):
     expected, n_records = traces_built_whole(cfg, cells, all_traces)
     assert "".join(chunks) == expected
     assert len(chunks) == n_records + 2  # the opening, one per record, the close
+
+
+def test_results_rows_for_no_one_and_several_runs():
+    # mean needs a run and the sample std two; n_runs counts the runs that finished
+    cells = [make_cell("A", [], [], h=1), make_cell("B", [3], [0.25], h=1),
+             make_cell("C", [3, 4, 5], [0.1, 0.2, 0.3], h=1)]
+    cells[0].failed_runs = 2
+    rows = "".join(results_csv_text(ExperimentConfig(stocks=("A",)), cells)).splitlines()
+    assert rows[-4:] == [
+        "stock,model,w,h,strategy,mean_mse,std_mse,n_runs,failed_runs",
+        "A,MLP,10,1,direct,,,0,2",
+        "B,MLP,10,1,direct,2.5000000000e-01,,1,0",
+        "C,MLP,10,1,direct,2.0000000000e-01,1.0000000000e-01,3,0"]
 
 
 def test_atomic_write_keeps_the_old_file_when_the_chunks_raise(tmp_path):

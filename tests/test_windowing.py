@@ -197,7 +197,7 @@ def test_trace_json_shape():
         echo(2), [1.0, 2.0, 1.5, 2.5, 3.0], 2, (2,), strategy="iterative")[0]
     cell = CellResult("A", "MLP", 2, 2, "iterative", runs=[
         RunResult(0, 0.1, [], origins, predictions, targets)])
-    record, = json.loads("".join(traces_json_text(ExperimentConfig(), [cell])))["records"]
+    record, = json.loads("".join(traces_json_text(ExperimentConfig(stocks=("A",)), [cell])))["records"]
     assert record["traces"] == [
         {"origin": 2, "predictions": [2.0, 2.0], "targets": [1.5, 2.5]},
         {"origin": 3, "predictions": [1.5, 1.5], "targets": [2.5, 3.0]}]
