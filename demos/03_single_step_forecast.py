@@ -25,8 +25,8 @@ train_n, test_n = series[SYMBOL]
 print(f"{SYMBOL}: {len(train_n)} train / {len(test_n)} test points, window {W}")
 
 [cell] = run_grid(series, plan_grid(series, cfg))
-iv = cell.interval
-print(f"MLP test MSE over {iv.n_runs} seeds: {iv.mean:.3e} +/- {iv.std:.3e}")
+mean, std, n_runs = cell.summary()
+print(f"MLP test MSE over {n_runs} seeds: {mean:.3e} +/- {std:.3e}")
 
 persistence = FunctionModel(lambda x: x[-1], input_arity=W)
 _, predictions, targets = rolling_test_forecast(persistence, test_n, W, (1,))[0]

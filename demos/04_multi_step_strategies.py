@@ -29,9 +29,8 @@ print(f"{SYMBOL}: window {W}, horizon {H}, "
 cells = {}
 for strategy in ("direct", "iterative"):
     [cells[strategy]] = run_grid(series, plan_grid(series, replace(cfg, strategy=strategy)))
-    iv = cells[strategy].interval
-    print(f"  {strategy:9s} test MSE {iv.mean:.3e} +/- {iv.std:.3e} "
-          f"({iv.n_runs} seeds)")
+    mean, std, n_runs = cells[strategy].summary()
+    print(f"  {strategy:9s} test MSE {mean:.3e} +/- {std:.3e} ({n_runs} seeds)")
 
 print("\nper-step error growth for the best direct run:")
 run = min(cells["direct"].runs, key=lambda r: r.test_mse)

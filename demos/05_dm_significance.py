@@ -28,7 +28,8 @@ for cell in run_grid(series, plan_grid(series, cfg)):
     per_seed = np.array([np.abs(run.predictions[:, 0] - run.targets[:, 0])
                          for run in cell.runs])
     errors[cell.model] = per_seed.mean(axis=0)
-    print(f"{cell.model}: mean test MSE {cell.interval.mean:.3e} over 3 seeds")
+    mean, _, n_runs = cell.summary()
+    print(f"{cell.model}: mean test MSE {mean:.3e} over {n_runs} seeds")
 
 report = dm_test(errors["MLP"], errors["CNN"], h=1)
 better = "MLP" if report.statistic < 0 else "CNN"

@@ -7,13 +7,14 @@ the fields of `ExperimentConfig` (except `train`) followed by those of
 Every default is materialized at parse time so the echoed config in
 result headers is self-describing.
 
-`ExperimentConfig` is the one checked description of a grid: from a file
-or from code, it checks its own fields, mode rule included, when built,
-and is frozen, so no later change can break them.
+`ExperimentConfig` is the one checked description of a grid: built from
+a file or in code, it holds only values that its echoed lines read back
+as, meets the grid rules, and is frozen, so no later change breaks them.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass, field, fields
 from datetime import date
@@ -43,10 +44,19 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        # each message starts with the field name: parse_config reports it as the field
+        # each message starts with the field name: parse_config reports it as the field.
+        # Each value must read back from its echoed line as itself, echoing that line.
+        for (owner, f), line in zip(_keys(self), self.echo_lines()):
+            value = getattr(owner, f.name)
+            try:  # newline=None splits lines as a config file's reader does
+                read = _read(io.StringIO(line, newline=None))
+            except ParseError:
+                read = {}
+            if read != {f.name: value} or _format(read[f.name]) != _format(value):
+                raise ValueError(f"{f.name} {value!r} does not read back from {line!r}")
         if self.mode not in ("single", "multi"):
             raise ValueError(f"mode must be 'single' or 'multi', got {self.mode!r}")
-        if self.mode == "single" and tuple(self.horizons) != (1,):
+        if self.mode == "single" and self.horizons != (1,):
             raise ValueError("horizons single-step mode forces horizon 1")
         for name in ("stocks", "models", "windows", "horizons"):
             grid = getattr(self, name)
@@ -111,28 +121,34 @@ _PARSERS = {
 }
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Parse and validate; all defaults materialized."""
+def _read(lines) -> dict:
+    """The parsed value of each `key = value` line of `lines`, by key."""
     types = {f.name: f.type for f in fields(ExperimentConfig) + fields(TrainConfig)
              if f.name != "train"}
     values = {}
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ParseError(f"line {lineno}: expected 'key = value', got {text!r}")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in types:
+            raise ParseError(f"line {lineno}: unknown field {key!r}")
+        if key in values:
+            raise ParseError(f"line {lineno}: duplicate field {key!r}")
+        parse, expected = _PARSERS[types[key]]
+        try:
+            values[key] = parse(raw)
+        except ValueError:
+            raise ParseError(f"field {key!r}: expected {expected}, got {raw!r}") from None
+    return values
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Parse and validate; all defaults materialized."""
     with open(path, encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError(f"line {lineno}: expected 'key = value', got {text!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in types:
-                raise ParseError(f"line {lineno}: unknown field {key!r}")
-            if key in values:
-                raise ParseError(f"line {lineno}: duplicate field {key!r}")
-            parse, expected = _PARSERS[types[key]]
-            try:
-                values[key] = parse(raw)
-            except ValueError:
-                raise ParseError(f"field {key!r}: expected {expected}, got {raw!r}") from None
+        values = _read(f)
 
     if not values.get("stocks"):
         raise ParseError("field 'stocks' is required")

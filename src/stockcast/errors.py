@@ -57,10 +57,6 @@ class DegenerateDifferential(StockcastError):
     """The DM loss differential is identically zero (or has no variance)."""
 
 
-class TooFewRuns(StockcastError):
-    """A loss interval needs at least two runs."""
-
-
 # --- CLI / configuration ----------------------------------------------------
 
 class ParseError(StockcastError):

@@ -2,9 +2,9 @@
 
 Per (stock, model, w, h) cell the protocol is: five independently
 seeded train/test runs, each reporting the test MSE in normalized
-space; the cell aggregates to a mean (+/- sample std) loss interval.
-Run seeds derive from the master seed as master + i so any single run
-is re-executable in isolation.
+space; `CellResult.summary` alone reduces them to the cell's mean,
+sample std and run count.  Run seeds derive from the master seed as
+master + i so any single run is re-executable in isolation.
 
 `plan_grid(series, cfg)` checks the grid an `ExperimentConfig` names
 against the data once and lists its tasks, one per trained model,
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NonFiniteLoss, TooFewRuns, WindowTooLarge
+from .errors import NonFiniteLoss, WindowTooLarge
 from .models import build_model, cnn_kernel
 from .nn.layers import mse_loss
 from .nn.optim import Adam
@@ -66,13 +66,6 @@ class RunResult:
     targets: np.ndarray      # [N, h]
 
 
-@dataclass(frozen=True)
-class LossInterval:
-    mean: float
-    std: float
-    n_runs: int
-
-
 @dataclass
 class CellResult:
     stock: str
@@ -83,16 +76,12 @@ class CellResult:
     runs: list[RunResult] = field(default_factory=list)
     failed_runs: int = 0
 
-    @property
-    def interval(self) -> LossInterval:
-        errors = [r.test_mse for r in self.runs]
-        if len(errors) < 2:
-            raise TooFewRuns(f"cell has {len(errors)} successful runs")
-        return LossInterval(
-            mean=float(np.mean(errors)),
-            std=float(np.std(errors, ddof=1)),
-            n_runs=len(errors),
-        )
+    def summary(self) -> tuple[float | None, float | None, int]:
+        """(mean, sample std, count) of the successful runs' test MSEs, failed
+        runs not counted; the mean is None without a run, the std below two."""
+        errors = [run.test_mse for run in self.runs]
+        return (float(np.mean(errors)) if errors else None,
+                float(np.std(errors, ddof=1)) if len(errors) > 1 else None, len(errors))
 
 
 def train(model, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> list[float]:

@@ -69,11 +69,10 @@ def results_csv_text(cfg: ExperimentConfig, cells: list[CellResult]):
     yield from _header(cfg, ["std is the sample standard deviation (n-1 denominator)"])
     yield "stock,model,w,h,strategy,mean_mse,std_mse,n_runs,failed_runs\n"
     for cell in cells:
-        errors = [run.test_mse for run in cell.runs]
-        mean = f"{np.mean(errors):.10e}" if errors else ""
-        std = f"{np.std(errors, ddof=1):.10e}" if len(errors) >= 2 else ""
+        mean, std, n_runs = cell.summary()
+        stats = ",".join("" if v is None else f"{v:.10e}" for v in (mean, std))
         yield (f"{cell.stock},{cell.model},{cell.w},{cell.h},{cell.strategy},"
-               f"{mean},{std},{len(errors)},{cell.failed_runs}\n")
+               f"{stats},{n_runs},{cell.failed_runs}\n")
 
 
 def run_errors_csv_text(cfg: ExperimentConfig, cells: list[CellResult]):

@@ -29,7 +29,6 @@ from stockcast.errors import (
     NonFiniteLoss,
     ParseError,
     ShapeMismatch,
-    TooFewRuns,
     WindowTooLarge,
     WindowTooSmall,
 )
@@ -154,7 +153,7 @@ def test_criterion_4_single_step_mlp_band(data_dir):
     [cell] = run_grid(series, plan_grid(series, cfg))
     elapsed = time.time() - t0
     assert cell.failed_runs == 0 and len(cell.runs) == 5
-    mean = cell.interval.mean
+    mean, _, _ = cell.summary()
     ok = mean < 4.3e-3 and elapsed < 300
     report("4 single-step MLP band", ok,
            f"(mean test MSE {mean:.3e} < 4.3e-3 over 5 seeds, {elapsed:.0f}s)")
@@ -172,7 +171,7 @@ def test_criterion_5_horizon_degradation(data_dir):
     by_stock = {}
     for cell in cells:
         assert cell.failed_runs == 0
-        by_stock.setdefault(cell.stock, {})[cell.h] = cell.interval.mean
+        by_stock.setdefault(cell.stock, {})[cell.h] = cell.summary()[0]
     degraded = sum(1 for m in by_stock.values() if m[28] >= m[7])
     ok = degraded >= 7
     report("5 horizon degradation", ok,
@@ -314,10 +313,10 @@ def test_criterion_7_degenerate_inputs(tmp_path):
         cfg = ExperimentConfig(stocks=("ACC",), models=("MLP",), windows=(3,), n_runs=1,
                                train=TrainConfig(epochs=1, seed=0))
         [cell] = run_grid(series, plan_grid(series, cfg))
-        with pytest.raises(TooFewRuns):
-            cell.interval
+        # one run gives a mean but no sample std
+        assert cell.summary() == (cell.runs[0].test_mse, None, 1)
 
-    check("single run -> TooFewRuns", _single_run)
+    check("single run -> mean, no std", _single_run)
 
     # config and DM input files
     def _unknown_field():

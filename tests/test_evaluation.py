@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from stockcast.dm_pipeline import dm_csv_text
-from stockcast.errors import DegenerateDifferential, TooFewRuns
+from stockcast.errors import DegenerateDifferential
 from stockcast.evaluation import (
     DM_PAIRS,
     _two_sided_normal_p,
@@ -173,12 +173,12 @@ def test_dm_sign_convention():
 
 
 def test_loss_interval_single_run():
-    # failed runs do not count towards the two runs an interval needs
+    # failed runs count towards neither the mean's one run nor the std's two
     no_origins = np.empty((0, 1))
     run = RunResult(0, 0.1, [], np.empty(0, dtype=int), no_origins, no_origins)
     cell = CellResult("A", "MLP", 3, 1, "direct", runs=[run], failed_runs=2)
-    with pytest.raises(TooFewRuns):
-        cell.interval
+    assert cell.summary() == (0.1, None, 1)
+    assert CellResult("A", "MLP", 3, 1, "direct", failed_runs=2).summary() == (None, None, 0)
 
 
 def _error_map(seed=26, T=60):

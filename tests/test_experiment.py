@@ -2,18 +2,19 @@ import concurrent.futures
 import dataclasses
 import os
 import re
+import tempfile
 from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stockcast import experiment, runner
-from stockcast.config import ExperimentConfig
+from stockcast.config import ExperimentConfig, parse_config
 from stockcast.errors import (
     ArityMismatch,
     NonFiniteLoss,
-    TooFewRuns,
     WindowTooLarge,
     WindowTooSmall,
 )
@@ -152,18 +153,18 @@ def run_result(seed, test_mse):
 ])
 def test_cell_interval_arithmetic(errors, mean, std):
     cell = CellResult("A", "MLP", 3, 1, "direct", runs=[
-        run_result(i, v) for i, v in enumerate(errors)])
-    iv = cell.interval
-    assert iv.mean == pytest.approx(mean)
-    assert iv.std == pytest.approx(std, abs=0)  # exactly 0 for constant errors
-    assert iv.n_runs == len(errors)
+        run_result(i, v) for i, v in enumerate(errors)], failed_runs=1)
+    got_mean, got_std, n_runs = cell.summary()
+    assert got_mean == pytest.approx(mean)
+    assert got_std == pytest.approx(std, abs=0)  # exactly 0 for constant errors
+    assert n_runs == len(errors)  # the failed run is not counted
 
 
 def test_interval_needs_two_runs():
-    cell = CellResult("A", "MLP", 3, 1, "direct",
-                      runs=[run_result(0, 0.1)])
-    with pytest.raises(TooFewRuns):
-        cell.interval
+    # a mean needs one successful run and a std two
+    one = CellResult("A", "MLP", 3, 1, "direct", runs=[run_result(0, 0.1)])
+    assert one.summary() == (0.1, None, 1)
+    assert CellResult("A", "MLP", 3, 1, "direct").summary() == (None, None, 0)
 
 
 def sine_series(n, lo=0.2, hi=0.8):
@@ -313,6 +314,75 @@ def test_config_cannot_be_changed_after_it_is_checked():
     assert (cfg.windows, cfg.horizons) == ((3, 5, 7, 9, 11, 13, 15), (1,))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.horizons = (3,)
+
+
+def read_back(changes: dict):
+    """Build an ExperimentConfig from `changes` (`epochs` goes to its
+    TrainConfig).  Return the ValueError it raises, which must name a changed
+    field; or check that it hashes and that parse_config reads it back equal
+    from its echoed lines written to a file, and return None."""
+    changes = dict(changes)
+    epochs = changes.pop("epochs", 1)
+    with tempfile.TemporaryDirectory() as data_dir:
+        try:
+            cfg = ExperimentConfig(data_dir=data_dir, train=TrainConfig(epochs=epochs), **changes)
+        except ValueError as exc:
+            assert str(exc).split(" ", 1)[0] in {*changes, "epochs"}, exc
+            return exc
+        hash(cfg)
+        for symbol in cfg.stocks:
+            open(cfg.stock_path(symbol), "w").close()
+        path = os.path.join(data_dir, "echo.cfg")
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(f"{line}\n" for line in cfg.echo_lines())
+        assert parse_config(path) == cfg
+    return None
+
+
+@pytest.mark.parametrize("changes, field", [
+    pytest.param({"stocks": ("ACC", "HDFC"), "windows": (5, 7)}, None, id="tuples"),
+    pytest.param({"stocks": ["ACC"]}, "stocks", id="stocks-list"),
+    pytest.param({"stocks": ("acc",)}, "stocks", id="stocks-lower-case"),
+    pytest.param({"stocks": ("ACC",), "windows": (5.0,)}, "windows", id="windows-float"),
+    pytest.param({"stocks": ("A,B",)}, "stocks", id="stocks-comma"),
+])
+def test_config_built_in_code_reads_back_from_its_echo(changes, field):
+    # the tuple config reads back; each other one echoes a line that reads back as another grid
+    error = read_back(changes)
+    assert (error and str(error).split(" ", 1)[0]) == field
+
+
+def sometimes(valid, invalid):
+    """Values of `valid`, and one time in four of `invalid`."""
+    return st.integers(0, 3).flatmap(lambda i: invalid if i == 3 else valid)
+
+
+def grids(elements):
+    lists = st.lists(elements, min_size=1, max_size=3, unique=True)
+    return sometimes(lists.map(tuple), lists)
+
+
+# sometimes lower case, or holding a comma, '#', space or line break
+NAMES = sometimes(st.text(alphabet="ABC1.-", min_size=1, max_size=4),
+                  st.text(alphabet="ABCabc1.-, #\n\r", min_size=1, max_size=4))
+# sometimes the float or bool an integer field must not hold
+COUNTS = sometimes(st.integers(1, 40), st.one_of(st.floats(1, 40), st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({
+    "stocks": grids(NAMES),
+    "mode": st.sampled_from(["single", "multi"]),
+    "windows": grids(COUNTS),
+    "horizons": sometimes(st.just((1,)), grids(COUNTS)),
+    "models": grids(sometimes(st.sampled_from(KINDS), st.sampled_from(["mlp", "Gru"]))),
+    "n_runs": COUNTS,
+    "epochs": COUNTS,
+    "output_dir": sometimes(st.text(alphabet="ab/.-", max_size=4),
+                            st.text(alphabet="ab/., #\n\r", max_size=4)),
+}))
+def test_config_built_in_code_is_rejected_or_reads_back_equal(changes):
+    read_back(changes)
 
 
 @pytest.mark.parametrize("strategy", ["direct", "iterative"])
