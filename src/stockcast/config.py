@@ -7,26 +7,50 @@ the fields of `ExperimentConfig` (except `train`) followed by those of
 Every default is materialized at parse time so the echoed config in
 result headers is self-describing.
 
-`ExperimentConfig` is the one checked description of a grid: built from
-a file or in code, it holds only values that its echoed lines read back
-as, meets the grid rules, and is frozen, so no later change breaks them.
+`ExperimentConfig` (a grid) and `TrainConfig` (a run's training), built
+from a file or in code, hold only values that their echoed lines read
+back as, meet their rules, and are frozen, so no later change breaks them.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass, field, fields
 from datetime import date
 
 from .errors import MissingDataFile, ParseError
-from .experiment import TrainConfig
 from .ingest import parse_date
 from .models import KINDS
 
 SINGLE_STEP_WINDOWS = (3, 5, 7, 9, 11, 13, 15)
 MULTI_STEP_WINDOWS = (30, 60, 90)
 MULTI_STEP_HORIZONS = (7, 14, 21, 28)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 100
+    batch_size: int = 32
+    lr: float = 1e-3
+    seed: int = 0
+    shuffle: bool = True
+    origin_stride: int = 1
+    scaler_scope: str = "train"
+
+    def __post_init__(self):
+        # the range rules first, so lr = nan is named by its rule (nan != nan cannot read back)
+        for name in ("epochs", "batch_size", "origin_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.scaler_scope not in ("train", "full"):
+            raise ValueError(f"scaler_scope must be 'train' or 'full', got {self.scaler_scope!r}")
+        _check_reads_back(self)
 
 
 @dataclass(frozen=True)
@@ -44,16 +68,9 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        # each message starts with the field name: parse_config reports it as the field.
-        # Each value must read back from its echoed line as itself, echoing that line.
-        for (owner, f), line in zip(_keys(self), self.echo_lines()):
-            value = getattr(owner, f.name)
-            try:  # newline=None splits lines as a config file's reader does
-                read = _read(io.StringIO(line, newline=None))
-            except ParseError:
-                read = {}
-            if read != {f.name: value} or _format(read[f.name]) != _format(value):
-                raise ValueError(f"{f.name} {value!r} does not read back from {line!r}")
+        _check_reads_back(self)
+        if not isinstance(self.train, TrainConfig):  # a TrainConfig checked itself when built
+            raise ValueError(f"train must be a TrainConfig, got {self.train!r}")
         if self.mode not in ("single", "multi"):
             raise ValueError(f"mode must be 'single' or 'multi', got {self.mode!r}")
         if self.mode == "single" and self.horizons != (1,):
@@ -80,13 +97,24 @@ class ExperimentConfig:
 
     def echo_lines(self) -> list[str]:
         """Fully materialized key=value lines for output headers."""
-        return [f"{f.name} = {_format(getattr(obj, f.name))}" for obj, f in _keys(self)]
+        return [line for cfg in (self, self.train) for *_, line in _echo(cfg)]
 
 
-def _keys(cfg):
-    """(owner, field) for every config key, in file and echo order."""
-    return ([(cfg, f) for f in fields(cfg) if f.name != "train"]
-            + [(cfg.train, f) for f in fields(cfg.train)])
+def _echo(cfg) -> list[tuple[str, object, str]]:
+    """(key, value, echoed line) of each config key a config dataclass holds."""
+    return [(f.name, getattr(cfg, f.name), f"{f.name} = {_format(getattr(cfg, f.name))}")
+            for f in fields(cfg) if f.name != "train"]
+
+
+def _check_reads_back(cfg):
+    # each message starts with the field name: parse_config reports it as the field
+    for key, value, line in _echo(cfg):  # each value reads back as itself, echoing its line
+        try:  # newline=None splits lines as a config file's reader does
+            read = _read(io.StringIO(line, newline=None))
+        except ParseError:
+            read = {}
+        if read != {key: value} or _format(read[key]) != _format(value):
+            raise ValueError(f"{key} {value!r} does not read back from {line!r}")
 
 
 def _format(value) -> str:
@@ -155,11 +183,9 @@ def parse_config(path) -> ExperimentConfig:
     if values.get("mode") == "multi":
         values.setdefault("windows", MULTI_STEP_WINDOWS)
         values.setdefault("horizons", MULTI_STEP_HORIZONS)
-    train_keys = {f.name for f in fields(TrainConfig)}
+    train = {f.name: values.pop(f.name) for f in fields(TrainConfig) if f.name in values}
     try:
-        train = TrainConfig(**{k: v for k, v in values.items() if k in train_keys})
-        cfg = ExperimentConfig(**{k: v for k, v in values.items() if k not in train_keys},
-                               train=train)
+        cfg = ExperimentConfig(**values, train=TrainConfig(**train))
     except ValueError as exc:  # every rule reads "<field> <rule>"
         key, _, rule = str(exc).partition(" ")
         raise ParseError(f"field {key!r}: {rule}") from None

@@ -6,54 +6,28 @@ space; `CellResult.summary` alone reduces them to the cell's mean,
 sample std and run count.  Run seeds derive from the master seed as
 master + i so any single run is re-executable in isolation.
 
-`plan_grid(series, cfg)` checks the grid an `ExperimentConfig` names
-against the data once and lists its tasks, one per trained model,
-before anything trains.  The iterative strategy's single-output model
-does not depend on h, so one task per (stock, model, w, seed) serves
-every horizon; a direct task serves one.  `run_grid` files each task's
-runs in the cells named by the task's own fields, so results do not
-depend on the worker count.
+`plan_grid(series, cfg)` checks the grid an `ExperimentConfig`
+(`stockcast.config`, like `TrainConfig`) names against the data once and
+lists its tasks, one per trained model, before anything trains.  The
+iterative strategy's single-output model does not depend on h, so one
+task per (stock, model, w, seed) serves every horizon; a direct task
+serves one.  `run_grid` files each task's runs in the cells named by the
+task's own fields, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import ExperimentConfig, TrainConfig
 from .errors import NonFiniteLoss, WindowTooLarge
 from .models import build_model, cnn_kernel
 from .nn.layers import mse_loss
 from .nn.optim import Adam
 from .windowing import make_samples, rolling_test_forecast
-
-if TYPE_CHECKING:  # config imports this module
-    from .config import ExperimentConfig
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 32
-    lr: float = 1e-3
-    seed: int = 0
-    shuffle: bool = True
-    origin_stride: int = 1
-    scaler_scope: str = "train"
-
-    def __post_init__(self):
-        # each message starts with the field name: parse_config reports it as the field
-        for name in ("epochs", "batch_size", "origin_stride"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.scaler_scope not in ("train", "full"):
-            raise ValueError(f"scaler_scope must be 'train' or 'full', got {self.scaler_scope!r}")
 
 
 @dataclass
@@ -89,9 +63,10 @@ def train(model, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> list[float]:
     the per-epoch mean batch loss.
 
     One `mse_loss` step and one Adam step per batch; windows of the wrong
-    width raise ArityMismatch before the first.  Mutates the model's
-    parameters in place.  Identical (model, cfg) reproduce bit-identical
-    histories on one platform.
+    width raise ArityMismatch before the first, and a non-finite batch loss
+    raises NonFiniteLoss, without numpy's overflow warnings on the way there.
+    Mutates the model's parameters in place.  Identical (model, cfg)
+    reproduce bit-identical histories on one platform.
     """
     n = len(X)
     if not n:
@@ -100,25 +75,26 @@ def train(model, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig) -> list[float]:
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params, lr=cfg.lr)
     history = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, grads = mse_loss(model.chain, model.params, X[idx], Y[idx])
-            value = float(loss)
-            if not math.isfinite(value):
-                raise NonFiniteLoss(
-                    f"{model.kind} diverged at epoch {len(history)}, batch {n_batches} "
-                    f"(lr={cfg.lr}, seed={cfg.seed})"
-                )
-            opt.step(grads)
-            # freed before the next batch's forward, which would otherwise run beside them
-            del grads
-            epoch_loss += value
-            n_batches += 1
-        history.append(epoch_loss / n_batches)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+            epoch_loss = 0.0
+            n_batches = 0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                loss, grads = mse_loss(model.chain, model.params, X[idx], Y[idx])
+                value = float(loss)
+                if not math.isfinite(value):
+                    raise NonFiniteLoss(
+                        f"{model.kind} diverged at epoch {len(history)}, batch {n_batches} "
+                        f"(lr={cfg.lr}, seed={cfg.seed})"
+                    )
+                opt.step(grads)
+                # freed before the next batch's forward, which would otherwise run beside them
+                del grads
+                epoch_loss += value
+                n_batches += 1
+            history.append(epoch_loss / n_batches)
     return history
 
 

@@ -127,7 +127,7 @@ def execute(cfg: ExperimentConfig, jobs: int = 1, all_traces: bool = False) -> i
                          ("run_errors.csv", run_errors_csv_text(cfg, cells)),
                          ("traces.json", traces_json_text(cfg, cells, all_traces))):
         atomic_write(os.path.join(cfg.output_dir, name), chunks)
-    failed = [c for c in cells if c.failed_runs or not c.runs]
+    failed = [c for c in cells if c.failed_runs]
     for cell in failed:
         print(f"FAILED {cell.stock} {cell.model} w={cell.w} h={cell.h}: "
               f"{cell.failed_runs} divergent run(s)")

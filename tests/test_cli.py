@@ -203,6 +203,21 @@ def test_run_seed_override(tmp_path, tiny_dir):
     assert {row.split(",")[4] for row in err_lines} == {"9", "10"}
 
 
+def test_run_files_a_diverging_grid_as_failed_cells(tmp_path, data_dir, capsys):
+    # the suite turns warnings into errors, so an overflow warning would escape train
+    cfg_path = write_lines(tmp_path / "div.cfg", [
+        f"data_dir = {data_dir}", "stocks = ACC", "windows = 5", "models = MLP,GRU",
+        "n_runs = 2", "epochs = 1", "lr = 1e300", f"output_dir = {tmp_path / 'out'}"])
+    assert main(["run", "--config", cfg_path, "--jobs", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAILED ACC {model} w=5 h=1: 2 divergent run(s)" for model in ("MLP", "GRU")]
+    rows = [line for line in (tmp_path / "out" / "results.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[1:] == [f"ACC,{model},5,1,direct,,,0,2" for model in ("MLP", "GRU")]
+    for name in ("run_errors.csv", "traces.json"):
+        assert (tmp_path / "out" / name).is_file()
+
+
 @pytest.mark.parametrize("affinity, cpu_count, expect", [
     ({0}, 64, 1),        # pinned to one of 64 CPUs
     ({1, 3, 5}, 8, 3),

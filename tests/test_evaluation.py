@@ -213,6 +213,24 @@ def test_pairwise_matrix_all_identical():
     assert all(report is None for _, report in reports)
 
 
+def test_dm_csv_reports_a_degenerate_pair_and_the_rest(tmp_path):
+    # MLP and CNN make identical errors, so their loss differential is all zeros
+    rng = np.random.default_rng(28)
+    errors = {m: np.abs(rng.standard_normal(20)) for m in ("MLP", "GRU", "LSTM")}
+    errors["CNN"] = errors["MLP"]
+    path = tmp_path / "run_errors.csv"
+    path.write_text("stock,model,w,h,seed,origin,step,abs_error_norm\n" + "".join(
+        f"ACC,{model},5,1,0,{origin},1,{error!r}\n"
+        for model, values in errors.items() for origin, error in enumerate(values.tolist())))
+    rows = [line.split(",") for line in dm_csv_text(path, mode="single").splitlines()
+            if line.startswith("ACC,")]
+    assert [row[1] for row in rows] == [f"{a}-{b}" for a, b in DM_PAIRS["single"]]
+    assert ",".join(rows[0]) == "ACC,MLP-CNN,,,1,20,degenerate"
+    for row in rows[1:]:
+        assert math.isfinite(float(row[2])) and 0.0 <= float(row[3]) <= 1.0
+        assert row[4:] == ["1", "20", "harvey"]
+
+
 def test_pairwise_matrix_insertion_order_irrelevant():
     errors = _error_map()
     fwd = pairwise_dm_matrix(dict(errors), h=1)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stockcast import experiment, runner
+import stockcast
+from stockcast import config, experiment, runner
 from stockcast.config import ExperimentConfig, parse_config
 from stockcast.errors import (
     ArityMismatch,
@@ -63,6 +64,27 @@ def test_origin_stride_zero_rejected():
 def test_bad_lr_rejected(lr):
     with pytest.raises(ValueError, match="lr must be finite and > 0"):
         TrainConfig(lr=lr)
+
+
+@pytest.mark.parametrize("changes", [
+    {"epochs": 2.5}, {"batch_size": 1.5}, {"shuffle": "no"}, {"lr": 1},
+], ids=lambda changes: next(iter(changes)))
+def test_train_config_built_alone_reads_back_from_its_echo(changes):
+    # checked when built, so train never starts on epochs = 2.5
+    field, = changes
+    with pytest.raises(ValueError, match=f"^{field} .* does not read back from "):
+        TrainConfig(**changes)
+
+
+def test_config_train_must_be_a_train_config():
+    # ExperimentConfig leaves the train fields' rules to TrainConfig
+    message = "train must be a TrainConfig, got {'epochs': 2.5}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(stocks=("ACC",), train={"epochs": 2.5})
+
+
+def test_train_config_is_one_class():
+    assert stockcast.TrainConfig is experiment.TrainConfig is config.TrainConfig
 
 
 def test_same_seed_identical_history():

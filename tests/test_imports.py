@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
-and every private name a module defines at its top level is read there.
+every private name a module defines at its top level is read there, and
+the modules' relative imports form no cycle.
 
-The package `__init__.py` files are left out of the import check: what
+The package `__init__.py` files are left out of the import checks: what
 they import is their public interface.
 """
 
@@ -73,3 +74,59 @@ def test_finds_an_unused_private_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(SRC)))
 def test_module_reads_every_private_name(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def relative_imports(name: str, source: str) -> set[str]:
+    """The dotted names of the modules that module `name`'s relative imports
+    load, `TYPE_CHECKING` blocks and function bodies included."""
+    package = name.split(".")[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = package[:len(package) + 1 - node.level]
+            found.update(".".join(base + [part]) for part in (
+                [node.module] if node.module else [alias.name for alias in node.names]))
+    return found
+
+
+def import_cycle(sources: dict[str, str]) -> list[str]:
+    """One cycle [a, b, ..., a] of the import graph among `sources` (dotted
+    module name -> source), or [] if there is none."""
+    graph = {name: sorted(relative_imports(name, source) & sources.keys())
+             for name, source in sources.items()}
+    acyclic = set()
+
+    def visit(name, path):
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name not in acyclic:
+            for imported in graph[name]:
+                cycle = visit(imported, path + [name])
+                if cycle:
+                    return cycle
+            acyclic.add(name)
+        return []
+
+    for name in sorted(graph):
+        cycle = visit(name, [])
+        if cycle:
+            return cycle
+    return []
+
+
+def test_finds_an_import_cycle():
+    sources = {
+        "a": "from .b import x\n",
+        "b": "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .sub.c import y\n",
+        "sub.c": "from .. import a\nfrom ..errors import E\n",
+        "d": "from .a import z\n",
+    }
+    assert import_cycle(sources) == ["a", "b", "sub.c", "a"]
+    del sources["sub.c"]
+    assert import_cycle(sources) == []
+
+
+def test_package_has_no_import_cycle():
+    sources = {".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text()
+               for p in MODULES}
+    assert import_cycle(sources) == []
